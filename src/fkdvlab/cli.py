@@ -70,7 +70,7 @@ def _parse_ic(raw: str) -> InitialCondition:
     fam = fam.strip()
     parts = [a.strip() for a in args.split(",")] if args.strip() else []
     if fam == "file":
-        return InitialCondition("file", (parts[0],))
+        return InitialCondition("file", tuple(parts))
     try:
         if fam == "random_band":
             params = (int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]))
@@ -304,7 +304,7 @@ def cmd_experiment(args) -> int:
             },
             notes=[f"t* = {fmt(ts.t_star_predicted)}",
                    f"moment0 = {fmt(ts.moment0)}", f"l2sq = {fmt(ts.l2sq)}"]
-            + ts.notes)
+            + ts.notes, truncated=ts.truncated)
     elif name == "two-time-bh":
         t1 = float(extras.get("t1", 0.5))
         t2 = float(extras.get("t2", 1.0))
@@ -322,8 +322,8 @@ def cmd_experiment(args) -> int:
         raise ConfigurationError(
             f"unknown experiment '{name}'; choose from {', '.join(_EXPERIMENTS)}")
     (out / "report.csv").write_text(report_csv(report))
-    write_manifest(out, cfg, f"experiment {name}", start, time.time(), False,
-                   "pass" if report.passed else "metric-failure")
+    write_manifest(out, cfg, f"experiment {name}", start, time.time(),
+                   report.truncated, "pass" if report.passed else "metric-failure")
     for key, m in report.metrics.items():
         flag = "PASS" if m.passed else "FAIL"
         print(f"[{flag}] {report.name}/{key}: measured {fmt(m.measured)} "

@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigurationError, DomainError
-from .spectral import (Field, MEAN_TOL, bessel, frac_deriv, hilbert, l2_norm,
-                       mean_coefficient, transform, truncated_weight)
+from .spectral import (Field, Grid, MEAN_TOL, bessel, derivative_symbol,
+                       frac_deriv_symbol, l2_norm, mean_coefficient,
+                       require_zero_mean, transform, truncated_weight)
 
 #: fits are rejected above this (relative rms) log-log residual
 FIT_RESIDUAL_MAX = 0.05
@@ -38,25 +40,46 @@ class DiagnosticsRecord:
     jump: Optional[complex] = None
 
 
-def invariants(f: Field, alpha: float):
+def invariants(f: Field, alpha: float, spectrum: Optional[np.ndarray] = None):
     """The three formally conserved functionals (i1, i2, i3).
 
     i3 needs D^(alpha/2); for alpha < 0 that operator lives on the
     zero-mean class, so i3 is reported as None with a reason when the
-    mean is not negligible.
+    mean is not negligible.  ``spectrum`` is the real-FFT half spectrum
+    of ``f`` when the caller already holds it; the D^(alpha/2) term is
+    summed from it by Parseval.
     """
     dx = f.grid.dx
     u = f.samples
+    u2 = u * u
     i1 = float(np.sum(u) * dx)
-    i2 = float(np.sum(u * u) * dx)
-    i3 = None
-    reason = ""
+    i2 = float(np.sum(u2) * dx)
     try:
-        half = frac_deriv(f, alpha / 2.0)
-        i3 = float(np.sum(half.samples ** 2) * dx - np.sum(u ** 3) * dx / 3.0)
+        if alpha < 0:
+            require_zero_mean(f, alpha / 2.0)
     except DomainError as exc:
-        reason = str(exc)
-    return i1, i2, i3, reason
+        return i1, i2, None, str(exc)
+    uh = scipy.fft.rfft(u) if spectrum is None else spectrum
+    half_sq = np.sum(_half_tables(f.grid, alpha)[0] * (uh.real ** 2 + uh.imag ** 2))
+    return i1, i2, float(half_sq - np.sum(u2 * u) * dx / 3.0), ""
+
+
+def _half_tables(grid: Grid, alpha: float):
+    """Parseval weights for ||D^(alpha/2) u||^2 and the symbol i k, on the half grid.
+
+    Built once per grid and alpha.  Modes 1..n/2-1 stand for a pair and
+    weigh 2; modes 0 and n/2 weigh 1; dx/n turns the sum into the
+    rectangle-rule integral.
+    """
+    def build():
+        w = np.full(grid.n // 2 + 1, 2.0 * grid.dx / grid.n)
+        w[[0, -1]] *= 0.5
+        parseval = w * np.abs(frac_deriv_symbol(alpha / 2.0).on_half_grid(grid)) ** 2
+        ik = derivative_symbol().on_half_grid(grid)
+        for a in (parseval, ik):
+            a.setflags(write=False)
+        return parseval, ik
+    return grid.table(("diagnostics", alpha), build)
 
 
 def moment_first(f: Field) -> float:
@@ -200,18 +223,25 @@ def spectral_jump(f: Field, refine: bool = False):
 
 def make_record(f: Field, t: float, alpha: float, weight_orders=(),
                 sobolev_order: Optional[float] = None,
-                with_jump: bool = False) -> DiagnosticsRecord:
-    """Assemble the per-time diagnostics row."""
+                with_jump: bool = False,
+                spectrum: Optional[np.ndarray] = None) -> DiagnosticsRecord:
+    """Assemble the per-time diagnostics row.
+
+    ``spectrum`` is the real-FFT half spectrum of ``f`` when the caller
+    (the time stepper) already holds it; otherwise it is computed here.
+    """
     from .solver import tail_fraction        # local import; solver depends on us
 
-    i1, i2, i3, reason = invariants(f, alpha)
-    ux = frac_deriv_dx(f)
+    if spectrum is None:
+        spectrum = scipy.fft.rfft(f.samples)
+    i1, i2, i3, reason = invariants(f, alpha, spectrum)
+    ux = scipy.fft.irfft(_half_tables(f.grid, alpha)[1] * spectrum, f.grid.n)
     rec = DiagnosticsRecord(
         t=t, i1=i1, i2=i2, i3=i3, i3_reason=reason,
         mean=mean_coefficient(f),
         moment_x=moment_first(f),
         max_u=float(np.max(f.samples)),
-        min_ux=float(np.min(ux.samples)),
+        min_ux=float(np.min(ux)),
         tail_frac=tail_fraction(f.samples, f.grid),
         wnorms={r: weighted_norm(f, r) for r in weight_orders},
     )
@@ -220,14 +250,3 @@ def make_record(f: Field, t: float, alpha: float, weight_orders=(),
     if with_jump:
         rec.jump = spectral_jump(f)[0]
     return rec
-
-
-def frac_deriv_dx(f: Field) -> Field:
-    """Spectral first derivative."""
-    from .spectral import apply_multiplier, derivative_symbol
-    return apply_multiplier(f, derivative_symbol())
-
-
-def hilbert_weighted_norm(f: Field, r: float) -> float:
-    """Optional companion norm ||<x>^r H u||_2 tracked for the alpha = -1 runs."""
-    return weighted_norm(hilbert(f), r)

@@ -53,6 +53,7 @@ class ExperimentReport:
     config_echo: dict
     metrics: dict
     notes: list = field(default_factory=list)
+    truncated: bool = False       # a solve stopped early on the tail guard
 
     @property
     def passed(self) -> bool:
@@ -70,6 +71,7 @@ class TStarReport:
     zero_crossing_expected: float
     passed: bool
     notes: list = field(default_factory=list)
+    truncated: bool = False
 
 
 def _require_zero_mean(u0: Field, what: str):
@@ -127,6 +129,7 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
         ])
     if traj.truncated:
         report.notes.append(f"TRUNCATED: {traj.truncation_reason}")
+        report.truncated = True
     return report
 
 
@@ -175,7 +178,7 @@ def run_tstar(cfg: SimConfig) -> TStarReport:
         moment0=m0, l2sq=l2sq, t_star_predicted=t_star,
         integral_of_moment=integral, residual=residual,
         zero_crossing=float(zc), zero_crossing_expected=0.5 * t_star,
-        passed=bool(residual <= 1e-4), notes=notes)
+        passed=bool(residual <= 1e-4), notes=notes, truncated=traj.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +223,7 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
     jumps = {}
     moments = {}
     i2 = None
+    truncated = False
     for scale in (1, 2):
         sc_cfg = replace(cfg, n=cfg.n * scale, length=cfg.length * scale)
         grid = sc_cfg.grid()
@@ -227,6 +231,7 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
         _require_zero_mean(u0, "two-time identity run")
         times = sorted({t for t in (t1, t2) if t > 0})
         states, traj = _states_at(sc_cfg, grid, u0, times)
+        truncated = truncated or traj.truncated
         states[0.0] = u0
         jumps[scale] = {t: _jump_plus(states[min(states, key=lambda s: abs(s - t))])
                         for t in (0.0, t1, t2)}
@@ -263,7 +268,7 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
             f"identity residual R = {r_meas:.6e} (zero only if extra decay holds "
             "at both times; generic data keeps it nonzero)",
             f"jump m(0) extrapolated = {m0:.6e}",
-        ])
+        ], truncated=truncated)
     if abs(delta - 2 * math.pi) < 1e-12:
         report.metrics["identity_trivial_at_2pi"] = MetricEntry(
             abs(r_meas), 0.0, 1e-6 * i2)
@@ -457,7 +462,8 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
             "commuting_field_residual": MetricEntry(comm_res, 0.0, 1e-8),
             "coordinate_commutator_residual": MetricEntry(ident_res, 0.0, 1e-8),
         },
-        notes=[f"lambda = {lam:g}, matched times ({T1:g}, {T2:g})"])
+        notes=[f"lambda = {lam:g}, matched times ({T1:g}, {T2:g})"],
+        truncated=traj1.truncated or traj2.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +532,9 @@ def run_wave_breaking(cfg: SimConfig) -> ExperimentReport:
                  f"max gradient growth {float(np.max(gs) / g0):.2f}x")
     if traj.truncated and not inconclusive:
         notes.append(f"run truncated after onset: {traj.truncation_reason}")
-    report = ExperimentReport("wave_breaking", _echo(cfg), metrics, notes)
-    return report
+    return ExperimentReport("wave_breaking", _echo(cfg), metrics, notes,
+                            truncated=traj.truncated or traj_h.truncated
+                            or control.truncated)
 
 
 def run_no_breaking(cfg: SimConfig) -> ExperimentReport:
@@ -540,4 +547,5 @@ def run_no_breaking(cfg: SimConfig) -> ExperimentReport:
     return ExperimentReport(
         "no_breaking", _echo(cfg),
         {"gradient_growth": MetricEntry(growth, 0.0, 10.0, mode="le")},
-        notes=[f"max gradient growth {growth:.2f}x over horizon {cfg.t_final:g}"])
+        notes=[f"max gradient growth {growth:.2f}x over horizon {cfg.t_final:g}"],
+        truncated=traj.truncated)

@@ -10,17 +10,28 @@ as an independent cross-validation oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 
 from . import diagnostics as diag
 from .errors import (ConfigurationError, DomainError, NumericError,
                      OracleDivergenceError, StepError)
-from .spectral import (Field, Grid, dispersion_symbol, make_grid)
+from .spectral import (Field, Grid, derivative_symbol, dispersion_symbol,
+                       make_grid)
 
 CFL_CONSTANT = 0.5
+
+_IC_PARAMS = {
+    "gaussian": ("A", "sigma", "x0"),
+    "odd_gaussian": ("A", "sigma"),
+    "sine_packet": ("A", "k", "sigma"),
+    "random_band": ("seed", "k_lo", "k_hi", "A"),
+    "file": ("path",),
+}
 
 
 @dataclass(frozen=True)
@@ -37,6 +48,15 @@ class InitialCondition:
     params: tuple = ()
     zero_mean_projected: bool = False
 
+    def __post_init__(self):
+        names = _IC_PARAMS.get(self.family)
+        if names is None:
+            raise ConfigurationError(f"unknown initial-condition family '{self.family}'")
+        if len(self.params) != len(names):
+            raise ConfigurationError(
+                f"{self.family}({', '.join(names)}) takes {len(names)} parameter(s), "
+                f"got {len(self.params)}")
+
     def build(self, grid: Grid) -> Field:
         x = grid.x
         fam = self.family
@@ -52,11 +72,9 @@ class InitialCondition:
         elif fam == "random_band":
             seed, k_lo, k_hi, amp = self.params
             u = _random_band(grid, int(seed), k_lo, k_hi, amp)
-        elif fam == "file":
+        else:
             (path,) = self.params
             u = _load_field_samples(path, grid)
-        else:
-            raise ConfigurationError(f"unknown initial-condition family '{fam}'")
         if self.zero_mean_projected:
             u = u - np.mean(u)
         return Field(grid, u)
@@ -65,13 +83,12 @@ class InitialCondition:
 def _random_band(grid: Grid, seed: int, k_lo: float, k_hi: float, amp: float) -> np.ndarray:
     """Band-limited field with seeded random phases, scaled to ||u||_2 = amp."""
     rng = np.random.default_rng(seed)
-    k = grid.k
-    band = (np.abs(k) >= k_lo) & (np.abs(k) <= k_hi) & (k > 0)
-    coeff = np.zeros(grid.n, dtype=complex)
+    k = grid.k[: grid.n // 2 + 1]        # the Nyquist wavenumber is negative here
+    band = (k >= k_lo) & (k <= k_hi) & (k > 0)
+    coeff = np.zeros(k.size, dtype=complex)
     idx = np.nonzero(band)[0]
     coeff[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-    coeff[-idx % grid.n] = np.conj(coeff[idx])
-    u = np.fft.ifft(coeff).real
+    u = scipy.fft.irfft(coeff, grid.n)
     norm = np.sqrt(np.sum(u ** 2) * grid.dx)
     if norm == 0:
         raise ConfigurationError(
@@ -118,10 +135,10 @@ class SimConfig:
         if not (-1.0 <= self.alpha < hi) or self.alpha == 0.0:
             raise ConfigurationError(
                 f"alpha must lie in [-1, {hi:g}) and be nonzero, got {self.alpha}")
-        if not (self.dt > 0):
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if not (self.t_final > 0):
-            raise ConfigurationError(f"t_final must be positive, got {self.t_final}")
+        for name in ("dt", "t_final", "length"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if self.diag_every < 1:
             raise ConfigurationError(f"diag_every must be >= 1, got {self.diag_every}")
 
@@ -141,74 +158,83 @@ class Trajectory:
 
 def cfl_bound(f: Field) -> float:
     """Largest admissible dt for the advective part, 0.5 dx / max(1, |u|)."""
-    return CFL_CONSTANT * f.grid.dx / max(1.0, float(np.max(np.abs(f.samples))))
+    return _cfl_bound(float(np.max(np.abs(f.samples))), f.grid.dx)
+
+
+def _cfl_bound(u_max: float, dx: float) -> float:
+    return CFL_CONSTANT * dx / max(1.0, u_max)
 
 
 def linear_propagator(f: Field, t: float, alpha: float) -> Field:
     """Exact free evolution exp(t d/dx D^alpha); unitary on every mode."""
     grid = f.grid
-    sym = _propagator_values(grid, t, alpha)
-    out = np.fft.ifft(sym * np.fft.fft(f.samples)).real
+    sym = _propagators(grid, alpha, t)
+    out = scipy.fft.irfft(sym * scipy.fft.rfft(f.samples), grid.n)
     return Field(grid, out)
 
 
-def _propagator_values(grid: Grid, t: float, alpha: float) -> np.ndarray:
-    gen = dispersion_symbol(alpha).on_grid(grid)       # i k |k|^alpha, 0 at k=0
-    vals = np.exp(t * gen)
-    ny = grid.nyquist_index
-    vals[ny] = vals[ny].real                           # unpaired mode stays real
+def _propagators(grid: Grid, alpha: float, times) -> np.ndarray:
+    """exp(t i k |k|^alpha) on the half grid, one row per time in ``times``."""
+    gen = dispersion_symbol(alpha).on_grid(grid)[: grid.n // 2 + 1]
+    vals = np.exp(np.multiply.outer(times, gen))
+    vals[..., -1] = vals[..., -1].real                 # unpaired mode stays real
     return vals
 
 
-def _dealias_mask(grid: Grid) -> np.ndarray:
-    m = grid.mode_numbers()
-    return (np.abs(m) <= grid.n // 3).astype(float)
+def _nonlinear_tables(grid: Grid, dealias: bool):
+    """Highest mode kept in the square, and -i k/2 times the 2/3-rule mask.
+
+    The mask keeps modes m <= n/3; without dealiasing every mode is kept.
+    """
+    m = np.arange(grid.n // 2 + 1)
+    keep = m <= grid.n // 3 if dealias else np.ones(m.size, dtype=bool)
+    return int(m[keep][-1]), -0.5 * derivative_symbol().on_half_grid(grid) * keep
+
+
+def _nonlinear_hat(uh: np.ndarray, n: int, top: int, dfac: np.ndarray) -> np.ndarray:
+    # modes above ``top`` are zero-padded away before squaring
+    u = scipy.fft.irfft(uh[: top + 1], n)
+    return dfac * scipy.fft.rfft(u * u)
 
 
 def nonlinear_term(f: Field, dealias: bool = True) -> Field:
     """-1/2 d/dx (u^2), optionally with the 2/3-rule mask around the square."""
     grid = f.grid
-    uh = np.fft.fft(f.samples)
-    out = _nonlinear_hat(uh, grid, dealias)
-    u_t = np.fft.ifft(out).real
+    top, dfac = _nonlinear_tables(grid, dealias)
+    out = _nonlinear_hat(scipy.fft.rfft(f.samples), grid.n, top, dfac)
+    u_t = scipy.fft.irfft(out, grid.n)
     if not np.all(np.isfinite(u_t)):
         raise NumericError("nonlinear term overflowed")
     return Field(grid, u_t)
 
 
-def _nonlinear_hat(uh: np.ndarray, grid: Grid, dealias: bool) -> np.ndarray:
-    if dealias:
-        mask = _dealias_mask(grid)
-        u = np.fft.ifft(mask * uh).real
-        return -0.5j * grid.k * mask * np.fft.fft(u * u)
-    u = np.fft.ifft(uh).real
-    return -0.5j * grid.k * np.fft.fft(u * u)
-
-
 class _Stepper:
-    """Integrating-factor RK4 on the raw spectrum."""
+    """Integrating-factor RK4 on the real-FFT half spectrum.
+
+    Every table a step needs is built here, once per run.
+    """
 
     def __init__(self, grid: Grid, alpha: float, dt: float, dealias: bool,
                  nonlinear: bool):
-        self.grid = grid
+        self.n = grid.n
         self.dt = dt
         self.nonlinear = nonlinear
-        self.dealias = dealias
-        self.E = _propagator_values(grid, 0.5 * dt, alpha)
-        self.E2 = _propagator_values(grid, dt, alpha)
+        self.E, self.E2 = _propagators(grid, alpha, (0.5 * dt, dt))
+        self.top, self.dfac = _nonlinear_tables(grid, dealias)
 
     def nhat(self, uh: np.ndarray) -> np.ndarray:
         if not self.nonlinear:
             return np.zeros_like(uh)
-        return _nonlinear_hat(uh, self.grid, self.dealias)
+        return _nonlinear_hat(uh, self.n, self.top, self.dfac)
 
     def step(self, uh: np.ndarray) -> np.ndarray:
         dt, E, E2 = self.dt, self.E, self.E2
+        E2uh = E2 * uh
         k1 = self.nhat(uh)
         k2 = self.nhat(E * (uh + 0.5 * dt * k1))
         k3 = self.nhat(E * uh + 0.5 * dt * k2)
-        k4 = self.nhat(E2 * uh + dt * E * k3)
-        return E2 * uh + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+        k4 = self.nhat(E2uh + dt * E * k3)
+        return E2uh + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
 
 
 def step_ifrk4(f: Field, dt: float, cfg: SimConfig) -> Field:
@@ -218,7 +244,7 @@ def step_ifrk4(f: Field, dt: float, cfg: SimConfig) -> Field:
         raise StepError(f"dt = {dt:g} exceeds the advective bound {bound:g}",
                         suggested_dt=bound)
     st = _Stepper(f.grid, cfg.alpha, dt, cfg.dealias, cfg.nonlinear)
-    out = np.fft.ifft(st.step(np.fft.fft(f.samples))).real
+    out = scipy.fft.irfft(st.step(scipy.fft.rfft(f.samples)), f.grid.n)
     if not np.all(np.isfinite(out)):
         raise NumericError("state became non-finite within one step")
     return Field(f.grid, out)
@@ -264,7 +290,7 @@ def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = Non
             f"initial tail fraction {tf0:.3e} already exceeds tail_tol {cfg.tail_tol:g}")
 
     stepper = _Stepper(grid, cfg.alpha, cfg.dt, cfg.dealias, cfg.nonlinear)
-    uh = np.fft.fft(f0.samples).astype(complex)
+    uh = scipy.fft.rfft(f0.samples)
     n_steps = int(round(cfg.t_final / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_final) > 1e-8 * max(cfg.t_final, cfg.dt):
         raise ConfigurationError(
@@ -272,7 +298,7 @@ def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = Non
             f"(nearest reachable time {n_steps * cfg.dt:g})")
 
     times = [0.0]
-    records = [diag.make_record(f0, 0.0, cfg.alpha, cfg.weight_orders)]
+    records = [diag.make_record(f0, 0.0, cfg.alpha, cfg.weight_orders, spectrum=uh)]
     states = {0.0: f0}
     truncated = False
     reason = ""
@@ -281,12 +307,13 @@ def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = Non
     for i in range(1, n_steps + 1):
         uh = stepper.step(uh)
         t = i * cfg.dt
-        u = np.fft.ifft(uh).real
-        if not np.all(np.isfinite(u)):
+        u = scipy.fft.irfft(uh, grid.n)
+        u_max = float(np.max(np.abs(u)))      # NaN or inf when any sample is
+        if not math.isfinite(u_max):
             raise NumericError(f"state non-finite at t = {t:g}; last good t = {last_good:g}")
         last_good = t
         if cfg.nonlinear:
-            bound = CFL_CONSTANT * grid.dx / max(1.0, float(np.max(np.abs(u))))
+            bound = _cfl_bound(u_max, grid.dx)
             if cfg.dt > bound * (1.0 + 1e-12):
                 raise StepError(
                     f"CFL violated at t = {t:g}: dt = {cfg.dt:g} > {bound:g}",
@@ -297,7 +324,7 @@ def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = Non
             continue
         fld = Field(grid, u)
         if emit:
-            rec = diag.make_record(fld, t, cfg.alpha, cfg.weight_orders)
+            rec = diag.make_record(fld, t, cfg.alpha, cfg.weight_orders, spectrum=uh)
             times.append(t)
             records.append(rec)
             if rec.tail_frac > cfg.tail_tol:
@@ -330,20 +357,17 @@ def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int,
         raise ConfigurationError("n_quad must be even for Simpson quadrature")
     grid = u0.grid
     taus = np.linspace(0.0, t, n_quad + 1)
-    gen = dispersion_symbol(cfg.alpha).on_grid(grid)
-    ny = grid.nyquist_index
-    fwd = np.exp(np.outer(taus, gen))          # e^{tau L}
-    bwd = np.exp(np.outer(-taus, gen))
-    fwd[:, ny] = fwd[:, ny].real
-    bwd[:, ny] = bwd[:, ny].real
-    u0h = np.fft.fft(u0.samples).astype(complex)
+    fwd = _propagators(grid, cfg.alpha, taus)  # e^{tau L}
+    bwd = _propagators(grid, cfg.alpha, -taus)
+    top, dfac = _nonlinear_tables(grid, cfg.dealias)
+    u0h = scipy.fft.rfft(u0.samples)
 
     iterate = fwd * u0h[None, :]               # linear evolution at every node
     prev_delta = None
     for _ in range(iterations):
         src = np.empty_like(iterate)
         for j in range(n_quad + 1):
-            src[j] = bwd[j] * _nonlinear_hat(iterate[j], grid, cfg.dealias)
+            src[j] = bwd[j] * _nonlinear_hat(iterate[j], grid.n, top, dfac)
         # cumulative_simpson is real-only; integrate the parts separately
         acc = (cumulative_simpson(src.real, x=taus, axis=0, initial=0.0)
                + 1j * cumulative_simpson(src.imag, x=taus, axis=0, initial=0.0))
@@ -354,5 +378,5 @@ def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int,
                 f"Picard iterates diverging: update {delta:.3e} after {prev_delta:.3e}")
         prev_delta = delta
         iterate = new
-    out = np.fft.ifft(iterate[-1]).real
+    out = scipy.fft.irfft(iterate[-1], grid.n)
     return Field(grid, out)

@@ -9,6 +9,11 @@ coordinate is pointwise.
 Transform convention: the forward transform approximates
 ``u_hat(k) = integral u(x) exp(-i k x) dx``, so Plancherel reads
 ``sum |u_j|^2 dx = (1/L) sum |u_hat_m|^2``.
+
+The solver and the diagnostics it feeds hold real states as the real-FFT
+half spectrum, modes m = 0..n/2 (:meth:`MultiplierSymbol.on_half_grid`).
+The unpaired Nyquist mode keeps only the real part of any symbol, which
+is also what the inverse real FFT does with the Nyquist coefficient.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ class Grid:
     length: float
     x: np.ndarray = field(repr=False, compare=False, default=None)
     k: np.ndarray = field(repr=False, compare=False, default=None)
+    _tables: dict = field(repr=False, compare=False, init=False, default_factory=dict)
 
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 8:
@@ -63,6 +69,16 @@ class Grid:
     def mode_numbers(self) -> np.ndarray:
         """Signed integer mode numbers in FFT storage order."""
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(int)
+
+    def table(self, key, build: Callable[[], tuple]) -> tuple:
+        """``build()``, evaluated once per grid and key and kept with the grid.
+
+        For derived arrays that many calls on one grid need; the arrays
+        built must not be written to afterwards.
+        """
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
 
 
 def make_grid(n: int, length: float) -> Grid:
@@ -168,6 +184,12 @@ class MultiplierSymbol:
             raise NumericError(f"symbol '{self.name}' non-finite at wavenumbers {bad}")
         return vals
 
+    def on_half_grid(self, grid: Grid) -> np.ndarray:
+        """Values on the real-FFT modes m = 0..n/2; the Nyquist entry keeps its real part."""
+        vals = self.on_grid(grid)[: grid.n // 2 + 1]
+        vals[-1] = vals[-1].real
+        return vals
+
 
 def _is_hermitian(vals: np.ndarray, grid: Grid) -> bool:
     # paired modes m and -m; the Nyquist mode has no partner
@@ -194,12 +216,6 @@ def apply_multiplier(f: Field, sym: MultiplierSymbol) -> Field:
     vals[ny] = vals[ny].real
     out = np.fft.ifft(vals * np.fft.fft(f.samples)).real
     return Field(f.grid, out)
-
-
-def apply_multiplier_complex(samples_hat: np.ndarray, grid: Grid,
-                             sym: MultiplierSymbol) -> np.ndarray:
-    """Raw-spectrum multiplier application for internal complex pipelines."""
-    return sym.on_grid(grid) * samples_hat
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +301,17 @@ def frac_deriv(f: Field, s: float) -> Field:
     always mapped to 0 for s != 0.
     """
     if s < 0:
-        mean = mean_coefficient(f)
-        norm = l2_norm(f)
-        if abs(mean) > MEAN_TOL * max(norm, 1e-300):
-            raise DomainError(
-                f"negative-order derivative (s={s:g}) needs zero mean; "
-                f"u_hat(0) = {mean:.3e} exceeds {MEAN_TOL:g} * ||u||")
+        require_zero_mean(f, s)
     return apply_multiplier(f, frac_deriv_symbol(s))
+
+
+def require_zero_mean(f: Field, s: float):
+    """Raise DomainError unless f lies in the zero-mean class that D^s, s < 0, acts on."""
+    mean = mean_coefficient(f)
+    if abs(mean) > MEAN_TOL * max(l2_norm(f), 1e-300):
+        raise DomainError(
+            f"negative-order derivative (s={s:g}) needs zero mean; "
+            f"u_hat(0) = {mean:.3e} exceeds {MEAN_TOL:g} * ||u||")
 
 
 def hilbert(f: Field) -> Field:

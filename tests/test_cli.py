@@ -239,3 +239,31 @@ ic = gaussian(0.1,1,0)
         assert rc == 0
         report = (out / "report.csv").read_text()
         assert "richardson_order" in report and "picard_agreement" in report
+
+    def test_truncated_campaign_recorded_in_manifest(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, """
+alpha = 0.5
+n = 1024
+length = 100
+dt = 1e-3
+t_final = 3
+ic = odd_gaussian(-4,1)
+""")
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "experiment", "tstar",
+                   "--config", cfg_path, "--tail-tol", "1e-12"])
+        assert rc == 2
+        assert "TRUNCATED:" in capsys.readouterr().out
+        assert "truncated = true" in (out / "manifest.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--ic", "gaussian(1,2)"),
+        ("--ic", "file()"),
+        ("--t-final", "inf"),
+    ])
+    def test_bad_input_exits_one_with_error_line(self, tmp_path, capsys, flag, value):
+        rc = main(["--out", str(tmp_path / "out"), "simulate",
+                   "--alpha", "0.5", "--dt", "1e-3", "--t-final", "0.01",
+                   "--n", "64", "--length", "10", flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")

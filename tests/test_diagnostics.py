@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from fkdvlab import (DomainError, Field, InitialCondition, decay_fit, hilbert,
                      interpolation_probe, invariants, l2_norm, make_grid,
                      moment_first, sobolev_norm, spectral_jump, weighted_norm)
 from fkdvlab.diagnostics import make_record
+from fkdvlab.solver import _Stepper
+from fkdvlab.spectral import apply_multiplier, derivative_symbol, frac_deriv
 
 
 def line_grid(n=4096, L=200.0):
@@ -234,3 +237,34 @@ class TestRecord:
         assert set(rec.wnorms) == {1.0, 2.0}
         assert rec.wnorms[1.0] <= rec.wnorms[2.0]
         assert 0.0 <= rec.tail_frac <= 1.0
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5])
+    @pytest.mark.parametrize("family,params", [
+        ("odd_gaussian", (1.0, 1.0)), ("gaussian", (0.5, 1.0, 0.0))])
+    def test_record_from_stepper_spectrum(self, alpha, family, params):
+        # the half spectrum the stepper holds gives the row computed from
+        # the samples alone, and the row the spectral operators give
+        g = line_grid(1024, 100.0)
+        u0 = InitialCondition(family, params).build(g)
+        stepper = _Stepper(g, alpha, 1e-3, True, True)
+        uh = scipy.fft.rfft(u0.samples)
+        for _ in range(20):
+            uh = stepper.step(uh)
+        f = Field(g, scipy.fft.irfft(uh, g.n))
+        fed = make_record(f, 0.02, alpha, spectrum=uh)
+        own = make_record(f, 0.02, alpha)
+        for name in ("i1", "i2", "mean", "moment_x", "max_u", "tail_frac"):
+            assert getattr(fed, name) == getattr(own, name)
+        assert fed.min_ux == pytest.approx(own.min_ux, rel=1e-12)
+        ux = apply_multiplier(f, derivative_symbol()).samples
+        assert fed.min_ux == pytest.approx(float(np.min(ux)), rel=1e-12)
+        if alpha < 0 and family == "gaussian":
+            with pytest.raises(DomainError) as exc:
+                frac_deriv(f, alpha / 2.0)
+            assert fed.i3 is None and own.i3 is None
+            assert fed.i3_reason == own.i3_reason == str(exc.value)
+        else:
+            i3 = (np.sum(frac_deriv(f, alpha / 2.0).samples ** 2) * g.dx
+                  - np.sum(f.samples ** 3) * g.dx / 3.0)
+            assert fed.i3 == pytest.approx(own.i3, rel=1e-12)
+            assert fed.i3 == pytest.approx(i3, rel=1e-12)

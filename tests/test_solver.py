@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             small_cfg(t_final=0.0)
 
+    @pytest.mark.parametrize("key", ["dt", "t_final", "length"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            small_cfg(**{key: value})
+
 
 class TestInitialConditions:
     def test_gaussian(self):
@@ -63,6 +71,13 @@ class TestInitialConditions:
         g = make_grid(512, 50.0)
         with pytest.raises(ConfigurationError, match="family"):
             InitialCondition("bump", (1.0,)).build(g)
+
+    @pytest.mark.parametrize("family,params", [
+        ("gaussian", (1.0, 2.0)), ("odd_gaussian", (1.0,)),
+        ("random_band", (1, 0.5, 4.0)), ("file", ())])
+    def test_wrong_arity_rejected(self, family, params):
+        with pytest.raises(ConfigurationError, match="parameter"):
+            InitialCondition(family, params)
 
 
 class TestLinearPropagator:
@@ -167,6 +182,52 @@ class TestStepper:
                         / np.linalg.norm(ref.samples))
         order = np.log2(errs[0] / errs[1])
         assert order == pytest.approx(4.0, abs=0.2)
+
+
+def reference_ifrk4(u0, grid, alpha, dt, steps, dealias, nonlinear):
+    """Integrating-factor RK4 on the complex full spectrum with the 2/3
+    mask applied around the square: an independent reference for the
+    half-spectrum stepper."""
+    k = grid.k
+    gen = np.zeros(grid.n, dtype=complex)
+    nz = k != 0
+    gen[nz] = 1j * k[nz] * np.abs(k[nz]) ** alpha
+    E, E2 = np.exp(0.5 * dt * gen), np.exp(dt * gen)
+    ny = grid.n // 2
+    E[ny], E2[ny] = E[ny].real, E2[ny].real
+    m = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    mask = (np.abs(m) <= grid.n // 3).astype(float) if dealias else np.ones(grid.n)
+
+    def nhat(vh):
+        if not nonlinear:
+            return np.zeros_like(vh)
+        v = np.fft.ifft(mask * vh).real
+        return -0.5j * k * mask * np.fft.fft(v * v)
+
+    uh = np.fft.fft(u0).astype(complex)
+    for _ in range(steps):
+        k1 = nhat(uh)
+        k2 = nhat(E * (uh + 0.5 * dt * k1))
+        k3 = nhat(E * uh + 0.5 * dt * k2)
+        k4 = nhat(E2 * uh + dt * E * k3)
+        uh = E2 * uh + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+    return np.fft.ifft(uh).real
+
+
+class TestHalfSpectrumStepper:
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_matches_complex_reference(self, alpha, dealias, nonlinear):
+        cfg = small_cfg(alpha=alpha, n=512, length=50.0, dt=1e-3, t_final=0.1,
+                        diag_every=100, dealias=dealias, nonlinear=nonlinear,
+                        tail_tol=1.0,
+                        ic=InitialCondition("random_band", (5, 0.5, 6.0, 1.0)))
+        g = cfg.grid()
+        u0 = cfg.ic.build(g)
+        out = solve(cfg, grid=g, u0=u0).final.samples
+        ref = reference_ifrk4(u0.samples, g, alpha, cfg.dt, 100, dealias, nonlinear)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSolve:
