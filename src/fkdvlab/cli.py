@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, DomainError, NumericError, StepError
+from .errors import (ConfigurationError, DomainError, NumericError,
+                     OracleDivergenceError, StepError)
 from .solver import InitialCondition, SimConfig, picard_oracle, solve
 from .spectral import Field, make_grid
 from . import experiments as exp
@@ -483,7 +484,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (NumericError, StepError) as e:
+    except (NumericError, StepError, OracleDivergenceError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,12 @@
 """Time integration of u_t = d/dx D^alpha u - u u_x on the periodic box.
 
-The linear part is integrated exactly through its unitary symbol
-``exp(i t k |k|^alpha)``; the quadratic term is advanced with classical
-RK4 in the integrating-factor variable, which makes the stepper exact on
-the purely linear problem and globally fourth order otherwise.  A
-Picard iteration of the integral (Duhamel) form of the equation serves
-as an independent cross-validation oracle.
+The linear part is integrated exactly through its symbol
+``exp(i t k |k|^alpha)``, unitary on modes 0..n/2-1 (the unpaired Nyquist
+mode keeps the real part, ``cos(t k |k|^alpha)``); the quadratic term is
+advanced with classical RK4 in the integrating-factor variable, which
+makes the stepper exact on the purely linear problem and globally fourth
+order otherwise.  A Picard iteration of the integral (Duhamel) form of
+the equation serves as an independent cross-validation oracle.
 """
 
 from __future__ import annotations
@@ -166,7 +167,11 @@ def _cfl_bound(u_max: float, dx: float) -> float:
 
 
 def linear_propagator(f: Field, t: float, alpha: float) -> Field:
-    """Exact free evolution exp(t d/dx D^alpha); unitary on every mode."""
+    """Exact free evolution exp(t d/dx D^alpha).
+
+    Unitary on modes 0..n/2-1; the unpaired Nyquist mode keeps the real
+    part of the symbol, so it is scaled by cos(t k|k|^alpha).
+    """
     grid = f.grid
     sym = _propagators(grid, alpha, t)
     out = scipy.fft.irfft(sym * scipy.fft.rfft(f.samples), grid.n)

@@ -10,18 +10,22 @@ Transform convention: the forward transform approximates
 ``u_hat(k) = integral u(x) exp(-i k x) dx``, so Plancherel reads
 ``sum |u_j|^2 dx = (1/L) sum |u_hat_m|^2``.
 
-The solver and the diagnostics it feeds hold real states as the real-FFT
-half spectrum, modes m = 0..n/2 (:meth:`MultiplierSymbol.on_half_grid`).
-The unpaired Nyquist mode keeps only the real part of any symbol, which
-is also what the inverse real FFT does with the Nyquist coefficient.
+Real states are transformed as the real-FFT half spectrum, modes
+m = 0..n/2 (:meth:`MultiplierSymbol.on_half_grid`): by the solver, the
+diagnostics it feeds and :func:`apply_multiplier`.  The unpaired Nyquist
+mode keeps only the real part of any symbol, which is also what the
+inverse real FFT does with the Nyquist coefficient.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigurationError, DomainError, NumericError
 
@@ -46,6 +50,8 @@ class Grid:
     x: np.ndarray = field(repr=False, compare=False, default=None)
     k: np.ndarray = field(repr=False, compare=False, default=None)
     _tables: dict = field(repr=False, compare=False, init=False, default_factory=dict)
+    _multipliers: weakref.WeakKeyDictionary = field(
+        repr=False, compare=False, init=False, default_factory=weakref.WeakKeyDictionary)
 
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 8:
@@ -186,9 +192,14 @@ class MultiplierSymbol:
 
     def on_half_grid(self, grid: Grid) -> np.ndarray:
         """Values on the real-FFT modes m = 0..n/2; the Nyquist entry keeps its real part."""
-        vals = self.on_grid(grid)[: grid.n // 2 + 1]
-        vals[-1] = vals[-1].real
-        return vals
+        return _half(self.on_grid(grid))
+
+
+def _half(vals: np.ndarray) -> np.ndarray:
+    # modes 0..n/2 of full-grid values, the unpaired Nyquist entry made real
+    half = vals[: vals.size // 2 + 1].copy()
+    half[-1] = half[-1].real
+    return half
 
 
 def _is_hermitian(vals: np.ndarray, grid: Grid) -> bool:
@@ -200,6 +211,31 @@ def _is_hermitian(vals: np.ndarray, grid: Grid) -> bool:
     return bool(np.all(np.abs(v_neg - np.conj(v_pos)) <= 1e-12 * scale))
 
 
+def multiplier_table(sym: MultiplierSymbol, grid: Grid) -> np.ndarray:
+    """Half-grid values of a Hermitian symbol, built and checked once per (symbol, grid).
+
+    The table lives as long as both the grid and the symbol: the grid
+    holds it weakly keyed by the symbol.  A symbol that fails the check
+    raises DomainError on every call; nothing is kept for it.
+    """
+    table = grid._multipliers.get(sym)
+    if table is None:
+        vals = sym.on_grid(grid)
+        if not _is_hermitian(vals, grid):
+            raise DomainError(
+                f"symbol '{sym.name}' is not Hermitian-symmetric; real output undefined")
+        table = _half(vals)
+        table.setflags(write=False)
+        grid._multipliers[sym] = table
+    return table
+
+
+def apply_to_samples(samples: np.ndarray, sym: MultiplierSymbol, grid: Grid) -> np.ndarray:
+    """Apply a Hermitian multiplier along the last axis of real (..., n) samples."""
+    spec = scipy.fft.rfft(samples, axis=-1)
+    return scipy.fft.irfft(multiplier_table(sym, grid) * spec, grid.n, axis=-1)
+
+
 def apply_multiplier(f: Field, sym: MultiplierSymbol) -> Field:
     """Apply a Fourier multiplier and return the real field.
 
@@ -207,25 +243,19 @@ def apply_multiplier(f: Field, sym: MultiplierSymbol) -> Field:
     output of a real input is real.  The unpaired Nyquist mode keeps only
     the real part of the symbol, the standard choice for odd symbols.
     """
-    vals = sym.on_grid(f.grid)
-    if not _is_hermitian(vals, f.grid):
-        raise DomainError(
-            f"symbol '{sym.name}' is not Hermitian-symmetric; real output undefined")
-    vals = vals.copy()
-    ny = f.grid.nyquist_index
-    vals[ny] = vals[ny].real
-    out = np.fft.ifft(vals * np.fft.fft(f.samples)).real
-    return Field(f.grid, out)
+    return Field(f.grid, apply_to_samples(f.samples, sym, f.grid))
 
 
 # ---------------------------------------------------------------------------
 # symbol constructors
 
 
+@functools.lru_cache
 def identity_symbol() -> MultiplierSymbol:
     return MultiplierSymbol("identity", lambda k: np.ones_like(k), 1.0)
 
 
+@functools.lru_cache
 def frac_deriv_symbol(s: float) -> MultiplierSymbol:
     """|k|^s with zero mode mapped to 0 for s != 0 and to 1 for s = 0."""
     def ev(k):
@@ -236,16 +266,19 @@ def frac_deriv_symbol(s: float) -> MultiplierSymbol:
     return MultiplierSymbol(f"|k|^{s:g}", ev, 1.0 if s == 0 else 0.0)
 
 
+@functools.lru_cache
 def hilbert_symbol() -> MultiplierSymbol:
     """-i sign(k), with sign(0) = 0."""
     return MultiplierSymbol("-i*sign(k)", lambda k: -1j * np.sign(k), 0.0)
 
 
+@functools.lru_cache
 def bessel_symbol(s: float) -> MultiplierSymbol:
     """(1 + k^2)^(s/2); zero mode is 1."""
     return MultiplierSymbol(f"<k>^{s:g}", lambda k: (1.0 + k ** 2) ** (s / 2.0), 1.0)
 
 
+@functools.lru_cache
 def dispersion_symbol(alpha: float) -> MultiplierSymbol:
     """i k |k|^alpha, the generator of the linear flow; zero mode 0."""
     def ev(k):
@@ -256,6 +289,7 @@ def dispersion_symbol(alpha: float) -> MultiplierSymbol:
     return MultiplierSymbol(f"i*k|k|^{alpha:g}", ev, 0.0)
 
 
+@functools.lru_cache
 def derivative_symbol() -> MultiplierSymbol:
     return MultiplierSymbol("i*k", lambda k: 1j * k, 0.0)
 
@@ -263,10 +297,15 @@ def derivative_symbol() -> MultiplierSymbol:
 def smoothstep(r: np.ndarray) -> np.ndarray:
     """C-infinity step: 0 for r <= 0, 1 for r >= 1, strictly monotone between."""
     r = np.clip(np.asarray(r, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(r > 0, np.exp(-1.0 / np.maximum(r, 1e-300)), 0.0)
-        b = np.where(r < 1, np.exp(-1.0 / np.maximum(1.0 - r, 1e-300)), 0.0)
-    return a / (a + b)
+    shape = np.shape(r)
+    r = r.reshape(-1)
+    out = np.floor(r)                   # the step's value outside (0, 1)
+    mid = (r > 0) & (r < 1)             # exponentials only where both are positive
+    with np.errstate(over="ignore"):
+        a = np.exp(-1.0 / r[mid])
+    b = np.exp(-1.0 / (1.0 - r[mid]))
+    out[mid] = a / (a + b)
+    return out.reshape(shape)
 
 
 def flat_top_bump(xi: np.ndarray, a: float) -> np.ndarray:
@@ -285,6 +324,7 @@ class CutoffSpec:
             raise ConfigurationError(f"cutoff scale must be positive, got {self.a}")
 
 
+@functools.lru_cache
 def lowpass_symbol(cut: CutoffSpec) -> MultiplierSymbol:
     return MultiplierSymbol(f"lowpass(a={cut.a:g})",
                             lambda k: flat_top_bump(k, cut.a) + 0j, 1.0)

@@ -21,10 +21,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .spectral import (Field, apply_multiplier, derivative_symbol, flat_top_bump,
-                       frac_deriv_symbol, hilbert_symbol, l2_norm, lowpass_symbol,
-                       CutoffSpec)
+from .errors import ConfigurationError, DomainError, NumericError
+from .spectral import (CutoffSpec, Field, apply_to_samples, derivative_symbol,
+                       flat_top_bump, frac_deriv_symbol, hilbert_symbol, lowpass_symbol)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -191,24 +190,21 @@ class SteinResult:
     tail_bound: float
 
 
-def _panel_edges(center: float, inner: float, outer: float, n_dyadic: int) -> np.ndarray:
-    r = np.geomspace(inner, outer, n_dyadic + 1)
-    return np.concatenate([center - r[::-1], center + r])
-
-
 def _quad_sq(target: SteinTarget, eta: float, b: float, delta: float,
              y_max: float, n_dyadic: int) -> float:
     """Quadrature of |f(eta)-f(y)|^2 |eta-y|^(-1-2b) over delta < |y-eta|, |y| < y_max."""
     fe = complex(target.func(np.asarray([eta]))[0])
-    edge_sets = [_panel_edges(eta, delta, 2.0 * y_max, n_dyadic)]
+    # dyadic panels about eta and about every breakpoint not within 2 delta of it
+    centers, inners = [eta], [delta]
     for bp in target.breakpoints:
         if abs(bp - eta) > 2.0 * delta:
-            edge_sets.append(_panel_edges(bp, 1e-13 * max(1.0, abs(bp - eta)),
-                                          2.0 * y_max, n_dyadic))
-    edges = np.unique(np.concatenate(edge_sets))
+            centers.append(bp)
+            inners.append(1e-13 * max(1.0, abs(bp - eta)))
+    centers = np.asarray(centers)[:, None]
+    r = np.geomspace(inners, 2.0 * y_max, n_dyadic + 1, axis=-1)
+    edges = np.concatenate([centers - r[:, ::-1], centers + r], axis=None)
     edges = edges[(edges >= -y_max) & (edges <= y_max)]
-    edges = np.concatenate([[-y_max], edges, [y_max]])
-    edges = np.unique(edges)
+    edges = np.unique(np.concatenate([[-y_max], edges, [y_max]]))
     a, c = edges[:-1], edges[1:]
     keep = ~((a >= eta - 1.0000001 * delta) & (c <= eta + 1.0000001 * delta))
     a, c = a[keep], c[keep]
@@ -532,8 +528,88 @@ class ProbeParams:
     p: int = 2
 
 
-def _sup(f: Field) -> float:
-    return float(np.max(np.abs(f.samples)))
+def _l2_rows(u: np.ndarray, dx: float) -> np.ndarray:
+    return np.sqrt(np.sum(u ** 2, axis=-1) * dx)
+
+
+def _sup_rows(u: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(u), axis=-1)
+
+
+def _probe_ratios(kind: str, grid, g: np.ndarray, f: np.ndarray,
+                  params: ProbeParams) -> np.ndarray:
+    """Probe ratios of the row pairs (g[i], f[i]) of two (B, n) sample arrays.
+
+    Every multiplier acts along the last axis and every norm reduces per
+    row, so row i gives the ratio of the pair (g[i], f[i]) alone.
+    """
+    if params.p != 2:
+        raise ConfigurationError("only p = 2 is supported")
+    if kind not in _PROBE_KINDS:
+        raise ConfigurationError(f"unknown probe kind '{kind}'")
+    dx = grid.dx
+
+    def D(h, s):
+        return apply_to_samples(h, frac_deriv_symbol(s), grid)
+
+    def H(h):
+        return apply_to_samples(h, hilbert_symbol(), grid)
+
+    def DX(h, j):
+        for _ in range(j):
+            h = apply_to_samples(h, derivative_symbol(), grid)
+        return h
+
+    if kind == "hilbert_frac":
+        if not (params.beta > 0):
+            raise ConfigurationError("hilbert_frac requires beta > 0")
+        dbf = D(f, params.beta)
+        lhs = _l2_rows(H(g * dbf) - g * H(dbf), dx)
+        rhs = _sup_rows(D(g, params.beta)) * _l2_rows(f, dx)
+    elif kind == "frac_com":
+        if not (0 < params.beta <= 1):
+            raise ConfigurationError("frac_com requires 0 < beta <= 1")
+        lhs = _l2_rows(D(f * g, params.beta) - f * D(g, params.beta), dx)
+        rhs = _l2_rows(D(f, params.beta), dx) * _sup_rows(g)
+    elif kind == "triple":
+        if not (0 <= params.beta < 1):
+            raise ConfigurationError("triple requires 0 <= beta < 1")
+        if not (0 < params.gamma <= 1 - params.beta):
+            raise ConfigurationError("triple requires 0 < gamma <= 1 - beta")
+        rest = D(g, 1.0 - params.beta - params.gamma)
+        inner = D(f * rest, params.gamma) - f * D(rest, params.gamma)
+        lhs = _l2_rows(D(inner, params.beta), dx)
+        rhs = _sup_rows(DX(f, 1)) * _l2_rows(g, dx)
+    elif kind == "projector":
+        if not (params.beta >= 0):
+            raise ConfigurationError("projector requires beta >= 0")
+        if not (params.gamma > 0):
+            raise ConfigurationError("projector requires gamma > 0")
+        low = lowpass_symbol(CutoffSpec(1.0))
+        def P(h):
+            return apply_to_samples(h, low, grid)
+        rest = D(g, params.gamma)
+        inner = P(f * rest) - f * P(rest)
+        lhs = _l2_rows(D(inner, params.beta), dx)
+        rhs = (_sup_rows(D(f, params.beta + params.gamma))
+               + _sup_rows(DX(f, 1))) * _l2_rows(g, dx)
+    else:  # hilbert_local
+        if params.l < 0 or params.m < 0 or params.l + params.m < 1:
+            raise ConfigurationError(
+                "hilbert_local requires integer l, m >= 0 with l + m >= 1")
+        dmf = DX(f, params.m)
+        inner = H(g * dmf) - g * H(dmf)
+        lhs = _l2_rows(DX(inner, params.l), dx)
+        rhs = _sup_rows(DX(g, params.l + params.m)) * _l2_rows(f, dx)
+
+    degenerate = (lhs != 0.0) & (rhs == 0.0)
+    if np.any(degenerate):
+        raise DomainError(
+            f"degenerate probe: zero right-hand side with lhs {lhs[degenerate][0]:g}")
+    ratios = np.divide(lhs, rhs, out=np.zeros(lhs.shape), where=lhs != 0.0)
+    if not np.all(np.isfinite(ratios)):
+        raise NumericError(f"probe '{kind}' produced non-finite ratios")
+    return ratios
 
 
 def commutator_probe(kind: str, g: Field, f: Field, params: ProbeParams) -> float:
@@ -544,85 +620,21 @@ def commutator_probe(kind: str, g: Field, f: Field, params: ProbeParams) -> floa
     respective inequality are rejected with the violated constraint
     named.
     """
-    if params.p != 2:
-        raise ConfigurationError("only p = 2 is supported")
-    if kind not in _PROBE_KINDS:
-        raise ConfigurationError(f"unknown probe kind '{kind}'")
-    hil = hilbert_symbol()
-    der = derivative_symbol()
-
-    def D(h, s):
-        return apply_multiplier(h, frac_deriv_symbol(s))
-
-    def H(h):
-        return apply_multiplier(h, hil)
-
-    def mul(a, b_):
-        return Field(a.grid, a.samples * b_.samples)
-
-    if kind == "hilbert_frac":
-        if not (params.beta > 0):
-            raise ConfigurationError("hilbert_frac requires beta > 0")
-        dbf = D(f, params.beta)
-        lhs = l2_norm(H(mul(g, dbf)) - mul(g, H(dbf)))
-        rhs = _sup(D(g, params.beta)) * l2_norm(f)
-    elif kind == "frac_com":
-        if not (0 < params.beta <= 1):
-            raise ConfigurationError("frac_com requires 0 < beta <= 1")
-        lhs = l2_norm(D(mul(f, g), params.beta) - mul(f, D(g, params.beta)))
-        rhs = l2_norm(D(f, params.beta)) * _sup(g)
-    elif kind == "triple":
-        if not (0 <= params.beta < 1):
-            raise ConfigurationError("triple requires 0 <= beta < 1")
-        if not (0 < params.gamma <= 1 - params.beta):
-            raise ConfigurationError("triple requires 0 < gamma <= 1 - beta")
-        rest = D(g, 1.0 - params.beta - params.gamma)
-        inner = D(mul(f, rest), params.gamma) - mul(f, D(rest, params.gamma))
-        lhs = l2_norm(D(inner, params.beta))
-        rhs = _sup(apply_multiplier(f, der)) * l2_norm(g)
-    elif kind == "projector":
-        if not (params.beta >= 0):
-            raise ConfigurationError("projector requires beta >= 0")
-        if not (params.gamma > 0):
-            raise ConfigurationError("projector requires gamma > 0")
-        low = lowpass_symbol(CutoffSpec(1.0))
-        def P(h):
-            return apply_multiplier(h, low)
-        rest = D(g, params.gamma)
-        inner = P(mul(f, rest)) - mul(f, P(rest))
-        lhs = l2_norm(D(inner, params.beta))
-        rhs = (_sup(D(f, params.beta + params.gamma))
-               + _sup(apply_multiplier(f, der))) * l2_norm(g)
-    else:  # hilbert_local
-        if params.l < 0 or params.m < 0 or params.l + params.m < 1:
-            raise ConfigurationError(
-                "hilbert_local requires integer l, m >= 0 with l + m >= 1")
-        def DX(h, j):
-            out = h
-            for _ in range(j):
-                out = apply_multiplier(out, der)
-            return out
-        dmf = DX(f, params.m)
-        inner = H(mul(g, dmf)) - mul(g, H(dmf))
-        lhs = l2_norm(DX(inner, params.l))
-        rhs = _sup(DX(g, params.l + params.m)) * l2_norm(f)
-
-    if lhs == 0.0:
-        return 0.0
-    if rhs == 0.0:
-        raise DomainError(f"degenerate probe: zero right-hand side with lhs {lhs:g}")
-    return lhs / rhs
+    return float(_probe_ratios(kind, g.grid, g.samples[None], f.samples[None], params)[0])
 
 
 def probe_ensemble(kind: str, grid, params: ProbeParams, n_pairs: int = 50,
                    seed: int = 0, k_band=(0.5, 4.0), amplitude: float = 1.0):
-    """Max and median probe ratio over seeded band-limited field pairs."""
+    """Max and median probe ratio over seeded band-limited field pairs.
+
+    All pairs go through the probe together, one row each.
+    """
     from .solver import InitialCondition
 
-    ratios = []
-    for j in range(n_pairs):
-        g = InitialCondition("random_band", (seed + 2 * j, *k_band, amplitude)).build(grid)
-        f = InitialCondition("random_band", (seed + 2 * j + 1, *k_band, amplitude)).build(grid)
-        ratios.append(commutator_probe(kind, g, f, params))
-    arr = np.asarray(ratios)
-    return float(np.max(arr)), float(np.median(arr))
+    def fields(offset):
+        return np.stack([InitialCondition(
+            "random_band", (seed + 2 * j + offset, *k_band, amplitude)).build(grid).samples
+            for j in range(n_pairs)])
+
+    ratios = _probe_ratios(kind, grid, fields(0), fields(1), params)
+    return float(np.max(ratios)), float(np.median(ratios))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import fkdvlab.cli as cli
 from fkdvlab import ConfigurationError, InitialCondition, make_grid
+from fkdvlab.errors import (DomainError, NumericError, OracleDivergenceError,
+                            StepError)
 from fkdvlab.cli import (config_lines, diagnostics_csv, fmt, main,
                          parse_config, read_keyvalues)
 
@@ -239,6 +242,29 @@ ic = gaussian(0.1,1,0)
         assert rc == 0
         report = (out / "report.csv").read_text()
         assert "richardson_order" in report and "picard_agreement" in report
+
+    @pytest.mark.parametrize("exc,prefix", [
+        (ConfigurationError, "error: "), (DomainError, "error: "),
+        (NumericError, "numeric error: "), (StepError, "numeric error: "),
+        (OracleDivergenceError, "numeric error: "),
+    ])
+    def test_library_errors_exit_one_without_traceback(self, tmp_path, monkeypatch,
+                                                       capsys, exc, prefix):
+        def diverge(*args, **kwargs):
+            raise exc("picard iterates grew")
+        monkeypatch.setattr(cli, "picard_oracle", diverge)
+        cfg_path = write_cfg(tmp_path, """
+alpha = 0.5
+n = 256
+length = 50
+dt = 0.02
+t_final = 0.1
+ic = gaussian(0.1,1,0)
+""")
+        rc = main(["--out", str(tmp_path / "out"), "convergence", "--config", cfg_path])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"{prefix}picard iterates grew\n"
 
     def test_truncated_campaign_recorded_in_manifest(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, """

@@ -102,6 +102,24 @@ class TestLinearPropagator:
         out = linear_propagator(f, 1.3, 0.5)
         assert l2_norm(out) == pytest.approx(l2_norm(f), rel=1e-12)
 
+    def test_unitary_below_nyquist(self):
+        # the band stops well short of the Nyquist wavenumber pi n / L ~ 10
+        g = make_grid(64, 20.0)
+        f = InitialCondition("random_band", (3, 0.5, 4.0, 1.0)).build(g)
+        out = linear_propagator(f, 0.3, 0.5)
+        assert l2_norm(out) == pytest.approx(l2_norm(f), rel=1e-13)
+
+    def test_nyquist_mode_scaled_by_cosine(self):
+        # the unpaired mode keeps the real part of exp(i t k|k|^alpha)
+        g = make_grid(64, 20.0)
+        t, alpha = 0.3, 0.5
+        f = Field(g, np.cos(np.pi * np.arange(g.n)))
+        k_nyq = abs(g.k[g.nyquist_index])
+        scale = math.cos(t * k_nyq ** (1.0 + alpha))
+        out = linear_propagator(f, t, alpha)
+        assert np.allclose(out.samples, scale * f.samples, rtol=0, atol=1e-13)
+        assert l2_norm(out) / l2_norm(f) == pytest.approx(0.9905, abs=5e-5)
+
     def test_group_property(self):
         g = make_grid(1024, 100.0)
         f = InitialCondition("gaussian", (0.5, 1.0, 0.0)).build(g)

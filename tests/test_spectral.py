@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,9 @@ from fkdvlab import (ConfigurationError, CutoffSpec, DomainError, Field,
                      make_grid, projector_low, transform, truncated_weight)
 from fkdvlab.errors import NumericError
 from fkdvlab.solver import InitialCondition
-from fkdvlab.spectral import (dispersion_symbol, frac_deriv_symbol,
-                              hilbert_symbol)
+from fkdvlab.spectral import (bessel_symbol, derivative_symbol, dispersion_symbol,
+                              frac_deriv_symbol, hilbert_symbol, identity_symbol,
+                              lowpass_symbol, multiplier_table)
 
 
 def trig_grid(n=256):
@@ -107,6 +111,92 @@ class TestApplyMultiplier:
         prod = MultiplierSymbol("prod", lambda k: m1.evaluator(k) * m2.evaluator(k), 0.0)
         b = apply_multiplier(f, prod)
         assert np.allclose(a.samples, b.samples, atol=1e-13 * l2_norm(f))
+
+
+CONSTRUCTED_SYMBOLS = [
+    identity_symbol(), frac_deriv_symbol(0.0), frac_deriv_symbol(0.5),
+    frac_deriv_symbol(-0.5), frac_deriv_symbol(1.7), hilbert_symbol(),
+    bessel_symbol(-1.0), bessel_symbol(2.0), dispersion_symbol(0.5),
+    dispersion_symbol(-1.0), derivative_symbol(), lowpass_symbol(CutoffSpec(1.0)),
+]
+
+
+def complex_reference(u, sym, grid):
+    """The full-spectrum complex-FFT product, Nyquist entry made real."""
+    vals = sym.on_grid(grid)
+    vals[grid.nyquist_index] = vals[grid.nyquist_index].real
+    return np.fft.ifft(vals * np.fft.fft(u)).real
+
+
+class TestCachedHalfSpectrumMultiplier:
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("sym", CONSTRUCTED_SYMBOLS, ids=lambda s: s.name)
+    def test_matches_complex_reference(self, n, sym):
+        # white noise carries Nyquist content, so the real-part convention is exercised
+        g = make_grid(n, 20.0)
+        u = np.random.default_rng(n).standard_normal(n)
+        ref = complex_reference(u, sym, g)
+        for _ in range(2):                  # table built, then reused
+            out = apply_multiplier(Field(g, u), sym).samples
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_nyquist_keeps_real_part(self, n):
+        g = make_grid(n, 20.0)
+        nyq = Field(g, np.cos(np.pi * np.arange(n)))
+        k_nyq = abs(g.k[g.nyquist_index])
+        assert np.max(np.abs(apply_multiplier(nyq, derivative_symbol()).samples)) == 0.0
+        half = apply_multiplier(nyq, frac_deriv_symbol(0.5)).samples
+        assert np.allclose(half, np.sqrt(k_nyq) * nyq.samples, rtol=0, atol=1e-12)
+
+    def test_non_hermitian_raises_every_call(self):
+        g = trig_grid(64)
+        f = Field(g, np.sin(g.x))
+        bad = MultiplierSymbol("i", lambda k: 1j * np.ones_like(k), 0.0)
+        for _ in range(3):
+            with pytest.raises(DomainError, match="Hermitian"):
+                apply_multiplier(f, bad)
+
+    def test_table_built_once_per_grid(self, monkeypatch):
+        calls = []
+        on_grid = MultiplierSymbol.on_grid
+
+        def counted(sym, grid):
+            calls.append(sym.name)
+            return on_grid(sym, grid)
+        monkeypatch.setattr(MultiplierSymbol, "on_grid", counted)
+        g = make_grid(256, 30.0)
+        f = seeded_field(g, 1)
+        for _ in range(5):
+            frac_deriv(f, 0.37)
+            hilbert(f)
+        assert sorted(calls) == sorted([frac_deriv_symbol(0.37).name, hilbert_symbol().name])
+        hilbert(seeded_field(make_grid(256, 30.0), 1))     # a new grid builds its own
+        assert len(calls) == 3
+
+    def test_constructors_share_instances(self):
+        assert frac_deriv_symbol(0.25) is frac_deriv_symbol(0.25)
+        assert lowpass_symbol(CutoffSpec(2.0)) is lowpass_symbol(CutoffSpec(2.0))
+
+    def test_ad_hoc_symbols_do_not_accumulate(self):
+        g = trig_grid(64)
+        f = Field(g, np.cos(2 * g.x))
+        tables = []
+        for j in range(50):
+            sym = MultiplierSymbol(f"scale{j}", lambda k, c=j: c * np.ones_like(k), float(j))
+            apply_multiplier(f, sym)
+            tables.append(weakref.ref(multiplier_table(sym, g)))
+        del sym
+        gc.collect()
+        assert all(t() is None for t in tables)
+
+    def test_table_dies_with_its_grid(self):
+        g = trig_grid(64)
+        table = weakref.ref(multiplier_table(hilbert_symbol(), g))
+        assert table() is not None
+        del g
+        gc.collect()
+        assert table() is None
 
 
 class TestFracDeriv:

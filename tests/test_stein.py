@@ -4,12 +4,40 @@ import numpy as np
 import pytest
 
 from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
-                     ProbeParams, QuadSpec, SteinRequest, SteinTarget,
+                     NumericError, ProbeParams, QuadSpec, SteinRequest, SteinTarget,
                      commutator_probe, make_grid, nonmembership_scan,
                      power_cutoff, propagator_stein_bound, sampled_target,
                      sign_propagator, signed_power_cutoff, stein_derivative,
                      stein_slope_fit)
-from fkdvlab.stein import probe_ensemble
+from fkdvlab.stein import (_bessel_weighted, _probe_ratios, probe_ensemble,
+                           propagator_target)
+
+
+SCAN_QUAD = QuadSpec(n_panels=1024, y_max=50.0)
+
+# values and error estimates recorded with the per-breakpoint panel construction
+# that the single vectorised one replaced
+PINNED = [
+    (SteinRequest(0.8, _bessel_weighted(-0.7, 1.0, "propagator"),
+                  np.array([1e-5, 0.5]), SCAN_QUAD),
+     [551.5516003164028, 2.2225409301451386], [2.078434211724338, 0.017855549367113116]),
+    (SteinRequest(0.8, _bessel_weighted(0.3, 0.0, "symbol"), np.array([1e-5, 0.5]),
+                  SCAN_QUAD),
+     [280.97532419059604, 0.7927806934499003], [0.12771935701458634, 0.018338608384070365]),
+    (SteinRequest(0.5, power_cutoff(0.2), np.geomspace(1e-5, 1e-3, 3)),
+     [22.412712446119354, 11.16343516861253, 5.480050254454523],
+     [1.78827263235409e-07, 9.114343791889713e-09, 4.979480740818215e-09]),
+    (SteinRequest(0.5, propagator_target(0.5, 1.0), np.array([0.5, 4.0])),
+     [2.5663929796179, 4.337179496092911], [0.0010027416024837976, 0.0006313196847138816]),
+]
+
+
+@pytest.mark.parametrize("req,values,errors", PINNED,
+                         ids=["scan_propagator", "scan_symbol", "power_cutoff", "propagator"])
+def test_stein_values_pinned(req, values, errors):
+    res = stein_derivative(req)
+    np.testing.assert_allclose(res.values, values, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(res.error_estimates, errors, rtol=1e-14, atol=0)
 
 
 class TestSteinDerivative:
@@ -169,6 +197,9 @@ def packet(grid, amp=1.0, kc=2.0, width=4.0):
     return InitialCondition("sine_packet", (amp, kc, width)).build(grid)
 
 
+PROBE_KINDS = ["hilbert_frac", "frac_com", "triple", "projector", "hilbert_local"]
+
+
 class TestCommutatorProbes:
     def test_constant_g_gives_zero(self):
         g = make_grid(1024, 100.0)
@@ -202,8 +233,46 @@ class TestCommutatorProbes:
         with pytest.raises(ConfigurationError):
             commutator_probe("mystery", f, f, ProbeParams())
 
-    @pytest.mark.parametrize("kind", ["hilbert_frac", "frac_com", "triple",
-                                      "projector", "hilbert_local"])
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    def test_ensemble_matches_per_pair_probes(self, kind):
+        params = ProbeParams(beta=0.5, gamma=0.25, l=1, m=0)
+        g = make_grid(512, 50.0)
+        mx, med = probe_ensemble(kind, g, params, n_pairs=9, seed=4)
+
+        def band(seed):
+            return InitialCondition("random_band", (seed, 0.5, 4.0, 1.0)).build(g)
+        ratios = [commutator_probe(kind, band(4 + 2 * j), band(5 + 2 * j), params)
+                  for j in range(9)]
+        assert mx == pytest.approx(max(ratios), rel=1e-13)
+        assert med == pytest.approx(float(np.median(ratios)), rel=1e-13)
+
+    def test_constant_g_row_gives_zero(self):
+        g = make_grid(512, 50.0)
+        f = packet(g).samples
+        ratios = _probe_ratios("hilbert_frac", g, np.stack([np.ones(g.n), f]),
+                               np.stack([f, f]), ProbeParams(beta=0.5))
+        assert ratios[0] == 0.0
+        assert ratios[1] > 0.0
+
+    def test_zero_rhs_row_rejected(self):
+        # d/dx of the Nyquist mode is zero, while its commutator with H is not
+        g = make_grid(512, 50.0)
+        f = packet(g).samples
+        nyq = np.cos(np.pi * np.arange(g.n))
+        params = ProbeParams(l=1, m=0)
+        assert _probe_ratios("hilbert_local", g, f[None], f[None], params)[0] > 0.0
+        with pytest.raises(DomainError, match="zero right-hand side"):
+            _probe_ratios("hilbert_local", g, np.stack([f, nyq]), np.stack([f, f]), params)
+        with pytest.raises(DomainError, match="zero right-hand side"):
+            commutator_probe("hilbert_local", Field(g, nyq), Field(g, f), params)
+
+    def test_overflow_raises_numeric_error(self):
+        g = make_grid(512, 50.0)
+        big = packet(g, amp=1e200)
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            commutator_probe("hilbert_frac", big, big, ProbeParams(beta=0.5))
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
     def test_ensemble_finite_and_resolution_stable(self, kind):
         params = ProbeParams(beta=0.5, gamma=0.25, l=1, m=0)
         g1 = make_grid(1024, 100.0)
