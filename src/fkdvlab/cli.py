@@ -222,10 +222,10 @@ def diagnostics_csv(records, weight_orders) -> str:
 
 
 def field_csv(f: Field) -> str:
-    rows = ["x,u"]
-    for xj, uj in zip(f.grid.x, f.samples):
-        rows.append(f"{fmt(xj)},{fmt(uj)}")
-    return "\n".join(rows) + "\n"
+    # Field samples and grid nodes are finite floats, for which one
+    # %-format over the whole table writes what fmt writes value by value.
+    pairs = np.column_stack([f.grid.x, f.samples]).ravel().tolist()
+    return "x,u\n" + "%.17g,%.17g\n" * f.grid.n % tuple(pairs)
 
 
 def report_csv(report: exp.ExperimentReport) -> str:

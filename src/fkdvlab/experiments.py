@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import diagnostics as diag
 from .errors import ConfigurationError, DomainError
@@ -141,6 +140,8 @@ def run_tstar(cfg: SimConfig) -> TStarReport:
     """Time-integrated first moment vanishes exactly at the sharp time
     t* = -4 (first moment) / (squared L2 norm) of the data.
     """
+    from scipy.integrate import simpson
+
     grid = cfg.grid()
     u0 = cfg.ic.build(grid)
     _require_zero_mean(u0, "sharp-time run")

@@ -72,7 +72,7 @@ class InitialCondition:
             u = amp * np.sin(kc * x) * np.exp(-((x / sigma) ** 2))
         elif fam == "random_band":
             seed, k_lo, k_hi, amp = self.params
-            u = _random_band(grid, int(seed), k_lo, k_hi, amp)
+            u = _random_band(grid, [int(seed)], k_lo, k_hi, amp)[0]
         else:
             (path,) = self.params
             u = _load_field_samples(path, grid)
@@ -81,20 +81,23 @@ class InitialCondition:
         return Field(grid, u)
 
 
-def _random_band(grid: Grid, seed: int, k_lo: float, k_hi: float, amp: float) -> np.ndarray:
-    """Band-limited field with seeded random phases, scaled to ||u||_2 = amp."""
-    rng = np.random.default_rng(seed)
+def _random_band(grid: Grid, seeds, k_lo: float, k_hi: float, amp: float) -> np.ndarray:
+    """Band-limited fields with seeded random phases, one row of the
+    ``(len(seeds), n)`` result per seed, each scaled to ||u||_2 = amp."""
     k = grid.k[: grid.n // 2 + 1]        # the Nyquist wavenumber is negative here
     band = (k >= k_lo) & (k <= k_hi) & (k > 0)
-    coeff = np.zeros(k.size, dtype=complex)
     idx = np.nonzero(band)[0]
-    coeff[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-    u = scipy.fft.irfft(coeff, grid.n)
-    norm = np.sqrt(np.sum(u ** 2) * grid.dx)
-    if norm == 0:
+    coeff = np.zeros((len(seeds), k.size), dtype=complex)
+    for row, seed in zip(coeff, seeds):
+        rng = np.random.default_rng(seed)
+        row[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+    u = scipy.fft.irfft(coeff, grid.n, axis=-1)
+    norm = np.sqrt(np.sum(u ** 2, axis=-1) * grid.dx)
+    if np.any(norm == 0):
         raise ConfigurationError(
-            f"random_band({seed}, {k_lo}, {k_hi}) contains no grid modes")
-    return u * (amp / norm)
+            f"random_band({seeds[int(np.argmin(norm))]}, {k_lo}, {k_hi}) "
+            f"contains no grid modes")
+    return u * (amp / norm)[:, None]
 
 
 def _load_field_samples(path: str, grid: Grid) -> np.ndarray:
@@ -352,7 +355,8 @@ def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int,
     Independent of the stepper: the source integral uses composite
     Simpson quadrature in tau on ``n_quad + 1`` uniform nodes, with the
     whole iterate stored along the quadrature grid.  Zero iterations
-    reproduce the free evolution.
+    reproduce the free evolution, and so does a config with
+    ``nonlinear = False``, whose equation has no source term.
     """
     from scipy.integrate import cumulative_simpson
 
@@ -369,7 +373,7 @@ def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int,
 
     iterate = fwd * u0h[None, :]               # linear evolution at every node
     prev_delta = None
-    for _ in range(iterations):
+    for _ in range(iterations if cfg.nonlinear else 0):
         src = np.empty_like(iterate)
         for j in range(n_quad + 1):
             src[j] = bwd[j] * _nonlinear_hat(iterate[j], grid.n, top, dfac)

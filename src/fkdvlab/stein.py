@@ -629,12 +629,11 @@ def probe_ensemble(kind: str, grid, params: ProbeParams, n_pairs: int = 50,
 
     All pairs go through the probe together, one row each.
     """
-    from .solver import InitialCondition
+    from .solver import _random_band
 
     def fields(offset):
-        return np.stack([InitialCondition(
-            "random_band", (seed + 2 * j + offset, *k_band, amplitude)).build(grid).samples
-            for j in range(n_pairs)])
+        seeds = range(seed + offset, seed + offset + 2 * n_pairs, 2)
+        return _random_band(grid, seeds, *k_band, amplitude)
 
     ratios = _probe_ratios(kind, grid, fields(0), fields(1), params)
     return float(np.max(ratios)), float(np.median(ratios))

@@ -1,11 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fkdvlab
 import fkdvlab.cli as cli
-from fkdvlab import ConfigurationError, InitialCondition, make_grid
+from fkdvlab import ConfigurationError, Field, InitialCondition, make_grid
 from fkdvlab.errors import (DomainError, NumericError, OracleDivergenceError,
                             StepError)
-from fkdvlab.cli import (config_lines, diagnostics_csv, fmt, main,
+from fkdvlab.cli import (config_lines, diagnostics_csv, field_csv, fmt, main,
                          parse_config, read_keyvalues)
 
 
@@ -94,6 +101,16 @@ class TestFormatting:
         vals = [np.pi, 1.0 / 3.0, 1e-17, 123456.789012345678, -2.5e300]
         for v in vals:
             assert float(fmt(v)) == v
+
+    def test_field_csv_matches_per_value_fmt(self):
+        g = make_grid(8, 10.0 / 3.0)            # nodes that need 17 digits
+        u = [-0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0, -2.0 ** 53 - 2.0, 1e-17, np.pi]
+        f = Field(g, np.array(u))
+        rows = ["x,u"] + [f"{fmt(xj)},{fmt(uj)}" for xj, uj in zip(g.x, f.samples)]
+        text = field_csv(f)
+        assert text == "\n".join(rows) + "\n"
+        assert text.splitlines()[1].endswith(",-0")
+        assert [float(line.split(",")[1]) for line in text.splitlines()[1:]] == u
 
     def test_diagnostics_columns(self):
         from fkdvlab.diagnostics import make_record
@@ -243,6 +260,23 @@ ic = gaussian(0.1,1,0)
         report = (out / "report.csv").read_text()
         assert "richardson_order" in report and "picard_agreement" in report
 
+    def test_convergence_linear_config_oracle_agrees(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, """
+alpha = 0.5
+n = 256
+length = 50
+dt = 0.02
+t_final = 0.1
+nonlinear = false
+ic = gaussian(0.1,1,0)
+""")
+        out = tmp_path / "out"
+        main(["--out", str(out), "convergence", "--config", cfg_path])
+        rows = {r.split(",")[1]: r.split(",")
+                for r in (out / "report.csv").read_text().splitlines()[1:]}
+        assert float(rows["picard_agreement"][2]) <= 1e-12
+        assert rows["picard_agreement"][6] == "true"
+
     @pytest.mark.parametrize("exc,prefix", [
         (ConfigurationError, "error: "), (DomainError, "error: "),
         (NumericError, "numeric error: "), (StepError, "numeric error: "),
@@ -293,3 +327,47 @@ ic = odd_gaussian(-4,1)
                    "--n", "64", "--length", "10", flag, value])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+_HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
+
+
+def _scipy_loaded_by(tmp_path, argv):
+    """Run ``main(argv)`` in a fresh interpreter, as ``python -m fkdvlab.cli``
+    does, and return the exit code and the heavy scipy subpackages it loaded."""
+    code = (
+        "import json, sys\n"
+        "import fkdvlab, fkdvlab.cli\n"
+        f"rc = fkdvlab.cli.main({argv!r})\n"
+        f"print(json.dumps([rc, [m for m in {_HEAVY_SCIPY!r} if m in sys.modules]]))\n")
+    src = str(Path(fkdvlab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rc, loaded = json.loads(done.stdout.splitlines()[-1])
+    return rc, set(loaded)
+
+
+class TestColdStart:
+    def test_simulate_loads_no_heavy_scipy(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, MINIMAL)
+        rc, loaded = _scipy_loaded_by(
+            tmp_path, ["--out", "out", "simulate", "--config", cfg_path])
+        assert rc == 0
+        assert loaded == set()
+
+    def test_tstar_loads_integrate(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, """
+alpha = 0.5
+n = 1024
+length = 100
+dt = 0.01
+t_final = 3
+tail_tol = 1e-3
+ic = odd_gaussian(-4,1)
+""")
+        rc, loaded = _scipy_loaded_by(
+            tmp_path, ["--out", "out", "experiment", "tstar", "--config", cfg_path])
+        assert rc in (0, 2)
+        assert "scipy.integrate" in loaded

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      SimConfig, StepError, l2_norm, linear_propagator, make_grid,
                      nonlinear_term, picard_oracle, solve, step_ifrk4)
 from fkdvlab.errors import OracleDivergenceError
-from fkdvlab.solver import cfl_bound
+from fkdvlab.solver import _random_band, cfl_bound
 
 
 def small_cfg(**kw):
@@ -66,6 +67,32 @@ class TestInitialConditions:
         uh = np.fft.fft(u.samples)
         outside = (np.abs(g.k) < 1.0) | (np.abs(g.k) > 3.0)
         assert np.max(np.abs(uh[outside])) <= 1e-12 * np.max(np.abs(uh))
+
+    def test_random_band_batch_rows_equal_single_builds(self):
+        g = make_grid(512, 50.0)
+
+        def one_seed(seed):
+            # reference: one rng, one irfft and one norm per field
+            rng = np.random.default_rng(seed)
+            k = g.k[: g.n // 2 + 1]
+            idx = np.nonzero((k >= 0.5) & (k <= 4.0) & (k > 0))[0]
+            coeff = np.zeros(k.size, dtype=complex)
+            coeff[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+            u = scipy.fft.irfft(coeff, g.n)
+            return u * (1.3 / np.sqrt(np.sum(u ** 2) * g.dx))
+
+        seeds = [3, 4, 11, 1000]
+        batch = _random_band(g, seeds, 0.5, 4.0, 1.3)
+        assert batch.shape == (len(seeds), g.n)
+        for row, seed in zip(batch, seeds):
+            built = InitialCondition("random_band", (seed, 0.5, 4.0, 1.3)).build(g)
+            assert np.array_equal(row, one_seed(seed))
+            assert np.array_equal(row, built.samples)
+
+    def test_random_band_without_grid_modes_rejected(self):
+        g = make_grid(512, 50.0)
+        with pytest.raises(ConfigurationError, match="no grid modes"):
+            _random_band(g, [1, 2], 100.0, 200.0, 1.0)
 
     def test_unknown_family(self):
         g = make_grid(512, 50.0)
@@ -316,6 +343,15 @@ class TestPicardOracle:
         a = picard_oracle(u0, cfg, 0.05, iterations=0)
         b = linear_propagator(u0, 0.05, cfg.alpha)
         assert np.max(np.abs(a.samples - b.samples)) <= 1e-13
+
+    def test_linear_config_is_free_evolution(self):
+        cfg = small_cfg(n=256, length=50.0, dt=0.02, nonlinear=False)
+        g = cfg.grid()
+        u0 = InitialCondition("gaussian", (0.1, 1.0, 0.0)).build(g)
+        pic = picard_oracle(u0, cfg, 0.1, iterations=6)
+        ref = linear_propagator(u0, 0.1, cfg.alpha)
+        assert (np.max(np.abs(pic.samples - ref.samples))
+                <= 1e-13 * np.max(np.abs(ref.samples)))
 
     def test_zero_data(self):
         cfg = small_cfg()
