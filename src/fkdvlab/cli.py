@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,17 +28,10 @@ from . import stein
 
 SCHEMA_VERSION = 1
 
-_CONFIG_KEYS = {
-    "n", "length", "alpha", "dt", "t_final", "dealias", "diag_every",
-    "tail_tol", "weight_orders", "nonlinear", "store_every", "extended",
-    "ic", "zero_mean",
-}
-_EXPERIMENT_KEYS = {"t1", "t2", "lambda", "box_list", "r_probe"}
 _MANIFEST_KEYS = {
     "schema_version", "tool_version", "seed", "start_time", "end_time",
     "truncated", "grid_dx", "grid_kmax", "status", "command",
 }
-_KNOWN_KEYS = _CONFIG_KEYS | _EXPERIMENT_KEYS | _MANIFEST_KEYS
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
@@ -55,31 +48,33 @@ def fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _parse_bool(key, raw):
-    try:
-        return _BOOL[raw.strip().lower()]
-    except KeyError:
-        raise ConfigurationError(f"key '{key}' expects a boolean, got '{raw}'")
+def _parse_bool(raw: str) -> bool:
+    value = _BOOL.get(raw.strip().lower())
+    if value is None:
+        raise ValueError(raw)
+    return value
+
+
+def _parse_floats(raw: str) -> tuple:
+    return tuple(float(x) for x in raw.split(",")) if raw.strip() else ()
+
+
+def _floats_to_str(values) -> str:
+    return ",".join(fmt(v) for v in values)
 
 
 def _parse_ic(raw: str) -> InitialCondition:
-    raw = raw.strip()
-    if "(" not in raw or not raw.endswith(")"):
-        raise ConfigurationError(
-            f"initial condition must look like family(args), got '{raw}'")
-    fam, args = raw[:-1].split("(", 1)
-    fam = fam.strip()
+    family, paren, args = raw.strip().partition("(")
+    if not paren or not args.endswith(")"):
+        raise ValueError(raw)
+    family, args = family.strip(), args[:-1]
     parts = [a.strip() for a in args.split(",")] if args.strip() else []
-    if fam == "file":
+    if family == "file":
         return InitialCondition("file", tuple(parts))
-    try:
-        if fam == "random_band":
-            params = (int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]))
-        else:
-            params = tuple(float(p) for p in parts)
-    except (ValueError, IndexError):
-        raise ConfigurationError(f"cannot parse parameters of '{raw}'")
-    return InitialCondition(fam, params)
+    params = [float(p) for p in parts]
+    if family == "random_band" and parts:
+        params[0] = int(parts[0])            # the seed
+    return InitialCondition(family, tuple(params))
 
 
 def _ic_to_str(ic: InitialCondition) -> str:
@@ -87,6 +82,40 @@ def _ic_to_str(ic: InitialCondition) -> str:
     for p in ic.params:
         parts.append(str(p) if isinstance(p, (int, str)) else fmt(p))
     return f"{ic.family}({','.join(parts)})"
+
+
+# value type -> (parser of its text, writer of its text, what the text must be)
+_TYPES = {
+    "float": (float, fmt, "a number"),
+    "int": (int, fmt, "an integer"),
+    "bool": (_parse_bool, fmt, "true or false"),
+    "tuple": (_parse_floats, _floats_to_str, "comma-separated numbers"),
+    "InitialCondition": (_parse_ic, _ic_to_str, "family(args)"),
+}
+
+# key -> (value type, default); MISSING marks a required key.  The [config]
+# keys are SimConfig's fields plus zero_mean.  The CLI's default initial
+# condition keeps its mean, unlike SimConfig's own default.
+_CONFIG_KEYS = {f.name: (f.type, f.default) for f in fields(SimConfig)}
+_CONFIG_KEYS["ic"] = ("InitialCondition", InitialCondition("gaussian", (0.2, 1.0, 0.0)))
+_CONFIG_KEYS["zero_mean"] = ("bool", False)
+_EXPERIMENT_KEYS = {
+    "t1": ("float", 0.5), "t2": ("float", 1.0), "lambda": ("float", 2.0),
+    "box_list": ("tuple", (200.0, 400.0, 800.0)), "r_probe": ("tuple", ()),
+}
+_KEYS = {**_CONFIG_KEYS, "seed": ("int", None), **_EXPERIMENT_KEYS}
+_KNOWN_KEYS = set(_KEYS) | _MANIFEST_KEYS
+
+
+def _parse_value(key: str, raw: str, kind: str):
+    """Parse one value; every failure is a ConfigurationError naming the key."""
+    parse, _, what = _TYPES[kind]
+    try:
+        return parse(raw)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"key '{key}': {e}") from None
+    except ValueError:
+        raise ConfigurationError(f"key '{key}' expects {what}, got '{raw}'") from None
 
 
 def read_keyvalues(path) -> dict:
@@ -107,84 +136,47 @@ def read_keyvalues(path) -> dict:
 
 
 def parse_config(path=None, overrides=None):
-    """Build a validated SimConfig plus experiment extras.
+    """Build a validated SimConfig plus the experiment extras.
 
-    Unknown keys are errors; flags (``overrides``) win over the file.
+    Unknown keys are errors; flags (``overrides``) win over the file, and
+    absent keys take their defaults.
     """
     kv = read_keyvalues(path) if path else {}
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            kv[key] = val
+    kv.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     unknown = set(kv) - _KNOWN_KEYS
     if unknown:
         raise ConfigurationError(
             f"unknown configuration key(s): {', '.join(sorted(unknown))}")
-    for key in ("alpha", "dt", "t_final"):
-        if key not in kv:
+
+    def get(key):
+        kind, default = _KEYS[key]
+        if key in kv:
+            return _parse_value(key, kv[key], kind)
+        if default is MISSING:
             raise ConfigurationError(f"missing required key '{key}'")
+        return default
 
-    def get(key, conv, default):
-        if key not in kv:
-            return default
-        raw = kv[key]
-        if conv is bool:
-            return _parse_bool(key, raw)
-        try:
-            return conv(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"key '{key}' expects {conv.__name__}, got '{raw}'")
-
-    ic = _parse_ic(kv["ic"]) if "ic" in kv else InitialCondition(
-        "gaussian", (0.2, 1.0, 0.0))
-    if get("zero_mean", bool, False):
+    values = {key: get(key) for key in _KEYS}
+    ic = values.pop("ic")
+    if values.pop("zero_mean"):
         ic = replace(ic, zero_mean_projected=True)
-    if "seed" in kv and ic.family == "random_band":
-        ic = replace(ic, params=(int(kv["seed"]),) + ic.params[1:])
-    weight_orders = ()
-    if kv.get("weight_orders"):
-        weight_orders = tuple(float(w) for w in kv["weight_orders"].split(","))
+    seed = values.pop("seed")
+    if seed is not None and ic.family == "random_band":
+        ic = replace(ic, params=(seed,) + ic.params[1:])
+    extras = {key: values.pop(key) for key in _EXPERIMENT_KEYS}
     try:
-        cfg = SimConfig(
-            alpha=get("alpha", float, None),
-            dt=get("dt", float, None),
-            t_final=get("t_final", float, None),
-            n=get("n", int, 4096),
-            length=get("length", float, 200.0),
-            dealias=get("dealias", bool, True),
-            diag_every=get("diag_every", int, 100),
-            ic=ic,
-            tail_tol=get("tail_tol", float, 1e-8),
-            weight_orders=weight_orders,
-            nonlinear=get("nonlinear", bool, True),
-            store_every=get("store_every", int, 0),
-            extended=get("extended", bool, False),
-        )
+        cfg = SimConfig(ic=ic, **values)
     except ConfigurationError as e:
         raise ConfigurationError(f"configuration rejected: {e}")
-    extras = {k: kv[k] for k in _EXPERIMENT_KEYS if k in kv}
     return cfg, extras
 
 
 def config_lines(cfg: SimConfig) -> list:
-    zm = cfg.ic.zero_mean_projected
-    return [
-        "[config]",
-        f"alpha = {fmt(cfg.alpha)}",
-        f"n = {cfg.n}",
-        f"length = {fmt(cfg.length)}",
-        f"dt = {fmt(cfg.dt)}",
-        f"t_final = {fmt(cfg.t_final)}",
-        f"dealias = {fmt(cfg.dealias)}",
-        f"diag_every = {cfg.diag_every}",
-        f"ic = {_ic_to_str(cfg.ic)}",
-        f"zero_mean = {fmt(zm)}",
-        f"tail_tol = {fmt(cfg.tail_tol)}",
-        f"weight_orders = {','.join(fmt(w) for w in cfg.weight_orders)}",
-        f"nonlinear = {fmt(cfg.nonlinear)}",
-        f"store_every = {cfg.store_every}",
-        f"extended = {fmt(cfg.extended)}",
-    ]
+    lines = ["[config]"]
+    for key, (kind, _) in _CONFIG_KEYS.items():
+        value = cfg.ic.zero_mean_projected if key == "zero_mean" else getattr(cfg, key)
+        lines.append(f"{key} = {_TYPES[kind][1](value)}")
+    return lines
 
 
 def write_manifest(out_dir: Path, cfg: SimConfig, command: str,
@@ -250,18 +242,8 @@ def _prepare_out(args) -> Path:
 
 
 def _flag_overrides(args) -> dict:
-    keys = ("alpha", "n", "length", "dt", "t_final", "dealias", "diag_every",
-            "tail_tol", "weight_orders", "nonlinear", "store_every",
-            "extended", "ic", "zero_mean", "seed", "t1", "t2", "box_list",
-            "r_probe")
-    out = {}
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            out[k] = v
-    if getattr(args, "lam", None) is not None:
-        out["lambda"] = args.lam
-    return out
+    return {key: getattr(args, key) for key in _KEYS
+            if getattr(args, key, None) is not None}
 
 
 def cmd_simulate(args) -> int:
@@ -283,47 +265,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_EXPERIMENTS = ("moment-law", "tstar", "two-time-bh", "decay-threshold",
-                "symmetry", "breaking")
-
-
-def cmd_experiment(args) -> int:
-    out = _prepare_out(args)
-    cfg, extras = parse_config(args.config, _flag_overrides(args))
-    start = time.time()
-    name = args.name
-    if name == "moment-law":
-        report = exp.run_moment_law(cfg)
-    elif name == "tstar":
-        ts = exp.run_tstar(cfg)
-        report = exp.ExperimentReport(
-            "tstar", exp._echo(cfg),
-            {
-                "integral_residual": exp.MetricEntry(ts.residual, 0.0, 1e-4),
-                "zero_crossing": exp.MetricEntry(
-                    ts.zero_crossing, ts.zero_crossing_expected, 1e-3),
-            },
-            notes=[f"t* = {fmt(ts.t_star_predicted)}",
-                   f"moment0 = {fmt(ts.moment0)}", f"l2sq = {fmt(ts.l2sq)}"]
-            + ts.notes, truncated=ts.truncated)
-    elif name == "two-time-bh":
-        t1 = float(extras.get("t1", 0.5))
-        t2 = float(extras.get("t2", 1.0))
-        report = exp.run_two_time_bh(cfg, t1, t2)
-    elif name == "decay-threshold":
-        boxes = [float(x) for x in extras.get("box_list", "200,400,800").split(",")]
-        r_probe = [float(x) for x in extras.get("r_probe", "").split(",") if x]
-        report = exp.run_decay_threshold(cfg, r_probe, boxes)
-    elif name == "symmetry":
-        lam = float(extras.get("lambda", 2.0))
-        report = exp.run_symmetry_checks(cfg, lam)
-    elif name == "breaking":
-        report = exp.run_wave_breaking(cfg)
-    else:
-        raise ConfigurationError(
-            f"unknown experiment '{name}'; choose from {', '.join(_EXPERIMENTS)}")
+def _conclude(out: Path, cfg: SimConfig, command: str, start: float,
+              report: exp.ExperimentReport) -> int:
+    """Write report.csv and the manifest, print the verdicts and notes;
+    exit code 0 when every metric passes, 2 otherwise."""
     (out / "report.csv").write_text(report_csv(report))
-    write_manifest(out, cfg, f"experiment {name}", start, time.time(),
+    write_manifest(out, cfg, command, start, time.time(),
                    report.truncated, "pass" if report.passed else "metric-failure")
     for key, m in report.metrics.items():
         flag = "PASS" if m.passed else "FAIL"
@@ -334,22 +281,45 @@ def cmd_experiment(args) -> int:
     return 0 if report.passed else 2
 
 
+# campaign name -> runner(cfg, extras); each runner looks its campaign up
+# on the experiments module when it runs
+_EXPERIMENTS = {
+    "moment-law": lambda cfg, x: exp.run_moment_law(cfg),
+    "tstar": lambda cfg, x: exp.run_tstar(cfg),
+    "two-time-bh": lambda cfg, x: exp.run_two_time_bh(cfg, x["t1"], x["t2"]),
+    "decay-threshold": lambda cfg, x: exp.run_decay_threshold(
+        cfg, x["r_probe"], x["box_list"]),
+    "symmetry": lambda cfg, x: exp.run_symmetry_checks(cfg, x["lambda"]),
+    "breaking": lambda cfg, x: exp.run_wave_breaking(cfg),
+}
+
+
+def cmd_experiment(args) -> int:
+    out = _prepare_out(args)
+    cfg, extras = parse_config(args.config, _flag_overrides(args))
+    start = time.time()
+    report = _EXPERIMENTS[args.name](cfg, extras)
+    return _conclude(out, cfg, f"experiment {args.name}", start, report)
+
+
+# --target -> builder(args)
+_STEIN_TARGETS = {
+    "power_cutoff": lambda a: stein.power_cutoff(a.beta),
+    "signed_power_cutoff": lambda a: stein.signed_power_cutoff(a.beta),
+    "propagator": lambda a: stein.propagator_target(a.alpha, a.t),
+    "sign_propagator": lambda a: stein.sign_propagator(a.t),
+    "weight": lambda a: stein.weight_target(a.theta, a.n_w),
+}
+
+
 def cmd_stein(args) -> int:
     out = _prepare_out(args)
     b = args.b
-    pts = np.array([float(p) for p in args.points.split(",")])
-    if args.target == "power_cutoff":
-        target = stein.power_cutoff(args.beta)
-    elif args.target == "signed_power_cutoff":
-        target = stein.signed_power_cutoff(args.beta)
-    elif args.target == "propagator":
-        target = stein.propagator_target(args.alpha, args.t)
-    elif args.target == "sign_propagator":
-        target = stein.sign_propagator(args.t)
-    elif args.target == "weight":
-        target = stein.weight_target(args.theta, args.n_w)
-    else:
-        raise ConfigurationError(f"unknown target '{args.target}'")
+    pts = np.array(_parse_value("points", args.points, "tuple"))
+    if args.target not in _STEIN_TARGETS:
+        raise ConfigurationError(f"unknown target '{args.target}'; "
+                                 f"choose from {', '.join(_STEIN_TARGETS)}")
+    target = _STEIN_TARGETS[args.target](args)
     res = stein.stein_derivative(stein.SteinRequest(b, target, pts))
     rows = ["target,b,eta,value,err_est"]
     for eta, v, e in zip(pts, res.values, res.error_estimates):
@@ -379,32 +349,53 @@ def cmd_probe(args) -> int:
     return status
 
 
+def _rel_err(u: Field, ref: Field) -> float:
+    scale = np.linalg.norm(ref.samples)
+    return float(np.linalg.norm(u.samples - ref.samples) / scale) if scale > 0 else math.nan
+
+
+def _convergence_report(cfg: SimConfig) -> exp.ExperimentReport:
+    """Step convergence against a dt/8 reference, and agreement with the
+    Picard oracle over the first steps.
+
+    The stepper is exact on the linear problem, so a config with
+    ``nonlinear = false`` gates the step error itself instead of the
+    Richardson order.  End states are compared only when every solve
+    reached its horizon; a truncated solve leaves its metric NaN.
+    """
+    grid = cfg.grid()
+    u0 = cfg.ic.build(grid)
+    t_cmp = max(1, int(min(0.05, cfg.t_final) / cfg.dt)) * cfg.dt
+    solves = {"dt/8": replace(cfg, dt=cfg.dt / 8.0), "dt": cfg,
+              "dt/2": replace(cfg, dt=cfg.dt / 2.0),
+              "oracle window": replace(cfg, t_final=t_cmp)}
+    runs = {label: solve(c, grid=grid, u0=u0) for label, c in solves.items()}
+    ref, short = runs["dt/8"], runs["oracle window"]
+    errs = [math.nan, math.nan]
+    if not any(runs[label].truncated for label in ("dt/8", "dt", "dt/2")):
+        errs = [_rel_err(runs[label].final, ref.final) for label in ("dt", "dt/2")]
+    pic = picard_oracle(u0, cfg, t_cmp, iterations=6)
+    pic_err = math.nan if short.truncated else _rel_err(pic, short.final)
+    if cfg.nonlinear:
+        ratio = errs[0] / errs[1] if errs[1] > 0 else math.nan
+        order = math.log2(ratio) if 0 < ratio < math.inf else math.nan
+        step = {"richardson_order": exp.MetricEntry(order, 4.0, 0.2)}
+    else:
+        step = {"linear_step_error": exp.MetricEntry(float(np.max(errs)), 0.0, 1e-12)}
+    notes = [f"step errors against dt/8: {errs[0]:.3e} at dt, {errs[1]:.3e} at dt/2"]
+    notes += [f"TRUNCATED: {label} solve: {tr.truncation_reason}"
+              for label, tr in runs.items() if tr.truncated]
+    return exp.ExperimentReport(
+        "convergence", exp._echo(cfg),
+        {**step, "picard_agreement": exp.MetricEntry(pic_err, 0.0, 1e-6)},
+        notes, truncated=any(tr.truncated for tr in runs.values()))
+
+
 def cmd_convergence(args) -> int:
     out = _prepare_out(args)
     cfg, _ = parse_config(args.config, _flag_overrides(args))
-    grid = cfg.grid()
-    u0 = cfg.ic.build(grid)
-    ref = solve(replace(cfg, dt=cfg.dt / 8.0), grid=grid, u0=u0)
-    errs = []
-    for dt in (cfg.dt, cfg.dt / 2.0):
-        tr = solve(replace(cfg, dt=dt), grid=grid, u0=u0)
-        errs.append(float(np.linalg.norm(tr.final.samples - ref.final.samples)
-                          / np.linalg.norm(ref.final.samples)))
-    order = math.log2(errs[0] / errs[1])
-    t_cmp = max(1, int(min(0.05, cfg.t_final) / cfg.dt)) * cfg.dt
-    pic = picard_oracle(u0, cfg, t_cmp, iterations=6)
-    short = solve(replace(cfg, t_final=t_cmp), grid=grid, u0=u0)
-    pic_err = float(np.linalg.norm(pic.samples - short.final.samples)
-                    / np.linalg.norm(short.final.samples))
-    rows = ["name,metric,measured,expected,tolerance,mode,passed",
-            f"convergence,richardson_order,{fmt(order)},4,0.2,abs,"
-            f"{fmt(abs(order - 4) <= 0.2)}",
-            f"convergence,picard_agreement,{fmt(pic_err)},0,1e-06,abs,"
-            f"{fmt(pic_err <= 1e-6)}"]
-    (out / "report.csv").write_text("\n".join(rows) + "\n")
-    print("\n".join(rows))
-    ok = abs(order - 4) <= 0.2 and pic_err <= 1e-6
-    return 0 if ok else 2
+    start = time.time()
+    return _conclude(out, cfg, "convergence", start, _convergence_report(cfg))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,23 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default $FKDV_OUT or ./runs)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_cfg_flags(sp):
+    def add_cfg_flags(sp, experiment=False):
         sp.add_argument("--config", help="key=value config file")
-        sp.add_argument("--alpha")
-        sp.add_argument("--n")
-        sp.add_argument("--length")
-        sp.add_argument("--dt")
-        sp.add_argument("--t-final", dest="t_final")
-        sp.add_argument("--dealias")
-        sp.add_argument("--diag-every", dest="diag_every")
-        sp.add_argument("--tail-tol", dest="tail_tol")
-        sp.add_argument("--weight-orders", dest="weight_orders")
-        sp.add_argument("--nonlinear")
-        sp.add_argument("--store-every", dest="store_every")
-        sp.add_argument("--extended")
-        sp.add_argument("--ic")
-        sp.add_argument("--zero-mean", dest="zero_mean")
-        sp.add_argument("--seed", help="overrides the random_band seed")
+        for key in _KEYS:
+            if experiment or key not in _EXPERIMENT_KEYS:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key)
 
     sp = sub.add_parser("simulate", help="integrate and write diagnostics")
     add_cfg_flags(sp)
@@ -439,12 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiment", help="run a named campaign")
     sp.add_argument("name", choices=_EXPERIMENTS)
-    add_cfg_flags(sp)
-    sp.add_argument("--t1")
-    sp.add_argument("--t2")
-    sp.add_argument("--lambda", dest="lam")
-    sp.add_argument("--box-list", dest="box_list")
-    sp.add_argument("--r-probe", dest="r_probe")
+    add_cfg_flags(sp, experiment=True)
     sp.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("stein", help="evaluate the square-function derivative")

@@ -41,7 +41,8 @@ class SteinTarget:
     oscillating targets whose tail is added in the mean.  ``holder``
     maps an evaluation point to (exponent, constant) of the local
     increment bound; ``nonholder`` lists points where the derivative
-    does not exist pointwise.
+    does not exist pointwise.  ``power`` is beta for the power targets
+    |xi|^beta and sign(xi)|xi|^beta under the cutoff, None otherwise.
     """
 
     name: str
@@ -52,6 +53,7 @@ class SteinTarget:
     holder: Optional[Callable[[float], tuple]] = None
     nonholder: tuple = ()
     sup_norm: float = 1.0
+    power: Optional[float] = None
 
 
 def power_cutoff(beta: float) -> SteinTarget:
@@ -68,7 +70,7 @@ def power_cutoff(beta: float) -> SteinTarget:
         return (1.0, beta * abs(eta) ** (beta - 1.0) + 2.0)
 
     return SteinTarget(f"|xi|^{beta:g}*cutoff", f, breakpoints=(0.0, -1.0, 1.0, -2.0, 2.0),
-                       tail_limits=(0.0, 0.0), holder=holder)
+                       tail_limits=(0.0, 0.0), holder=holder, power=beta)
 
 
 def signed_power_cutoff(beta: float) -> SteinTarget:
@@ -85,7 +87,7 @@ def signed_power_cutoff(beta: float) -> SteinTarget:
 
     return SteinTarget(f"sign*|xi|^{beta:g}*cutoff", f,
                        breakpoints=(0.0, -1.0, 1.0, -2.0, 2.0),
-                       tail_limits=(0.0, 0.0), holder=holder)
+                       tail_limits=(0.0, 0.0), holder=holder, power=beta)
 
 
 def propagator_target(alpha: float, t: float) -> SteinTarget:
@@ -287,13 +289,6 @@ class SlopeFit:
     accepted: bool
 
 
-def _power_exponent(target: SteinTarget) -> Optional[float]:
-    name = target.name
-    if "cutoff" not in name:
-        return None
-    return float(name.split("^")[1].split("*")[0])
-
-
 def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
     """Log-log slope of the derivative over a small- or large-argument regime.
 
@@ -308,7 +303,7 @@ def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
     if pts.size < 6:
         raise ConfigurationError("slope fits need at least 6 evaluation points")
     res = stein_derivative(req)
-    beta = _power_exponent(req.target)
+    beta = req.target.power
     theta = req.b
     log_branch = False
     if regime == "large_eta":

@@ -118,16 +118,20 @@ def test_criterion_3_tstar():
     cfg = SimConfig(alpha=0.5, ic=ic, tail_tol=1e-6, **{**REF, "t_final": 3.0})
     rep = run_tstar(cfg)
     t_star = 2.0 * math.sqrt(2.0)
-    zc_err = abs(rep.zero_crossing - math.sqrt(2.0))
-    ok = (rep.residual <= 1e-4 and abs(rep.t_star_predicted - t_star) <= 1e-6
+    residual = rep.metrics["integral_residual"].measured
+    zc = rep.metrics["zero_crossing"]
+    t_star_predicted = 2.0 * zc.expected          # the crossing is expected at t*/2
+    zc_err = abs(zc.measured - math.sqrt(2.0))
+    ok = (residual <= 1e-4 and abs(t_star_predicted - t_star) <= 1e-6
           and zc_err <= 1e-3)
     report("03-tstar", ok,
-           f"t* = {rep.t_star_predicted:.6f} (2*sqrt2), integrated-moment "
-           f"residual {rep.residual:.2e} (<=1e-4), zero crossing off by "
+           f"t* = {t_star_predicted:.6f} (2*sqrt2), integrated-moment "
+           f"residual {residual:.2e} (<=1e-4), zero crossing off by "
            f"{zc_err:.2e} (<=1e-3)")
-    assert rep.t_star_predicted == pytest.approx(t_star, abs=1e-6)
-    assert rep.residual <= 1e-4
+    assert t_star_predicted == pytest.approx(t_star, abs=1e-6)
+    assert residual <= 1e-4
     assert zc_err <= 1e-3
+    assert rep.passed
 
 
 # ---------------------------------------------------------------------------

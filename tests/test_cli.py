@@ -9,7 +9,8 @@ import pytest
 
 import fkdvlab
 import fkdvlab.cli as cli
-from fkdvlab import ConfigurationError, Field, InitialCondition, make_grid
+from fkdvlab import (ConfigurationError, Field, InitialCondition, SimConfig,
+                     make_grid)
 from fkdvlab.errors import (DomainError, NumericError, OracleDivergenceError,
                             StepError)
 from fkdvlab.cli import (config_lines, diagnostics_csv, field_csv, fmt, main,
@@ -32,6 +33,36 @@ ic = gaussian(0.2,1,0)
 """
 
 
+MANIFEST_V1 = """[config]
+alpha = -0.5
+n = 128
+length = 40
+dt = 0.0050000000000000001
+t_final = 0.01
+dealias = false
+diag_every = 2
+ic = random_band(11,0.5,3,0.20000000000000001)
+zero_mean = true
+tail_tol = 0.5
+weight_orders = 1,2.5
+nonlinear = false
+store_every = 1
+extended = true
+
+[run]
+schema_version = 1
+tool_version = 0.1.0
+command = simulate
+seed = 11
+grid_dx = 0.3125
+grid_kmax = 10.053096491487338
+start_time = 1792305858.8767526
+end_time = 1792305858.8807819
+truncated = false
+status = completed
+"""
+
+
 class TestParseConfig:
     def test_minimal_file(self, tmp_path):
         cfg, extras = parse_config(write_cfg(tmp_path, MINIMAL))
@@ -39,7 +70,8 @@ class TestParseConfig:
         assert cfg.n == 1024
         assert cfg.ic.family == "gaussian"
         assert cfg.ic.params == (0.2, 1.0, 0.0)
-        assert extras == {}
+        assert extras == {"t1": 0.5, "t2": 1.0, "lambda": 2.0,
+                          "box_list": (200.0, 400.0, 800.0), "r_probe": ()}
 
     def test_alpha_zero_rejected(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL.replace("alpha = 0.5", "alpha = 0"))
@@ -94,6 +126,23 @@ class TestParseConfig:
         echo.write_text("\n".join(config_lines(cfg)) + "\n")
         cfg2, _ = parse_config(str(echo))
         assert cfg2 == cfg
+
+    def test_manifest_of_schema_version_one_parses(self, tmp_path):
+        # written by `simulate` before the config schema was derived from SimConfig
+        cfg, _ = parse_config(write_cfg(tmp_path, MANIFEST_V1, "manifest.txt"))
+        assert cfg == SimConfig(
+            alpha=-0.5, dt=0.005, t_final=0.01, n=128, length=40.0, dealias=False,
+            diag_every=2, ic=InitialCondition("random_band", (11, 0.5, 3.0, 0.2), True),
+            tail_tol=0.5, weight_orders=(1.0, 2.5), nonlinear=False, store_every=1,
+            extended=True)
+
+    def test_default_ic_keeps_its_mean(self, tmp_path):
+        # unlike SimConfig's own default, which projects the mean away
+        cfg, _ = parse_config(write_cfg(tmp_path, MINIMAL.replace(
+            "ic = gaussian(0.2,1,0)\n", "")))
+        assert cfg.ic == InitialCondition("gaussian", (0.2, 1.0, 0.0))
+        assert cfg.ic.zero_mean_projected is False
+        assert SimConfig(alpha=0.5, dt=1e-3, t_final=1.0).ic.zero_mean_projected
 
 
 class TestFormatting:
@@ -271,11 +320,43 @@ nonlinear = false
 ic = gaussian(0.1,1,0)
 """)
         out = tmp_path / "out"
-        main(["--out", str(out), "convergence", "--config", cfg_path])
+        rc = main(["--out", str(out), "convergence", "--config", cfg_path])
         rows = {r.split(",")[1]: r.split(",")
                 for r in (out / "report.csv").read_text().splitlines()[1:]}
         assert float(rows["picard_agreement"][2]) <= 1e-12
         assert rows["picard_agreement"][6] == "true"
+        # the linear stepper is exact: its step error is gated, not its order
+        assert set(rows) == {"linear_step_error", "picard_agreement"}
+        assert float(rows["linear_step_error"][2]) <= 1e-12
+        assert rc == 0
+        assert "status = pass" in (out / "manifest.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("nonlinear", ["true", "false"])
+    def test_convergence_truncated_solves_fail_without_traceback(
+            self, tmp_path, capsys, nonlinear):
+        # the tail guard stops the dt/8, dt/2 and dt solves at different times
+        cfg_path = write_cfg(tmp_path, """
+alpha = -0.5
+n = 1024
+length = 100
+dt = 0.01
+t_final = 1
+ic = gaussian(0.1,1,0)
+zero_mean = true
+""")
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "convergence", "--config", cfg_path,
+                   "--nonlinear", nonlinear])
+        stdout = capsys.readouterr().out
+        assert rc == 2
+        assert "TRUNCATED: dt/8 solve:" in stdout
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "truncated = true" in manifest
+        assert "status = metric-failure" in manifest
+        step = "richardson_order" if nonlinear == "true" else "linear_step_error"
+        row = [r for r in (out / "report.csv").read_text().splitlines()
+               if r.startswith(f"convergence,{step},")]
+        assert row and row[0].split(",")[2] == "nan" and row[0].endswith(",false")
 
     @pytest.mark.parametrize("exc,prefix", [
         (ConfigurationError, "error: "), (DomainError, "error: "),
@@ -320,13 +401,31 @@ ic = odd_gaussian(-4,1)
         ("--ic", "gaussian(1,2)"),
         ("--ic", "file()"),
         ("--t-final", "inf"),
+        ("--t1", "abc"),
+        ("--lambda", "abc"),
+        ("--box-list", "200,abc"),
+        ("--r-probe", "x"),
+        ("--weight-orders", "1,abc"),
+        ("--seed", "abc"),
+        ("--points", "0.5,abc"),
+        ("--target", "nope"),
     ])
     def test_bad_input_exits_one_with_error_line(self, tmp_path, capsys, flag, value):
-        rc = main(["--out", str(tmp_path / "out"), "simulate",
-                   "--alpha", "0.5", "--dt", "1e-3", "--t-final", "0.01",
-                   "--n", "64", "--length", "10", flag, value])
+        campaign = {"--t1": "two-time-bh", "--lambda": "symmetry",
+                    "--box-list": "decay-threshold", "--r-probe": "decay-threshold"}
+        if flag in ("--points", "--target"):
+            opts = {"--b": "0.5", "--target": "sign_propagator", "--points": "1.0",
+                    flag: value}
+            argv = ["stein"] + [tok for item in opts.items() for tok in item]
+        else:
+            argv = (["experiment", campaign[flag]] if flag in campaign else ["simulate"]) \
+                + ["--alpha", "0.5", "--dt", "1e-3", "--t-final", "0.01",
+                   "--n", "64", "--length", "10", flag, value]
+        rc = main(["--out", str(tmp_path / "out")] + argv)
+        err = capsys.readouterr().err
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert err.startswith("error:")
+        assert flag[2:].replace("-", "_") in err
 
 
 _HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")

@@ -1,11 +1,17 @@
-"""Property tests of the spectral discretisation on random band-limited fields."""
+"""Property tests: the spectral discretisation on random band-limited fields,
+and the config text round trip."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkdvlab import CutoffSpec, Field, MultiplierSymbol, apply_multiplier, make_grid
+from fkdvlab import (CutoffSpec, Field, InitialCondition, MultiplierSymbol, SimConfig,
+                     apply_multiplier, make_grid)
+from fkdvlab.cli import parse_config, write_manifest
 from fkdvlab.spectral import (bessel_symbol, derivative_symbol, dispersion_symbol,
                               frac_deriv_symbol, hilbert_symbol, lowpass_symbol)
 
@@ -59,3 +65,39 @@ def test_composition_is_product(f, m1, m2):
     a = apply_multiplier(apply_multiplier(f, m1), m2).samples
     b = apply_multiplier(f, prod).samples
     assert np.max(np.abs(a - b)) <= 1e-12 * spectral_scale(f, m1, m2)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def sim_configs(draw):
+    """A SimConfig with every field, zero_mean and the random_band seed off
+    their defaults (extended is on, so alpha ranges over [-1, 2))."""
+    ic = InitialCondition(
+        "random_band",
+        (draw(st.integers(1, 2 ** 63 - 1)), draw(finite), draw(finite), draw(finite)),
+        zero_mean_projected=True)
+    return SimConfig(
+        alpha=draw(st.floats(-1.0, 2.0, exclude_max=True).filter(lambda a: a != 0.0)),
+        dt=draw(positive), t_final=draw(positive),
+        n=draw(st.integers(4, 256).map(lambda m: 2 * m).filter(lambda n: n != 4096)),
+        length=draw(positive.filter(lambda v: v != 200.0)),
+        dealias=False,
+        diag_every=draw(st.integers(1, 10 ** 6).filter(lambda k: k != 100)),
+        ic=ic,
+        tail_tol=draw(finite.filter(lambda v: v != 1e-8)),
+        weight_orders=tuple(draw(st.lists(finite, min_size=1, max_size=4))),
+        nonlinear=False,
+        store_every=draw(st.integers(1, 10 ** 6)),
+        extended=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=sim_configs())
+def test_config_round_trips_through_the_manifest(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_manifest(Path(tmp), cfg, "simulate", 0.0, 1.0, False, "completed")
+        parsed, _ = parse_config(Path(tmp) / "manifest.txt")
+    assert parsed == cfg

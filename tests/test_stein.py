@@ -136,6 +136,24 @@ class TestSlopeFits:
         fit = stein_slope_fit(req, "small_eta")
         assert fit.log_correction_detected
 
+    def test_log_branch_at_seven_digit_exponent(self):
+        # beta = b to more digits than the target's display name keeps; the
+        # log term overtakes the constant closer to 0 when b is small
+        b = 0.1234567
+        req = SteinRequest(b, power_cutoff(b), np.geomspace(1e-8, 1e-4, 8))
+        fit = stein_slope_fit(req, "small_eta")
+        assert math.isnan(fit.expected_slope)
+        assert fit.log_correction_detected
+
+    def test_power_carried_by_power_targets_only(self):
+        assert power_cutoff(0.1234567).power == 0.1234567
+        assert signed_power_cutoff(0.2).power == 0.2
+        scans = [_bessel_weighted(-0.7, 1.0, "propagator"),
+                 _bessel_weighted(0.3, 0.0, "symbol")]
+        assert [t.power for t in scans] == [None, None]
+        req = SteinRequest(0.8, scans[1], np.geomspace(1e-5, 1e-3, 6), SCAN_QUAD)
+        assert math.isnan(stein_slope_fit(req, "small_eta").expected_slope)
+
     def test_signed_variant_same_small_eta_law(self):
         req = SteinRequest(0.5, signed_power_cutoff(0.2),
                            np.geomspace(1e-5, 1e-3, 7))
