@@ -4,21 +4,20 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DomainError, NumericError,
                      OracleDivergenceError, StepError)
-from .spectral import (CutoffSpec, Field, Grid, MultiplierSymbol, Spectrum,
-                       apply_multiplier, bessel, coordinate_multiply, frac_deriv,
-                       hilbert, integrate, inverse, l2_norm, make_grid,
-                       projector_low, transform, truncated_weight)
+from .spectral import (CutoffSpec, Field, Grid, MultiplierSymbol, apply_multiplier,
+                       bessel, coordinate_multiply, frac_deriv, hilbert, integrate,
+                       l2_norm, line_spectrum, make_grid, projector_low,
+                       truncated_weight)
 from .solver import (InitialCondition, SimConfig, Trajectory, linear_propagator,
-                     nonlinear_term, picard_oracle, solve, step_ifrk4)
+                     picard_oracle, solve)
 from .diagnostics import (DecayFit, DiagnosticsRecord, decay_fit,
                           interpolation_probe, invariants, moment_first,
                           sobolev_norm, spectral_jump, weighted_norm)
 from .stein import (GrowthTable, ProbeParams, QuadSpec, SlopeFit, SteinRequest,
                     SteinResult, SteinTarget, commutator_probe,
                     nonmembership_scan, power_cutoff, propagator_stein_bound,
-                    propagator_target, sampled_target, sign_propagator,
-                    signed_power_cutoff, stein_derivative, stein_slope_fit,
-                    weight_target)
+                    propagator_target, sign_propagator, signed_power_cutoff,
+                    stein_derivative, stein_slope_fit, weight_target)
 from .experiments import (ExperimentReport, MetricEntry, run_decay_threshold,
                           run_moment_law, run_symmetry_checks, run_tstar,
                           run_two_time_bh, run_wave_breaking)

@@ -16,8 +16,8 @@ import scipy.fft
 
 from .errors import ConfigurationError, DomainError
 from .spectral import (Field, Grid, MEAN_TOL, bessel, derivative_symbol,
-                       frac_deriv_symbol, l2_norm, mean_coefficient,
-                       require_zero_mean, transform, truncated_weight)
+                       frac_deriv_symbol, l2_norm, line_spectrum, mean_coefficient,
+                       require_zero_mean, truncated_weight)
 
 #: fits are rejected above this (relative rms) log-log residual
 FIT_RESIDUAL_MAX = 0.05
@@ -36,8 +36,6 @@ class DiagnosticsRecord:
     min_ux: float
     tail_frac: float
     wnorms: dict = field(default_factory=dict)
-    zsnorm: Optional[float] = None
-    jump: Optional[complex] = None
 
 
 def invariants(f: Field, alpha: float, spectrum: Optional[np.ndarray] = None):
@@ -138,8 +136,6 @@ def decay_fit(f: Field, window: tuple, n_radii: int = 12) -> DecayFit:
     a one-parameter search.  Super-algebraic profiles (a Gaussian, say)
     are flagged with p = inf rather than fitted.
     """
-    from scipy.optimize import minimize_scalar
-
     r_lo, r_hi = window
     if not (0 < r_lo < r_hi):
         raise ConfigurationError(f"invalid fit window {window}")
@@ -167,15 +163,34 @@ def decay_fit(f: Field, window: tuple, n_radii: int = 12) -> DecayFit:
         c = float(np.mean(logphi - logm))
         return float(np.sqrt(np.mean((logphi - logm - c) ** 2)))
 
-    best = minimize_scalar(rms, bounds=(0.55, 15.0), method="bounded",
-                           options={"xatol": 1e-6})
-    p = float(best.x)
-    residual = float(best.fun) / scale
+    p = _argmin_bounded(rms, 0.55, 15.0)
+    residual = rms(p) / scale
     if p >= 14.0:
         return DecayFit(radii, phi, math.inf, math.inf, window, residual,
                         accepted=False, superalgebraic=True)
     return DecayFit(radii, phi, p, p - 0.5, window, residual,
                     accepted=residual <= FIT_RESIDUAL_MAX)
+
+
+def _argmin_bounded(fun, lo: float, hi: float) -> float:
+    """Minimiser of fun on [lo, hi]: the best of 64 grid points, refined by
+    golden-section search between its neighbours to a width of 1e-6."""
+    xs = np.linspace(lo, hi, 64)
+    i = int(np.argmin([fun(x) for x in xs]))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > 1e-6:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = fun(d)
+    return float(0.5 * (a + b))
 
 
 def interpolation_probe(f: Field, a: float, b: float, theta1: float) -> float:
@@ -197,33 +212,25 @@ def interpolation_probe(f: Field, a: float, b: float, theta1: float) -> float:
     return lhs / (den_w ** (1.0 - theta1) * den_s ** theta1)
 
 
-def spectral_jump(f: Field, refine: bool = False):
-    """One-sided difference quotients of u_hat at the smallest wavenumbers.
+def spectral_jump(f: Field, refine: bool = False) -> complex:
+    """One-sided difference quotient m_plus of u_hat at 0+.
 
-    Returns (m_plus, m_minus) estimating the one-sided derivatives of
-    u_hat at 0+ and 0-.  ``refine`` switches to the 3-point one-sided
-    formula (4 u_hat(k1) - u_hat(2 k1)) / (2 k1).  For real fields the
-    pair satisfies m_minus = -conj(m_plus).
+    For real fields the quotient at 0- is -conj(m_plus).  ``refine``
+    switches to the 3-point one-sided formula
+    (4 u_hat(k1) - u_hat(2 k1)) / (2 k1).
     """
     mean = mean_coefficient(f)
     if abs(mean) > MEAN_TOL * max(l2_norm(f), 1e-300):
         raise DomainError(
             f"jump estimator needs zero mean; u_hat(0) = {mean:.3e}")
-    spec = transform(f)
-    c = spec.coefficients
+    c = line_spectrum(f)
     k1 = f.grid.k[1]
     if refine:
-        m_plus = (4.0 * c[1] - c[2]) / (2.0 * k1)
-        m_minus = (4.0 * c[-1] - c[-2]) / (-2.0 * k1)
-    else:
-        m_plus = c[1] / k1
-        m_minus = c[-1] / (-k1)
-    return complex(m_plus), complex(m_minus)
+        return complex((4.0 * c[1] - c[2]) / (2.0 * k1))
+    return complex(c[1] / k1)
 
 
 def make_record(f: Field, t: float, alpha: float, weight_orders=(),
-                sobolev_order: Optional[float] = None,
-                with_jump: bool = False,
                 spectrum: Optional[np.ndarray] = None) -> DiagnosticsRecord:
     """Assemble the per-time diagnostics row.
 
@@ -236,7 +243,7 @@ def make_record(f: Field, t: float, alpha: float, weight_orders=(),
         spectrum = scipy.fft.rfft(f.samples)
     i1, i2, i3, reason = invariants(f, alpha, spectrum)
     ux = scipy.fft.irfft(_half_tables(f.grid, alpha)[1] * spectrum, f.grid.n)
-    rec = DiagnosticsRecord(
+    return DiagnosticsRecord(
         t=t, i1=i1, i2=i2, i3=i3, i3_reason=reason,
         mean=mean_coefficient(f),
         moment_x=moment_first(f),
@@ -245,8 +252,3 @@ def make_record(f: Field, t: float, alpha: float, weight_orders=(),
         tail_frac=tail_fraction(f.samples, f.grid),
         wnorms={r: weighted_norm(f, r) for r in weight_orders},
     )
-    if sobolev_order is not None:
-        rec.zsnorm = sobolev_norm(f, sobolev_order)
-    if with_jump:
-        rec.jump = spectral_jump(f)[0]
-    return rec

@@ -19,8 +19,8 @@ from .errors import ConfigurationError, DomainError
 from .solver import (InitialCondition, SimConfig, Trajectory, linear_propagator,
                      solve, tail_fraction)
 from .spectral import (Field, apply_multiplier, coordinate_multiply,
-                       dispersion_symbol, frac_deriv, l2_norm,
-                       mean_coefficient, transform)
+                       dispersion_symbol, frac_deriv, l2_norm, line_spectrum,
+                       mean_coefficient)
 
 
 @dataclass
@@ -192,10 +192,6 @@ def _states_at(cfg: SimConfig, grid, u0: Field, times: Sequence[float]) -> dict:
     return out, traj
 
 
-def _jump_plus(f: Field) -> complex:
-    return diag.spectral_jump(f, refine=True)[0]
-
-
 def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
     """Jump evolution and the two-time identity for the alpha = -1 flow.
 
@@ -225,10 +221,9 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
         states, traj = _states_at(sc_cfg, grid, u0, times)
         truncated = truncated or traj.truncated
         states[0.0] = u0
-        jumps[scale] = {t: _jump_plus(states[min(states, key=lambda s: abs(s - t))])
-                        for t in (0.0, t1, t2)}
-        moments[scale] = {t: diag.moment_first(states[min(states, key=lambda s: abs(s - t))])
-                          for t in (0.0, t1, t2)}
+        at = {t: states[min(states, key=lambda s: abs(s - t))] for t in (0.0, t1, t2)}
+        jumps[scale] = {t: diag.spectral_jump(f, refine=True) for t, f in at.items()}
+        moments[scale] = {t: diag.moment_first(f) for t, f in at.items()}
         if scale == 1:
             i2 = diag.invariants(u0, cfg.alpha)[1]
         grids.append(grid)
@@ -370,14 +365,15 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
 
 def _evaluate_at(f: Field, pts: np.ndarray) -> np.ndarray:
     """Trigonometric-interpolant values at arbitrary points."""
-    spec = transform(f)
-    k = f.grid.k
-    out = np.zeros(pts.size, dtype=complex)
+    spec = line_spectrum(f)
+    spec[1:-1] *= 2.0                # modes 1..n/2-1 stand for the pair +-m
+    k = f.grid.k[: spec.size]
+    out = np.zeros(pts.size)
     chunk = 512
     for j in range(0, pts.size, chunk):
         ph = np.exp(1j * np.outer(pts[j:j + chunk], k))
-        out[j:j + chunk] = ph @ spec.coefficients
-    return out.real / f.grid.length
+        out[j:j + chunk] = (ph @ spec).real
+    return out / f.grid.length
 
 
 def _scaled_ic(ic: InitialCondition, lam: float, alpha: float) -> InitialCondition:

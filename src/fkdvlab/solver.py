@@ -205,17 +205,6 @@ def _nonlinear_hat(uh: np.ndarray, n: int, top: int, dfac: np.ndarray) -> np.nda
     return dfac * scipy.fft.rfft(u * u)
 
 
-def nonlinear_term(f: Field, dealias: bool = True) -> Field:
-    """-1/2 d/dx (u^2), optionally with the 2/3-rule mask around the square."""
-    grid = f.grid
-    top, dfac = _nonlinear_tables(grid, dealias)
-    out = _nonlinear_hat(scipy.fft.rfft(f.samples), grid.n, top, dfac)
-    u_t = scipy.fft.irfft(out, grid.n)
-    if not np.all(np.isfinite(u_t)):
-        raise NumericError("nonlinear term overflowed")
-    return Field(grid, u_t)
-
-
 class _Stepper:
     """Integrating-factor RK4 on the real-FFT half spectrum.
 
@@ -243,19 +232,6 @@ class _Stepper:
         k3 = self.nhat(E * uh + 0.5 * dt * k2)
         k4 = self.nhat(E2uh + dt * E * k3)
         return E2uh + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
-
-
-def step_ifrk4(f: Field, dt: float, cfg: SimConfig) -> Field:
-    """Advance one step; raises StepError if dt violates the CFL bound."""
-    bound = cfl_bound(f)
-    if dt > bound * (1.0 + 1e-12):
-        raise StepError(f"dt = {dt:g} exceeds the advective bound {bound:g}",
-                        suggested_dt=bound)
-    st = _Stepper(f.grid, cfg.alpha, dt, cfg.dealias, cfg.nonlinear)
-    out = scipy.fft.irfft(st.step(scipy.fft.rfft(f.samples)), f.grid.n)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("state became non-finite within one step")
-    return Field(f.grid, out)
 
 
 def tail_fraction(samples: np.ndarray, grid: Grid) -> float:

@@ -6,15 +6,13 @@ Hilbert transform, Bessel potentials, smooth frequency projectors) are
 diagonal in the discrete Fourier basis; multiplication by the box
 coordinate is pointwise.
 
-Transform convention: the forward transform approximates
-``u_hat(k) = integral u(x) exp(-i k x) dx``, so Plancherel reads
-``sum |u_j|^2 dx = (1/L) sum |u_hat_m|^2``.
-
 Real states are transformed as the real-FFT half spectrum, modes
 m = 0..n/2 (:meth:`MultiplierSymbol.on_half_grid`): by the solver, the
 diagnostics it feeds and :func:`apply_multiplier`.  The unpaired Nyquist
 mode keeps only the real part of any symbol, which is also what the
-inverse real FFT does with the Nyquist coefficient.
+inverse real FFT does with the Nyquist coefficient.  Where a value of
+the line transform ``u_hat(k) = integral u(x) exp(-i k x) dx`` itself is
+needed, :func:`line_spectrum` gives it on the same modes.
 """
 
 from __future__ import annotations
@@ -72,10 +70,6 @@ class Grid:
     def nyquist_index(self) -> int:
         return self.n // 2
 
-    def mode_numbers(self) -> np.ndarray:
-        """Signed integer mode numbers in FFT storage order."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(int)
-
     def table(self, key, build: Callable[[], tuple]) -> tuple:
         """``build()``, evaluated once per grid and key and kept with the grid.
 
@@ -121,35 +115,15 @@ class Field:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Physically normalised Fourier coefficients of a field.
+def line_spectrum(f: Field) -> np.ndarray:
+    """Modes m = 0..n/2 of the line transform of a real field.
 
-    ``coefficients[m]`` approximates the line integral
-    ``integral u(x) exp(-i k_m x) dx`` at the grid wavenumber ``k_m``
-    (FFT storage order).
+    Entry m approximates ``integral u(x) exp(-i k_m x) dx``; the factor
+    exp(i k_m L/2) = (-1)^m accounts for node 0 sitting at -L/2.
     """
-
-    grid: Grid
-    coefficients: np.ndarray
-
-
-def _node_phase(grid: Grid) -> np.ndarray:
-    # exp(+i k_m L/2) = (-1)^m accounts for node 0 sitting at -L/2
-    m = grid.mode_numbers()
-    return np.where(m % 2 == 0, 1.0, -1.0)
-
-
-def transform(f: Field) -> Spectrum:
-    """Forward transform with line-integral normalisation."""
-    raw = np.fft.fft(f.samples)
-    return Spectrum(f.grid, f.grid.dx * _node_phase(f.grid) * raw)
-
-
-def inverse(spec: Spectrum) -> Field:
-    """Inverse of :func:`transform`; imaginary round-off is discarded."""
-    raw = spec.coefficients * _node_phase(spec.grid) / spec.grid.dx
-    return Field(spec.grid, np.fft.ifft(raw).real)
+    spec = f.grid.dx * scipy.fft.rfft(f.samples)
+    spec[1::2] *= -1.0
+    return spec
 
 
 def integrate(f: Field) -> float:
@@ -380,12 +354,8 @@ def coordinate_multiply(f: Field) -> Field:
 def truncated_weight(grid: Grid, n_w: float, theta: float) -> np.ndarray:
     """Smooth bounded weight equal to (1+x^2)^(theta/2) for |x| <= N.
 
-    Constant (2N)^theta beyond 3N.  The bridge is a smooth minimum
-    (sharp logsumexp) of the two closed forms: its derivative is a
-    convex combination of theirs, so the weight is non-decreasing with
-    slope at most theta <= 1 by construction, and its higher derivatives
-    stay bounded uniformly in N.  The flat outer region makes the
-    periodic continuation smooth.
+    Constant (2N)^theta beyond 3N; :func:`weight_profile` of |x|.  The
+    flat outer region makes the periodic continuation smooth.
     """
     if not (0 < theta <= 1):
         raise ConfigurationError(f"weight exponent must lie in (0, 1], got {theta}")
@@ -393,12 +363,22 @@ def truncated_weight(grid: Grid, n_w: float, theta: float) -> np.ndarray:
         raise ConfigurationError(
             f"flat region 3N = {3 * n_w:g} must fit inside the half box "
             f"{grid.length / 2:g}")
-    ax = np.abs(grid.x)
+    return weight_profile(np.abs(grid.x), n_w, theta)
+
+
+def weight_profile(ax: np.ndarray, n_w: float, theta: float) -> np.ndarray:
+    """The truncated weight as a function of |x|, for 0 < theta <= 1.
+
+    The bridge between (1+x^2)^(theta/2) and (2N)^theta is a smooth
+    minimum (sharp logsumexp) of the two closed forms: its derivative is
+    a convex combination of theirs, so the weight is non-decreasing with
+    slope at most theta <= 1 by construction, and its higher derivatives
+    stay bounded uniformly in N.
+    """
     inner = (1.0 + ax ** 2) ** (theta / 2.0)
     outer = (2.0 * n_w) ** theta
     # sharpness scaled so both closed forms are attained to round-off at
     # |x| = N and 3N while the transition curvature stays O(1) in N
     sharp = 8.0 * (2.0 * n_w) ** (2.0 - 2.0 * theta)
     lo = np.minimum(inner, outer)
-    w = lo - np.log(np.exp(-sharp * (inner - lo)) + np.exp(-sharp * (outer - lo))) / sharp
-    return w
+    return lo - np.log(np.exp(-sharp * (inner - lo)) + np.exp(-sharp * (outer - lo))) / sharp

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .spectral import (CutoffSpec, Field, apply_to_samples, derivative_symbol,
-                       flat_top_bump, frac_deriv_symbol, hilbert_symbol, lowpass_symbol)
+                       flat_top_bump, frac_deriv_symbol, hilbert_symbol, lowpass_symbol,
+                       weight_profile)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -34,7 +35,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 @dataclass(frozen=True)
 class SteinTarget:
-    """Closed-form or sampled target of the square-function derivative.
+    """Closed-form target of the square-function derivative.
 
     ``tail_limits`` holds exact constant limits (c_plus, c_minus) beyond
     the quadrature truncation; ``oscillatory_tail`` marks unimodular
@@ -56,38 +57,43 @@ class SteinTarget:
     power: Optional[float] = None
 
 
+def _cutoff_target(name: str, core: Callable, origin_holder: tuple,
+                   lipschitz: Callable[[float], float],
+                   power: Optional[float] = None) -> SteinTarget:
+    """core(xi) under the smooth flat-top cutoff (1 on |xi|<=1, 0 beyond 2).
+
+    The Hölder pair at the origin is ``origin_holder``; elsewhere the
+    target is Lipschitz with constant ``lipschitz(|eta|)``.
+    """
+    def f(y):
+        return core(y) * flat_top_bump(y, 1.0)
+
+    def holder(eta):
+        if abs(eta) < 1e-13:
+            return origin_holder
+        return (1.0, lipschitz(abs(eta)))
+
+    return SteinTarget(name, f, breakpoints=(0.0, -1.0, 1.0, -2.0, 2.0),
+                       tail_limits=(0.0, 0.0), holder=holder, power=power)
+
+
 def power_cutoff(beta: float) -> SteinTarget:
     """|xi|^beta under the smooth flat-top cutoff (1 on |xi|<=1, 0 beyond 2)."""
     if beta <= 0:
         raise ConfigurationError(f"power exponent must be positive, got {beta}")
-
-    def f(y):
-        return np.abs(y) ** beta * flat_top_bump(y, 1.0)
-
-    def holder(eta):
-        if abs(eta) < 1e-13:
-            return (min(beta, 1.0), 1.0)
-        return (1.0, beta * abs(eta) ** (beta - 1.0) + 2.0)
-
-    return SteinTarget(f"|xi|^{beta:g}*cutoff", f, breakpoints=(0.0, -1.0, 1.0, -2.0, 2.0),
-                       tail_limits=(0.0, 0.0), holder=holder, power=beta)
+    return _cutoff_target(f"|xi|^{beta:g}*cutoff", lambda y: np.abs(y) ** beta,
+                          (min(beta, 1.0), 1.0),
+                          lambda a: beta * a ** (beta - 1.0) + 2.0, power=beta)
 
 
 def signed_power_cutoff(beta: float) -> SteinTarget:
+    """sign(xi)|xi|^beta under the smooth flat-top cutoff."""
     if beta <= 0:
         raise ConfigurationError(f"power exponent must be positive, got {beta}")
-
-    def f(y):
-        return np.sign(y) * np.abs(y) ** beta * flat_top_bump(y, 1.0)
-
-    def holder(eta):
-        if abs(eta) < 1e-13:
-            return (min(beta, 1.0), 2.0)
-        return (1.0, beta * abs(eta) ** (beta - 1.0) + 2.0)
-
-    return SteinTarget(f"sign*|xi|^{beta:g}*cutoff", f,
-                       breakpoints=(0.0, -1.0, 1.0, -2.0, 2.0),
-                       tail_limits=(0.0, 0.0), holder=holder, power=beta)
+    return _cutoff_target(f"sign*|xi|^{beta:g}*cutoff",
+                          lambda y: np.sign(y) * np.abs(y) ** beta,
+                          (min(beta, 1.0), 2.0),
+                          lambda a: beta * a ** (beta - 1.0) + 2.0, power=beta)
 
 
 def propagator_target(alpha: float, t: float) -> SteinTarget:
@@ -123,40 +129,16 @@ def sign_propagator(t: float) -> SteinTarget:
 
 
 def weight_target(theta: float, n_w: float) -> SteinTarget:
-    """The smooth bounded coordinate weight, flat beyond 3N."""
+    """The truncated coordinate weight of :func:`spectral.truncated_weight`,
+    flat beyond 3N."""
     if not (0 < theta <= 1):
         raise ConfigurationError(f"theta must lie in (0,1], got {theta}")
     flat = (2.0 * n_w) ** theta
-
-    def f(y):
-        ay = np.abs(y)
-        inner = (1.0 + ay ** 2) ** (theta / 2.0)
-        r = np.clip((ay - n_w) / (2.0 * n_w), 0.0, 1.0)
-        s = r * r * r * (10.0 + r * (-15.0 + 6.0 * r))
-        return np.where(ay >= 3.0 * n_w, flat, (1.0 - s) * inner + s * flat)
-
-    return SteinTarget(f"weight(theta={theta:g},N={n_w:g})", f,
+    return SteinTarget(f"weight(theta={theta:g},N={n_w:g})",
+                       lambda y: weight_profile(np.abs(y), n_w, theta),
                        breakpoints=(-3.0 * n_w, -n_w, n_w, 3.0 * n_w),
                        tail_limits=(flat, flat),
                        holder=lambda eta: (1.0, 1.0), sup_norm=flat)
-
-
-def sampled_target(f: Field) -> SteinTarget:
-    """Cubic-spline interpolation of a grid field (zero outside the box)."""
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(f.grid.x, f.samples, bc_type="natural", extrapolate=False)
-    half = 0.5 * f.grid.length
-
-    def g(y):
-        out = spline(np.clip(y, f.grid.x[0], f.grid.x[-1]))
-        return np.where(np.abs(y) >= half, 0.0, out)
-
-    slope = float(np.max(np.abs(np.gradient(f.samples, f.grid.dx))))
-    return SteinTarget("sampled", g, breakpoints=(-half, half),
-                       tail_limits=(0.0, 0.0),
-                       holder=lambda eta: (1.0, slope + 1.0),
-                       sup_norm=float(np.max(np.abs(f.samples))))
 
 
 # ---------------------------------------------------------------------------
@@ -417,29 +399,22 @@ class GrowthTable:
 def _bessel_weighted(alpha: float, t: float, kind: str) -> SteinTarget:
     """Targets of the truncated-norm scans, carrying the <xi>^-2 damping."""
     if kind == "propagator":
-        def f(y):
+        def core(y):
             ay = np.abs(y)
             osc = np.exp(1j * t * y * np.where(ay > 0, ay ** alpha, 0.0))
-            return (1.0 + y ** 2) ** (-1.0) * osc * flat_top_bump(y, 1.0)
-        name = f"<xi>^-2*exp(i*{t:g}*xi|xi|^{alpha:g})*cutoff"
-        def holder(eta):
-            if abs(eta) < 1e-13:
-                return (min(1.0, 1.0 + alpha), abs(t) + 3.0)
-            return (1.0, abs(t) * (1 + abs(alpha)) * abs(eta) ** alpha + 3.0)
-    elif kind == "symbol":
-        def f(y):
+            return (1.0 + y ** 2) ** (-1.0) * osc
+        return _cutoff_target(
+            f"<xi>^-2*exp(i*{t:g}*xi|xi|^{alpha:g})*cutoff", core,
+            (min(1.0, 1.0 + alpha), abs(t) + 3.0),
+            lambda a: abs(t) * (1 + abs(alpha)) * a ** alpha + 3.0)
+    if kind == "symbol":
+        def core(y):
             ay = np.abs(y)
-            return (1.0 + y ** 2) ** (-1.0) * np.where(ay > 0, ay ** alpha, 0.0) \
-                * flat_top_bump(y, 1.0)
-        name = f"<xi>^-2*|xi|^{alpha:g}*cutoff"
-        def holder(eta):
-            if abs(eta) < 1e-13:
-                return (min(1.0, alpha), 3.0)
-            return (1.0, abs(alpha) * abs(eta) ** (alpha - 1.0) + 3.0)
-    else:
-        raise ConfigurationError(f"unknown scan kind '{kind}'")
-    return SteinTarget(name, f, breakpoints=(0.0, -1.0, 1.0, -2.0, 2.0),
-                       tail_limits=(0.0, 0.0), holder=holder)
+            return (1.0 + y ** 2) ** (-1.0) * np.where(ay > 0, ay ** alpha, 0.0)
+        return _cutoff_target(
+            f"<xi>^-2*|xi|^{alpha:g}*cutoff", core, (min(1.0, alpha), 3.0),
+            lambda a: abs(alpha) * a ** (alpha - 1.0) + 3.0)
+    raise ConfigurationError(f"unknown scan kind '{kind}'")
 
 
 def nonmembership_scan(alpha: float, t: float, s_order: float,

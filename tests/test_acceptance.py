@@ -5,11 +5,13 @@ live).  Reference resolution throughout: n = 4096, L = 200, dt = 1e-3,
 unless a criterion pins its own steps.
 
 Criterion 2 (pointwise moment law at 1e-5) is asserted at its stated
-tolerance and is a *known red*: the box moment misses the first moment
-carried by dispersive tails past the window, an effect measured to be
-insensitive to n, dt and box size (floor ~2.7e-4 relative at alpha=0.5,
-~1.4e-2 at alpha=-0.5).  The tests are strict-xfail so the failure stays
-visible without masking the rest of the suite.
+tolerance and is a *known red* at the reference resolution.  At
+alpha=0.5 the floor (~2.7e-4 relative) is spatial resolution: it falls
+to 2.2e-5 at n=8192 and does not move with L or dt.  At alpha=-0.5 the
+box moment misses the first moment carried past the window by dispersive
+tails: ~1.4e-2 at L=200, falling roughly as L^(-1/2).  The tests are
+strict-xfail so the failure stays visible without masking the rest of
+the suite.
 """
 
 import math
@@ -69,10 +71,11 @@ def test_criterion_1_conservation(alpha):
 
 
 @pytest.mark.parametrize("alpha,floor", [(-0.5, 1.4e-2), (0.5, 2.7e-4)])
-@pytest.mark.xfail(strict=True, reason="box moment cannot reach 1e-5: "
-                   "dispersive tails carry first moment past any finite "
-                   "window (measured floor ~2.7e-4 at alpha=0.5, ~1.4e-2 "
-                   "at alpha=-0.5, insensitive to n, dt, L)")
+@pytest.mark.xfail(strict=True, reason="box moment cannot reach 1e-5 at "
+                   "n=4096, L=200: measured floor ~2.7e-4 at alpha=0.5, set "
+                   "by spatial resolution (2.2e-5 at n=8192), and ~1.4e-2 "
+                   "at alpha=-0.5, where dispersive tails carry first moment "
+                   "past the box (falls roughly as L^(-1/2))")
 def test_criterion_2_moment_law(alpha, floor):
     ic = InitialCondition("odd_gaussian", (-4.0, 1.0))
     cfg = SimConfig(alpha=alpha, ic=ic, tail_tol=1.0,

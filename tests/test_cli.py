@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -253,6 +254,19 @@ ic = sine_packet(0.1,2,4)
         assert rows[0] == "target,b,eta,value,err_est"
         assert float(rows[1].split(",")[3]) == pytest.approx(2.0, rel=1e-3)
 
+    def test_stein_weight_target(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "stein", "--b", "0.5", "--target", "weight",
+                   "--theta", "0.5", "--n-w", "8", "--points", "0.5,8,20"])
+        assert rc == 0
+        rows = (out / "report.csv").read_text().splitlines()
+        assert len(rows) == 4
+        for row in rows[1:]:
+            assert row.startswith("weight(theta=0.5,N=8),")
+            value, err = (float(v) for v in row.split(",")[-2:])
+            assert math.isfinite(value) and value > 0
+            assert math.isfinite(err)
+
     def test_probe_command(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["--out", str(out), "probe", "--kinds", "hilbert_frac",
@@ -470,3 +484,11 @@ ic = odd_gaussian(-4,1)
             tmp_path, ["--out", "out", "experiment", "tstar", "--config", cfg_path])
         assert rc in (0, 2)
         assert "scipy.integrate" in loaded
+
+    def test_decay_threshold_loads_no_optimizer(self, tmp_path):
+        rc, loaded = _scipy_loaded_by(tmp_path, [
+            "--out", "out", "experiment", "decay-threshold", "--alpha", "-0.5",
+            "--n", "1024", "--length", "100", "--dt", "1e-3", "--t-final", "1",
+            "--ic", "gaussian(1,1,0)", "--box-list", "100,200"])
+        assert rc in (0, 2)
+        assert loaded == set()

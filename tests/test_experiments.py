@@ -140,8 +140,8 @@ class TestTwoTimeBH:
             u0 = cfg.ic.build(g)
             tr = solve(cfg, grid=g, u0=u0)
             i2 = invariants(u0, -1.0)[1]
-            m0 = spectral_jump(u0, refine=True)[0]
-            m_t = spectral_jump(tr.final, refine=True)[0]
+            m0 = spectral_jump(u0, refine=True)
+            m_t = spectral_jump(tr.final, refine=True)
             pred = np.exp(1j) * m0 - 0.5 * i2 * (np.exp(1j) - 1.0)
             errs.append(abs(m_t - pred) / abs(pred))
         assert errs[1] < errs[0]

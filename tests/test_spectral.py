@@ -1,14 +1,18 @@
 import gc
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fkdvlab
 from fkdvlab import (ConfigurationError, CutoffSpec, DomainError, Field,
                      MultiplierSymbol, apply_multiplier, coordinate_multiply,
-                     frac_deriv, hilbert, integrate, inverse, l2_norm,
-                     make_grid, projector_low, transform, truncated_weight)
+                     frac_deriv, hilbert, integrate, l2_norm, line_spectrum,
+                     make_grid, projector_low, truncated_weight)
 from fkdvlab.errors import NumericError
+from fkdvlab.experiments import _evaluate_at
 from fkdvlab.solver import InitialCondition
 from fkdvlab.spectral import (bessel_symbol, derivative_symbol, dispersion_symbol,
                               frac_deriv_symbol, hilbert_symbol, identity_symbol,
@@ -51,27 +55,50 @@ class TestGrid:
 class TestTransforms:
     @pytest.mark.parametrize("seed", range(5))
     def test_roundtrip(self, seed):
+        # the interpolant summed from the half spectrum returns the samples
         g = make_grid(512, 100.0)
         f = seeded_field(g, seed)
-        back = inverse(transform(f))
-        assert np.max(np.abs(back.samples - f.samples)) <= 1e-12 * np.max(np.abs(f.samples))
+        back = _evaluate_at(f, g.x)
+        assert np.max(np.abs(back - f.samples)) <= 1e-12 * np.max(np.abs(f.samples))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_plancherel(self, seed):
         g = make_grid(512, 100.0)
         f = seeded_field(g, seed)
         phys = np.sum(f.samples ** 2) * g.dx
-        spec = np.sum(np.abs(transform(f).coefficients) ** 2) / g.length
+        pairs = np.full(g.n // 2 + 1, 2.0)      # modes 1..n/2-1 stand for +-m
+        pairs[[0, -1]] = 1.0
+        spec = np.sum(pairs * np.abs(line_spectrum(f)) ** 2) / g.length
         assert phys == pytest.approx(spec, rel=1e-12)
 
     def test_spectrum_matches_line_integral(self):
         # u = exp(-x^2) has u_hat(k) = sqrt(pi) exp(-k^2/4)
         g = make_grid(2048, 100.0)
         f = Field(g, np.exp(-g.x ** 2))
-        spec = transform(f)
+        spec = line_spectrum(f)
         for m in (1, 3, 10):
             exact = np.sqrt(np.pi) * np.exp(-g.k[m] ** 2 / 4)
-            assert spec.coefficients[m] == pytest.approx(exact, rel=1e-12)
+            assert spec[m] == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_full_complex_transform(self, seed):
+        # reference: dx (-1)^m times the complex FFT, modes 0..n/2
+        g = make_grid(512, 100.0)
+        f = seeded_field(g, seed)
+        m = np.arange(g.n // 2 + 1)
+        ref = g.dx * np.where(m % 2 == 0, 1.0, -1.0) * np.fft.fft(f.samples)[: m.size]
+        assert np.max(np.abs(line_spectrum(f) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_src_uses_no_complex_fft():
+    # one spectral convention: real states go through rfft/irfft only
+    call = re.compile(r"\b(?:np|numpy|scipy)\.fft\.i?fft\s*\(")
+    src = Path(fkdvlab.__file__).parent
+    hits = [f"{path.name}:{no}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for no, line in enumerate(path.read_text().splitlines(), 1)
+            if call.search(line)]
+    assert hits == []
 
 
 class TestApplyMultiplier:

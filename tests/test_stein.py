@@ -6,9 +6,9 @@ import pytest
 from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      NumericError, ProbeParams, QuadSpec, SteinRequest, SteinTarget,
                      commutator_probe, make_grid, nonmembership_scan,
-                     power_cutoff, propagator_stein_bound, sampled_target,
-                     sign_propagator, signed_power_cutoff, stein_derivative,
-                     stein_slope_fit)
+                     power_cutoff, propagator_stein_bound, sign_propagator,
+                     signed_power_cutoff, stein_derivative, stein_slope_fit,
+                     truncated_weight, weight_target)
 from fkdvlab.stein import (_bessel_weighted, _probe_ratios, probe_ensemble,
                            propagator_target)
 
@@ -29,11 +29,16 @@ PINNED = [
      [1.78827263235409e-07, 9.114343791889713e-09, 4.979480740818215e-09]),
     (SteinRequest(0.5, propagator_target(0.5, 1.0), np.array([0.5, 4.0])),
      [2.5663929796179, 4.337179496092911], [0.0010027416024837976, 0.0006313196847138816]),
+    # recorded with signed_power_cutoff's own target code, before the cut-off
+    # targets were made by one shared function
+    (SteinRequest(0.5, signed_power_cutoff(0.2), np.array([1e-5, 0.5])),
+     [69.1216487904554, 2.3063098311668715], [5.798479238968612e-08, 1.1954461280301199e-08]),
 ]
 
 
 @pytest.mark.parametrize("req,values,errors", PINNED,
-                         ids=["scan_propagator", "scan_symbol", "power_cutoff", "propagator"])
+                         ids=["scan_propagator", "scan_symbol", "power_cutoff", "propagator",
+                              "signed_power_cutoff"])
 def test_stein_values_pinned(req, values, errors):
     res = stein_derivative(req)
     np.testing.assert_allclose(res.values, values, rtol=1e-14, atol=0)
@@ -94,19 +99,11 @@ class TestSteinDerivative:
                 SteinRequest(b, base, np.array([lam * eta]))).values[0]
             assert lhs == pytest.approx(rhs, rel=5e-3)
 
-    def test_sampled_field_matches_closed_form(self):
-        # spline-interpolated grid data reproduces the analytic target
-        g = make_grid(4096, 60.0)
-        samples = np.exp(-g.x ** 2)
-        f = Field(g, samples)
-        target = sampled_target(f)
-        analytic = SteinTarget("gauss", lambda y: np.exp(-y ** 2) + 0j,
-                               tail_limits=(0.0, 0.0),
-                               holder=lambda eta: (1.0, 2.0))
-        pts = np.array([0.5, 2.0])
-        a = stein_derivative(SteinRequest(0.5, target, pts, QuadSpec(y_max=25.0)))
-        b = stein_derivative(SteinRequest(0.5, analytic, pts, QuadSpec(y_max=25.0)))
-        assert np.allclose(a.values, b.values, rtol=1e-4)
+    @pytest.mark.parametrize("theta,n_w", [(0.5, 8.0), (1.0, 4.0), (0.3, 20.0)])
+    def test_weight_target_is_the_truncated_weight(self, theta, n_w):
+        g = make_grid(4096, 200.0)
+        assert np.array_equal(weight_target(theta, n_w).func(g.x),
+                              truncated_weight(g, n_w, theta))
 
 
 class TestSlopeFits:
