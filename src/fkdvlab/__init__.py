@@ -18,6 +18,6 @@ from .stein import (GrowthTable, ProbeParams, QuadSpec, SlopeFit, SteinRequest,
                     nonmembership_scan, power_cutoff, propagator_stein_bound,
                     propagator_target, sign_propagator, signed_power_cutoff,
                     stein_derivative, stein_slope_fit, weight_target)
-from .experiments import (ExperimentReport, MetricEntry, run_decay_threshold,
-                          run_moment_law, run_symmetry_checks, run_tstar,
-                          run_two_time_bh, run_wave_breaking)
+from .experiments import (ExperimentReport, MetricEntry, run_convergence,
+                          run_decay_threshold, run_moment_law, run_symmetry_checks,
+                          run_tstar, run_two_time_bh, run_wave_breaking)

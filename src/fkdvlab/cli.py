@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigurationError, DomainError, NumericError,
                      OracleDivergenceError, StepError)
-from .solver import InitialCondition, SimConfig, picard_oracle, solve
+from .solver import InitialCondition, SimConfig, solve
 from .spectral import Field, make_grid
 from . import experiments as exp
 from . import stein
@@ -265,10 +265,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _conclude(out: Path, cfg: SimConfig, command: str, start: float,
-              report: exp.ExperimentReport) -> int:
-    """Write report.csv and the manifest, print the verdicts and notes;
-    exit code 0 when every metric passes, 2 otherwise."""
+def _conclude(args, command: str, run) -> int:
+    """Run ``run(cfg, extras)``, write report.csv and the manifest, print the
+    verdicts and notes; exit code 0 when every metric passes, 2 otherwise."""
+    out = _prepare_out(args)
+    cfg, extras = parse_config(args.config, _flag_overrides(args))
+    start = time.time()
+    report = run(cfg, extras)
     (out / "report.csv").write_text(report_csv(report))
     write_manifest(out, cfg, command, start, time.time(),
                    report.truncated, "pass" if report.passed else "metric-failure")
@@ -295,11 +298,11 @@ _EXPERIMENTS = {
 
 
 def cmd_experiment(args) -> int:
-    out = _prepare_out(args)
-    cfg, extras = parse_config(args.config, _flag_overrides(args))
-    start = time.time()
-    report = _EXPERIMENTS[args.name](cfg, extras)
-    return _conclude(out, cfg, f"experiment {args.name}", start, report)
+    return _conclude(args, f"experiment {args.name}", _EXPERIMENTS[args.name])
+
+
+def cmd_convergence(args) -> int:
+    return _conclude(args, "convergence", lambda cfg, x: exp.run_convergence(cfg))
 
 
 # --target -> builder(args)
@@ -347,55 +350,6 @@ def cmd_probe(args) -> int:
     (out / "report.csv").write_text("\n".join(rows) + "\n")
     print("\n".join(rows))
     return status
-
-
-def _rel_err(u: Field, ref: Field) -> float:
-    scale = np.linalg.norm(ref.samples)
-    return float(np.linalg.norm(u.samples - ref.samples) / scale) if scale > 0 else math.nan
-
-
-def _convergence_report(cfg: SimConfig) -> exp.ExperimentReport:
-    """Step convergence against a dt/8 reference, and agreement with the
-    Picard oracle over the first steps.
-
-    The stepper is exact on the linear problem, so a config with
-    ``nonlinear = false`` gates the step error itself instead of the
-    Richardson order.  End states are compared only when every solve
-    reached its horizon; a truncated solve leaves its metric NaN.
-    """
-    grid = cfg.grid()
-    u0 = cfg.ic.build(grid)
-    t_cmp = max(1, int(min(0.05, cfg.t_final) / cfg.dt)) * cfg.dt
-    solves = {"dt/8": replace(cfg, dt=cfg.dt / 8.0), "dt": cfg,
-              "dt/2": replace(cfg, dt=cfg.dt / 2.0),
-              "oracle window": replace(cfg, t_final=t_cmp)}
-    runs = {label: solve(c, grid=grid, u0=u0) for label, c in solves.items()}
-    ref, short = runs["dt/8"], runs["oracle window"]
-    errs = [math.nan, math.nan]
-    if not any(runs[label].truncated for label in ("dt/8", "dt", "dt/2")):
-        errs = [_rel_err(runs[label].final, ref.final) for label in ("dt", "dt/2")]
-    pic = picard_oracle(u0, cfg, t_cmp, iterations=6)
-    pic_err = math.nan if short.truncated else _rel_err(pic, short.final)
-    if cfg.nonlinear:
-        ratio = errs[0] / errs[1] if errs[1] > 0 else math.nan
-        order = math.log2(ratio) if 0 < ratio < math.inf else math.nan
-        step = {"richardson_order": exp.MetricEntry(order, 4.0, 0.2)}
-    else:
-        step = {"linear_step_error": exp.MetricEntry(float(np.max(errs)), 0.0, 1e-12)}
-    notes = [f"step errors against dt/8: {errs[0]:.3e} at dt, {errs[1]:.3e} at dt/2"]
-    notes += [f"TRUNCATED: {label} solve: {tr.truncation_reason}"
-              for label, tr in runs.items() if tr.truncated]
-    return exp.ExperimentReport(
-        "convergence", exp._echo(cfg),
-        {**step, "picard_agreement": exp.MetricEntry(pic_err, 0.0, 1e-6)},
-        notes, truncated=any(tr.truncated for tr in runs.values()))
-
-
-def cmd_convergence(args) -> int:
-    out = _prepare_out(args)
-    cfg, _ = parse_config(args.config, _flag_overrides(args))
-    start = time.time()
-    return _conclude(out, cfg, "convergence", start, _convergence_report(cfg))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,8 +15,8 @@ import numpy as np
 import scipy.fft
 
 from .errors import ConfigurationError, DomainError
-from .spectral import (Field, Grid, MEAN_TOL, bessel, derivative_symbol,
-                       frac_deriv_symbol, l2_norm, line_spectrum, mean_coefficient,
+from .spectral import (Field, Grid, bessel, derivative_symbol, frac_deriv_symbol,
+                       is_zero_mean, l2_norm, line_spectrum, mean_coefficient,
                        require_zero_mean, truncated_weight)
 
 #: fits are rejected above this (relative rms) log-log residual
@@ -220,7 +220,7 @@ def spectral_jump(f: Field, refine: bool = False) -> complex:
     (4 u_hat(k1) - u_hat(2 k1)) / (2 k1).
     """
     mean = mean_coefficient(f)
-    if abs(mean) > MEAN_TOL * max(l2_norm(f), 1e-300):
+    if not is_zero_mean(mean, l2_norm(f)):
         raise DomainError(
             f"jump estimator needs zero mean; u_hat(0) = {mean:.3e}")
     c = line_spectrum(f)

@@ -1,15 +1,19 @@
 """Scripted campaigns: moment law, sharp time, constant-frequency jump
-evolution, decay thresholds, symmetry checks, wave breaking.
+evolution, decay thresholds, symmetry checks, wave breaking, step
+convergence.
 
 Each campaign returns a report whose metrics carry (measured, expected,
-tolerance, passed); passes are always derived from those numbers.  All
-campaigns are deterministic for a fixed configuration, seeds included.
+tolerance, passed); passes are always derived from those numbers.  Each
+solve the tail guard truncated is named in a ``TRUNCATED: <label> solve:
+<reason>`` note, and a metric that compares the end states of solves is
+NaN, so fails, when any of them was truncated.  All campaigns are
+deterministic for a fixed configuration, seeds included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -17,10 +21,10 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import ConfigurationError, DomainError
 from .solver import (InitialCondition, SimConfig, Trajectory, linear_propagator,
-                     solve, tail_fraction)
+                     picard_oracle, solve, tail_fraction)
 from .spectral import (Field, apply_multiplier, coordinate_multiply,
-                       dispersion_symbol, frac_deriv, l2_norm, line_spectrum,
-                       mean_coefficient)
+                       dispersion_symbol, frac_deriv, is_zero_mean, l2_norm,
+                       line_spectrum, mean_coefficient)
 
 
 @dataclass
@@ -48,29 +52,39 @@ class MetricEntry:
 
 @dataclass
 class ExperimentReport:
+    """A campaign's metrics and notes.  ``solves`` (label -> trajectory)
+    sets ``truncated`` and the TRUNCATED notes of the module docstring."""
+
     name: str
-    config_echo: dict
     metrics: dict
     notes: list = field(default_factory=list)
-    truncated: bool = False       # a solve stopped early on the tail guard
+    solves: InitVar[dict] = None
+    truncated: bool = field(init=False, default=False)
+
+    def __post_init__(self, solves):
+        for label, traj in (solves or {}).items():
+            if traj.truncated:
+                self.notes.append(f"TRUNCATED: {label} solve: {traj.truncation_reason}")
+                self.truncated = True
 
     @property
     def passed(self) -> bool:
         return all(m.passed for m in self.metrics.values())
 
 
+_MEAN_TOL = 1e-10                # relative mean tolerance of campaign data
+
+
 def _require_zero_mean(u0: Field, what: str):
     mean = mean_coefficient(u0)
-    if abs(mean) > 1e-10 * max(l2_norm(u0), 1e-300):
+    if not is_zero_mean(mean, l2_norm(u0), _MEAN_TOL):
         raise DomainError(
             f"{what} assumes zero-mean data; u_hat(0) = {mean:.3e}")
 
 
-def _echo(cfg: SimConfig) -> dict:
-    d = asdict(cfg)
-    d["ic"] = {"family": cfg.ic.family, "params": list(cfg.ic.params),
-               "zero_mean_projected": cfg.ic.zero_mean_projected}
-    return d
+def _rel_err(u: np.ndarray, ref: np.ndarray) -> float:
+    scale = np.linalg.norm(ref)
+    return float(np.linalg.norm(u - ref) / scale) if scale > 0 else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +115,8 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
     dmean = max(abs(mean_coefficient(frac_deriv(traj.final, cfg.alpha))), 0.0)
     slope = np.polyfit([r.t for r in traj.diagnostics],
                        [r.moment_x for r in traj.diagnostics], 1)[0]
-    report = ExperimentReport(
-        "moment_law", _echo(cfg),
+    return ExperimentReport(
+        "moment_law",
         {
             "moment_max_deviation": MetricEntry(max_dev, 0.0, 1e-5 * l2sq),
             "dispersive_mean": MetricEntry(dmean, 0.0, 1e-14),
@@ -111,11 +125,7 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
             f"fitted moment slope {slope:.8f} vs predicted {0.5 * l2sq:.8f}",
             "dispersive_mean is zero by the zero-mode convention; "
             "its vanishing is a consistency note, not evidence",
-        ])
-    if traj.truncated:
-        report.notes.append(f"TRUNCATED: {traj.truncation_reason}")
-        report.truncated = True
-    return report
+        ], solves={"main": traj})
 
 
 # ---------------------------------------------------------------------------
@@ -161,23 +171,21 @@ def run_tstar(cfg: SimConfig) -> ExperimentReport:
         zc = ts[j] + (ts[j + 1] - ts[j]) * (-ms[j]) / (ms[j + 1] - ms[j])
     else:
         zc = math.nan
-    notes = [f"t* = {t_star:.17g}", f"moment0 = {m0:.17g}", f"l2sq = {l2sq:.17g}"]
-    if traj.truncated:
-        notes.append(f"TRUNCATED: {traj.truncation_reason}")
     return ExperimentReport(
-        "tstar", _echo(cfg),
+        "tstar",
         {
             "integral_residual": MetricEntry(residual, 0.0, 1e-4),
             "zero_crossing": MetricEntry(float(zc), 0.5 * t_star, 1e-3),
         },
-        notes, truncated=traj.truncated)
+        [f"t* = {t_star:.17g}", f"moment0 = {m0:.17g}", f"l2sq = {l2sq:.17g}"],
+        solves={"main": traj})
 
 
 # ---------------------------------------------------------------------------
 # constant-frequency (alpha = -1) jump evolution
 
 
-def _states_at(cfg: SimConfig, grid, u0: Field, times: Sequence[float]) -> dict:
+def _states_at(cfg: SimConfig, grid, u0: Field, times: Sequence[float]) -> tuple:
     idx = [int(round(t / cfg.dt)) for t in times]
     cadence = math.gcd(*idx) if idx else 1
     run_cfg = replace(cfg, store_every=max(cadence, 1),
@@ -207,26 +215,22 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
         raise ConfigurationError("two-time identity run requires alpha = -1")
     if not (0 <= t1 < t2 <= cfg.t_final):
         raise ConfigurationError(f"need 0 <= t1 < t2 <= t_final, got {t1}, {t2}")
-    grids = []
     jumps = {}
     moments = {}
     i2 = None
-    truncated = False
+    runs = {}
+    times = sorted({t for t in (t1, t2) if t > 0})
     for scale in (1, 2):
         sc_cfg = replace(cfg, n=cfg.n * scale, length=cfg.length * scale)
         grid = sc_cfg.grid()
         u0 = cfg.ic.build(grid)
         _require_zero_mean(u0, "two-time identity run")
-        times = sorted({t for t in (t1, t2) if t > 0})
-        states, traj = _states_at(sc_cfg, grid, u0, times)
-        truncated = truncated or traj.truncated
-        states[0.0] = u0
-        at = {t: states[min(states, key=lambda s: abs(s - t))] for t in (0.0, t1, t2)}
+        states, runs[f"L={sc_cfg.length:g}"] = _states_at(sc_cfg, grid, u0, times)
+        at = {0.0: u0, **states}             # keyed by 0, t1 and t2
         jumps[scale] = {t: diag.spectral_jump(f, refine=True) for t, f in at.items()}
         moments[scale] = {t: diag.moment_first(f) for t, f in at.items()}
         if scale == 1:
             i2 = diag.invariants(u0, cfg.alpha)[1]
-        grids.append(grid)
 
     # Richardson in 1/L: the one-sided quotient bias scales with k1 ~ 1/L
     ext = {t: 2.0 * jumps[2][t] - jumps[1][t] for t in (0.0, t1, t2)}
@@ -244,7 +248,7 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
     r_meas = 2.0 * math.sin(delta) * moments[2][t1] - (math.cos(delta) - 1.0) * i2
     r_pred = 2.0 * math.sin(delta) * (-predicted(t1).imag) - (math.cos(delta) - 1.0) * i2
     report = ExperimentReport(
-        "two_time_bh", _echo(cfg),
+        "two_time_bh",
         {
             "jump_law_rel_error_t1": MetricEntry(errs[t1], 0.0, tol),
             "jump_law_rel_error_t2": MetricEntry(errs[t2], 0.0, tol),
@@ -255,7 +259,7 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
             f"identity residual R = {r_meas:.6e} (zero only if extra decay holds "
             "at both times; generic data keeps it nonzero)",
             f"jump m(0) extrapolated = {m0:.6e}",
-        ], truncated=truncated)
+        ], solves=runs)
     if abs(delta - 2 * math.pi) < 1e-12:
         report.metrics["identity_trivial_at_2pi"] = MetricEntry(
             abs(r_meas), 0.0, 1e-6 * i2)
@@ -289,7 +293,7 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
     t = cfg.t_final
     alpha = cfg.alpha
     probe0 = cfg.ic.build(cfg.grid())
-    zero_mean = abs(mean_coefficient(probe0)) <= 1e-10 * max(l2_norm(probe0), 1e-300)
+    zero_mean = is_zero_mean(mean_coefficient(probe0), l2_norm(probe0), _MEAN_TOL)
     if zero_mean:
         # zero-mean projection of non-decaying-mean data leaves a uniform
         # shelf whose weighted content grows with the box; the mean must
@@ -302,7 +306,7 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
                 "(odd or derivative-form); projection leaves a uniform shelf "
                 f"of size {shelf:.3e}")
     r_crit = 1.5 + alpha
-    fits = {}
+    ps = []                     # fitted tail exponent per box
     wnorms = {r: [] for r in set(list(r_probe) + [r_crit, r_crit - 0.25])}
     for L in L_list:
         sc = _scaled_cfg(cfg, L)
@@ -315,10 +319,9 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
             window = (0.015 * L, 0.035 * L)
         else:
             window = (0.04 * L, 0.12 * L)
-        fits[L] = diag.decay_fit(u_t, window, n_radii=12)
+        ps.append(diag.decay_fit(u_t, window, n_radii=12).fitted_p)
         for r in wnorms:
             wnorms[r].append(diag.weighted_norm(u_t, r))
-    ps = [fits[L].fitted_p for L in L_list]
     # bias from the periodized tail shrinks like 1/L; extrapolate when monotone
     if all(np.isfinite(ps)) and (np.all(np.diff(ps) <= 0) or np.all(np.diff(ps) >= 0)):
         p = 2.0 * ps[-1] - ps[-2]
@@ -347,16 +350,12 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
     def _table(vals, digits):
         return {L: round(float(v), digits) for L, v in zip(L_list, vals)}
 
-    report = ExperimentReport(
-        "decay_threshold", _echo(cfg), metrics,
-        notes=[
-            f"per-box tail exponents {_table(ps, 4)}",
-            f"critical-order norms {_table(g_crit, 6)}",
-            f"subcritical norms {_table(g_below, 6)}",
-        ])
-    for r in sorted(r_probe):
-        report.notes.append(f"w_{r:g} across boxes: {np.round(wnorms[r], 6).tolist()}")
-    return report
+    return ExperimentReport("decay_threshold", metrics, [
+        f"per-box tail exponents {_table(ps, 4)}",
+        f"critical-order norms {_table(g_crit, 6)}",
+        f"subcritical norms {_table(g_below, 6)}",
+    ] + [f"w_{r:g} across boxes: {np.round(wnorms[r], 6).tolist()}"
+         for r in sorted(r_probe)])
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +418,12 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     traj1 = solve(replace(cfg, t_final=T1), grid=grid, u0=u0)
     dt2 = T2 / max(1, int(round(T2 / cfg.dt)))
     traj2 = solve(replace(cfg, ic=ic2, t_final=T2, dt=dt2), grid=grid, u0=u0_scaled)
-    sel = np.abs(grid.x) <= 0.25 * grid.length / max(lam, 1.0)
-    pts = grid.x[sel]
-    v2 = traj2.final.samples[sel]
-    v1 = lam ** alpha * _evaluate_at(traj1.final, lam * pts)
-    scale_res = float(np.linalg.norm(v1 - v2) / np.linalg.norm(v2))
+    runs = {"original": traj1, "rescaled": traj2}
+    scale_res = math.nan           # the end states are compared at matched times only
+    if not (traj1.truncated or traj2.truncated):
+        sel = np.abs(grid.x) <= 0.25 * grid.length / max(lam, 1.0)
+        v1 = lam ** alpha * _evaluate_at(traj1.final, lam * grid.x[sel])
+        scale_res = _rel_err(v1, traj2.final.samples[sel])
 
     # (b) commuting vector field along the free flow:
     #     x e^{tL} u0 + (1+alpha) t D^alpha e^{tL} u0 = e^{tL} (x u0)
@@ -431,8 +431,7 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     vt = linear_propagator(u0, t, alpha)
     lhs = coordinate_multiply(vt) + (1.0 + alpha) * t * frac_deriv(vt, alpha)
     rhs = linear_propagator(coordinate_multiply(u0), t, alpha)
-    comm_res = float(np.linalg.norm(lhs.samples - rhs.samples)
-                     / np.linalg.norm(rhs.samples))
+    comm_res = _rel_err(lhs.samples, rhs.samples)
 
     # (c) coordinate commutator with the dispersion generator
     gen = dispersion_symbol(alpha)
@@ -444,14 +443,13 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     ident_res = float(num / den) if den > 0 else 0.0
 
     return ExperimentReport(
-        "symmetry_checks", _echo(cfg),
+        "symmetry_checks",
         {
             "scaling_residual": MetricEntry(scale_res, 0.0, 1e-6),
             "commuting_field_residual": MetricEntry(comm_res, 0.0, 1e-8),
             "coordinate_commutator_residual": MetricEntry(ident_res, 0.0, 1e-8),
         },
-        notes=[f"lambda = {lam:g}, matched times ({T1:g}, {T2:g})"],
-        truncated=traj1.truncated or traj2.truncated)
+        notes=[f"lambda = {lam:g}, matched times ({T1:g}, {T2:g})"], solves=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +492,8 @@ def run_wave_breaking(cfg: SimConfig) -> ExperimentReport:
     g0 = gs[0]
     onset = _onset_time(ts, gs, 10.0 * g0)
     notes = []
-    inconclusive = traj.truncated and math.isnan(onset)
-    if inconclusive:
-        notes.append("INCONCLUSIVE: tail contamination before gradient growth; "
-                     + traj.truncation_reason)
+    if traj.truncated and math.isnan(onset):
+        notes.append("INCONCLUSIVE: tail contamination before gradient growth")
     half = replace(cfg, dt=0.5 * cfg.dt, diag_every=2 * cfg.diag_every)
     traj_h = solve(half, grid=grid, u0=u0)
     ts_h, gs_h = _grad_sup_series(traj_h)
@@ -507,8 +503,6 @@ def run_wave_breaking(cfg: SimConfig) -> ExperimentReport:
     growth_c = float(np.max(gs_c) / g0)
 
     detected = not math.isnan(onset)
-    stable = detected and not math.isnan(onset_h) \
-        and abs(onset - onset_h) <= 0.05 * onset
     metrics = {
         "onset_detected": MetricEntry(float(detected), 1.0, 0.0),
         "onset_dt_stability": MetricEntry(
@@ -518,8 +512,43 @@ def run_wave_breaking(cfg: SimConfig) -> ExperimentReport:
     }
     notes.append(f"onset at dt: {onset:g}, at dt/2: {onset_h:g}; "
                  f"max gradient growth {float(np.max(gs) / g0):.2f}x")
-    if traj.truncated and not inconclusive:
-        notes.append(f"run truncated after onset: {traj.truncation_reason}")
-    return ExperimentReport("wave_breaking", _echo(cfg), metrics, notes,
-                            truncated=traj.truncated or traj_h.truncated
-                            or control.truncated)
+    return ExperimentReport("wave_breaking", metrics, notes, solves={
+        "dt": traj, "dt/2": traj_h, "alpha=0.5 control": control})
+
+
+# ---------------------------------------------------------------------------
+# step convergence
+
+
+def run_convergence(cfg: SimConfig) -> ExperimentReport:
+    """Step convergence against a dt/8 reference, and agreement with the
+    Picard oracle over the first steps.
+
+    The stepper is exact on the linear problem, so a config with
+    ``nonlinear = false`` gates the step error itself instead of the
+    Richardson order.
+    """
+    grid = cfg.grid()
+    u0 = cfg.ic.build(grid)
+    t_cmp = max(1, int(min(0.05, cfg.t_final) / cfg.dt)) * cfg.dt
+    solves = {"dt/8": replace(cfg, dt=cfg.dt / 8.0), "dt": cfg,
+              "dt/2": replace(cfg, dt=cfg.dt / 2.0),
+              "oracle window": replace(cfg, t_final=t_cmp)}
+    runs = {label: solve(c, grid=grid, u0=u0) for label, c in solves.items()}
+    ref, short = runs["dt/8"], runs["oracle window"]
+    errs = [math.nan, math.nan]
+    if not any(runs[label].truncated for label in ("dt/8", "dt", "dt/2")):
+        errs = [_rel_err(runs[label].final.samples, ref.final.samples)
+                for label in ("dt", "dt/2")]
+    pic = picard_oracle(u0, cfg, t_cmp, iterations=6)
+    pic_err = math.nan if short.truncated else _rel_err(pic.samples, short.final.samples)
+    if cfg.nonlinear:
+        ratio = errs[0] / errs[1] if errs[1] > 0 else math.nan
+        order = math.log2(ratio) if 0 < ratio < math.inf else math.nan
+        step = {"richardson_order": MetricEntry(order, 4.0, 0.2)}
+    else:
+        step = {"linear_step_error": MetricEntry(float(np.max(errs)), 0.0, 1e-12)}
+    return ExperimentReport(
+        "convergence", {**step, "picard_agreement": MetricEntry(pic_err, 0.0, 1e-6)},
+        [f"step errors against dt/8: {errs[0]:.3e} at dt, {errs[1]:.3e} at dt/2"],
+        solves=runs)

@@ -27,7 +27,7 @@ import scipy.fft
 
 from .errors import ConfigurationError, DomainError, NumericError
 
-#: relative mean tolerance for negative-order derivatives
+#: relative mean tolerance for negative-order derivatives and the jump estimator
 MEAN_TOL = 1e-8
 
 
@@ -319,10 +319,15 @@ def frac_deriv(f: Field, s: float) -> Field:
     return apply_multiplier(f, frac_deriv_symbol(s))
 
 
+def is_zero_mean(mean: float, norm: float, tol: float = MEAN_TOL) -> bool:
+    """The zero-mean test: |u_hat(0)| <= tol * ||u||, from u_hat(0) and the L2 norm."""
+    return abs(mean) <= tol * max(norm, 1e-300)
+
+
 def require_zero_mean(f: Field, s: float):
     """Raise DomainError unless f lies in the zero-mean class that D^s, s < 0, acts on."""
     mean = mean_coefficient(f)
-    if abs(mean) > MEAN_TOL * max(l2_norm(f), 1e-300):
+    if not is_zero_mean(mean, l2_norm(f)):
         raise DomainError(
             f"negative-order derivative (s={s:g}) needs zero mean; "
             f"u_hat(0) = {mean:.3e} exceeds {MEAN_TOL:g} * ||u||")
@@ -352,10 +357,10 @@ def coordinate_multiply(f: Field) -> Field:
 
 
 def truncated_weight(grid: Grid, n_w: float, theta: float) -> np.ndarray:
-    """Smooth bounded weight equal to (1+x^2)^(theta/2) for |x| <= N.
-
-    Constant (2N)^theta beyond 3N; :func:`weight_profile` of |x|.  The
-    flat outer region makes the periodic continuation smooth.
+    """Smooth bounded weight, :func:`weight_profile` of |x|: close to
+    (1+x^2)^(theta/2) for |x| <= N and to (2N)^theta beyond 3N, equal to
+    round-off only for large N.  The flat outer region makes the periodic
+    continuation smooth.
     """
     if not (0 < theta <= 1):
         raise ConfigurationError(f"weight exponent must lie in (0, 1], got {theta}")
@@ -374,11 +379,17 @@ def weight_profile(ax: np.ndarray, n_w: float, theta: float) -> np.ndarray:
     a convex combination of theirs, so the weight is non-decreasing with
     slope at most theta <= 1 by construction, and its higher derivatives
     stay bounded uniformly in N.
+
+    It lies log(1 + exp(-s d)) / s below the smaller closed form, with
+    s = 8 (2N)^(2 - 2 theta) and d the gap between the two, so it meets
+    that form to round-off only where s d > ~36.  At |x| = 3N (and N) this
+    holds for (theta, N) = (0.5, 8) and (1, 4); at N = 1 the profile is
+    still 1.1e-5 below (2N)^theta for theta = 1, 1.8e-4 for 0.5 and
+    1.7e-3 for 0.25.
     """
     inner = (1.0 + ax ** 2) ** (theta / 2.0)
     outer = (2.0 * n_w) ** theta
-    # sharpness scaled so both closed forms are attained to round-off at
-    # |x| = N and 3N while the transition curvature stays O(1) in N
+    # sharpness grows with N so the transition curvature stays O(1) in N
     sharp = 8.0 * (2.0 * n_w) ** (2.0 - 2.0 * theta)
     lo = np.minimum(inner, outer)
     return lo - np.log(np.exp(-sharp * (inner - lo)) + np.exp(-sharp * (outer - lo))) / sharp

@@ -16,7 +16,7 @@ the target has exact constant limits, otherwise bounded and reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -129,8 +129,8 @@ def sign_propagator(t: float) -> SteinTarget:
 
 
 def weight_target(theta: float, n_w: float) -> SteinTarget:
-    """The truncated coordinate weight of :func:`spectral.truncated_weight`,
-    flat beyond 3N."""
+    """The truncated coordinate weight of :func:`spectral.truncated_weight`;
+    its tail limit (2N)^theta is reached by 3N only for large N."""
     if not (0 < theta <= 1):
         raise ConfigurationError(f"theta must lie in (0,1], got {theta}")
     flat = (2.0 * n_w) ** theta
@@ -364,19 +364,19 @@ def propagator_stein_bound(alpha: float, b: float, t_list: Sequence[float],
     ratios = {}
     best = 0.0
     best2 = 0.0
-    quad2 = QuadSpec(quad.delta, quad.y_max, 2 * quad.n_panels, quad.delta_floor)
+    quad2 = replace(quad, n_panels=2 * quad.n_panels)
     for t in t_list:
+        if t == 0:
+            ratios.update(((t, x), 0.0) for x in x_list)
+            continue
         target = propagator_target(alpha, t)
-        for x in x_list:
-            if t == 0:
-                ratios[(t, x)] = 0.0
-                continue
-            r1 = stein_derivative(SteinRequest(b, target, np.asarray([x]), quad))
-            r2 = stein_derivative(SteinRequest(b, target, np.asarray([x]), quad2))
+        v1 = stein_derivative(SteinRequest(b, target, x_list, quad)).values
+        v2 = stein_derivative(SteinRequest(b, target, x_list, quad2)).values
+        for x, s1, s2 in zip(x_list, v1, v2):
             env = _propagator_envelope(alpha, b, t, x)
-            ratios[(t, x)] = r1.values[0] / env
-            best = max(best, r1.values[0] / env)
-            best2 = max(best2, r2.values[0] / env)
+            ratios[(t, x)] = s1 / env
+            best = max(best, s1 / env)
+            best2 = max(best2, s2 / env)
     stable = best == 0.0 or (best2 / best < 2.0 and best / max(best2, 1e-300) < 2.0)
     return PropagatorBoundReport(best, best2, ratios, stable)
 

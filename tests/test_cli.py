@@ -346,6 +346,24 @@ ic = gaussian(0.1,1,0)
         assert "status = pass" in (out / "manifest.txt").read_text().splitlines()
 
     @pytest.mark.parametrize("nonlinear", ["true", "false"])
+    def test_run_convergence_gives_the_cli_report(self, tmp_path, nonlinear):
+        cfg_path = write_cfg(tmp_path, """
+alpha = 0.5
+n = 256
+length = 50
+dt = 0.02
+t_final = 0.1
+ic = gaussian(0.1,1,0)
+""")
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "convergence", "--config", cfg_path,
+                   "--nonlinear", nonlinear])
+        cfg, _ = parse_config(cfg_path, {"nonlinear": nonlinear})
+        report = fkdvlab.run_convergence(cfg)
+        assert cli.report_csv(report) == (out / "report.csv").read_text()
+        assert rc == (0 if report.passed else 2)
+
+    @pytest.mark.parametrize("nonlinear", ["true", "false"])
     def test_convergence_truncated_solves_fail_without_traceback(
             self, tmp_path, capsys, nonlinear):
         # the tail guard stops the dt/8, dt/2 and dt solves at different times
@@ -381,7 +399,7 @@ zero_mean = true
                                                        capsys, exc, prefix):
         def diverge(*args, **kwargs):
             raise exc("picard iterates grew")
-        monkeypatch.setattr(cli, "picard_oracle", diverge)
+        monkeypatch.setattr(fkdvlab.experiments, "picard_oracle", diverge)
         cfg_path = write_cfg(tmp_path, """
 alpha = 0.5
 n = 256

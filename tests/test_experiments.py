@@ -3,9 +3,9 @@ import math
 import pytest
 
 from fkdvlab import (ConfigurationError, DomainError, InitialCondition,
-                     MetricEntry, SimConfig, run_decay_threshold, run_moment_law,
-                     run_symmetry_checks, run_tstar, run_two_time_bh,
-                     run_wave_breaking, solve)
+                     MetricEntry, SimConfig, run_convergence, run_decay_threshold,
+                     run_moment_law, run_symmetry_checks, run_tstar,
+                     run_two_time_bh, run_wave_breaking, solve)
 
 
 def cfg_for(alpha, **kw):
@@ -189,6 +189,17 @@ class TestSymmetry:
         with pytest.raises(ConfigurationError, match="lambda"):
             run_symmetry_checks(cfg, 3.0)
 
+    def test_truncated_solve_leaves_scaling_residual_nan(self):
+        # the tail guard stops the original solve at t = 0.4, before the
+        # time that matches the rescaled solve's horizon
+        cfg = cfg_for(0.5, n=512, length=12.0, t_final=0.5, tail_tol=1e-6,
+                      ic=InitialCondition("sine_packet", (0.1, 2.0, 2.0)))
+        rep = run_symmetry_checks(cfg, 1.5)
+        assert rep.truncated
+        assert math.isnan(rep.metrics["scaling_residual"].measured)
+        assert not rep.metrics["scaling_residual"].passed
+        assert any(n.startswith("TRUNCATED: original solve: ") for n in rep.notes)
+
     def test_random_band_not_scalable(self):
         cfg = cfg_for(0.5, tail_tol=1.0,
                       ic=InitialCondition("random_band", (1, 0.5, 2.0, 0.1)))
@@ -215,3 +226,37 @@ class TestBreaking:
                       ic=InitialCondition("odd_gaussian", (-0.02, 1.0)))
         gs = [max(-r.min_ux, 0.0) for r in solve(cfg).diagnostics]
         assert max(gs) / gs[0] <= 1.5
+
+
+# campaign -> (runner, config, labels of the solves the tail guard truncates)
+TRUNCATING = {
+    "moment-law": (run_moment_law, dict(
+        alpha=-0.5, n=1024, length=100.0, t_final=0.5, tail_tol=1e-4,
+        ic=InitialCondition("odd_gaussian", (-4.0, 1.0))), {"main"}),
+    "tstar": (run_tstar, dict(
+        alpha=0.5, n=1024, length=100.0, t_final=3.0, tail_tol=1e-12,
+        ic=InitialCondition("odd_gaussian", (-4.0, 1.0))), {"main"}),
+    "breaking": (run_wave_breaking, dict(
+        alpha=-1.0, dt=2e-3, t_final=3.0, diag_every=25, tail_tol=1e-5,
+        ic=InitialCondition("odd_gaussian", (-3.0, 1.0))), {"dt", "dt/2"}),
+    "symmetry": (lambda cfg: run_symmetry_checks(cfg, 1.5), dict(
+        alpha=0.5, n=512, length=12.0, t_final=0.5, tail_tol=1e-6,
+        ic=InitialCondition("sine_packet", (0.1, 2.0, 2.0))), {"original"}),
+    "convergence": (run_convergence, dict(
+        alpha=-0.5, n=1024, length=100.0, dt=0.01,
+        ic=InitialCondition("gaussian", (0.1, 1.0, 0.0), True)),
+        {"dt/8", "dt", "dt/2"}),
+}
+
+
+@pytest.mark.parametrize("campaign", sorted(TRUNCATING))
+def test_every_truncated_solve_is_named(campaign):
+    run, kw, labels = TRUNCATING[campaign]
+    rep = run(cfg_for(**kw))
+    named = {n.split(" solve: ")[0].removeprefix("TRUNCATED: ")
+             for n in rep.notes if n.startswith("TRUNCATED: ")}
+    assert rep.truncated
+    assert named == labels
+    for n in rep.notes:
+        if n.startswith("TRUNCATED: "):
+            assert "exceeded tail_tol" in n.split(" solve: ", 1)[1]

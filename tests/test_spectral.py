@@ -16,7 +16,8 @@ from fkdvlab.experiments import _evaluate_at
 from fkdvlab.solver import InitialCondition
 from fkdvlab.spectral import (bessel_symbol, derivative_symbol, dispersion_symbol,
                               frac_deriv_symbol, hilbert_symbol, identity_symbol,
-                              lowpass_symbol, multiplier_table)
+                              is_zero_mean, lowpass_symbol, multiplier_table,
+                              weight_profile)
 
 
 def trig_grid(n=256):
@@ -246,6 +247,11 @@ class TestFracDeriv:
         with pytest.raises(DomainError, match="zero mean"):
             frac_deriv(f, -0.5)
 
+    def test_zero_mean_predicate(self):
+        assert is_zero_mean(1e-8, 1.0) and not is_zero_mean(1.1e-8, 1.0)
+        assert not is_zero_mean(1e-9, 1.0, tol=1e-10)
+        assert is_zero_mean(0.0, 0.0) and not is_zero_mean(1e-300, 0.0)
+
     def test_order_zero_is_identity(self):
         g = trig_grid()
         f = Field(g, 1.5 + np.cos(g.x))
@@ -355,6 +361,18 @@ class TestTruncatedWeight:
             left = w[:g.n // 2 + 1][::-1]
             assert np.all(np.diff(left) >= -1e-14)
             assert np.all(np.diff(left) / g.dx <= 1.0 + 1e-10)
+
+    @pytest.mark.parametrize("theta,n_w,gap", [
+        (1.0, 1.0, 1.14478500e-5), (0.5, 1.0, 1.84268469e-4),
+        (0.25, 1.0, 1.65589220e-3), (0.5, 8.0, 0.0), (1.0, 4.0, 0.0)])
+    def test_gap_to_flat_value_at_3n(self, theta, n_w, gap):
+        # the smooth minimum reaches (2N)^theta at |x| = 3N only for large N
+        flat = (2.0 * n_w) ** theta
+        below = flat - weight_profile(np.array([3.0 * n_w]), n_w, theta)[0]
+        if gap:
+            assert below == pytest.approx(gap, rel=1e-6)
+        else:
+            assert 0.0 <= below <= 2 * np.spacing(flat)
 
     def test_flat_region_must_fit(self):
         g = make_grid(512, 50.0)
