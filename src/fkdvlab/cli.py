@@ -339,17 +339,14 @@ def cmd_probe(args) -> int:
                                l=args.l, m=args.m)
     kinds = args.kinds.split(",") if args.kinds else list(stein._PROBE_KINDS)
     rows = ["kind,params,ratio"]
-    status = 0
     for kind in kinds:
         mx, med = stein.probe_ensemble(kind, grid, params,
                                        n_pairs=args.pairs, seed=args.seed)
         rows.append(f"{kind},beta={fmt(params.beta)};gamma={fmt(params.gamma)};"
                     f"l={params.l};m={params.m},{fmt(mx)}")
-        if not math.isfinite(mx):
-            status = 2
     (out / "report.csv").write_text("\n".join(rows) + "\n")
     print("\n".join(rows))
-    return status
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

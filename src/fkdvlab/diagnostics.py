@@ -16,11 +16,13 @@ import scipy.fft
 
 from .errors import ConfigurationError, DomainError
 from .spectral import (Field, Grid, bessel, derivative_symbol, frac_deriv_symbol,
-                       is_zero_mean, l2_norm, line_spectrum, mean_coefficient,
-                       require_zero_mean, truncated_weight)
+                       integrate, is_zero_mean, l2_norm, line_spectrum,
+                       multiplier_table, require_zero_mean, truncated_weight)
 
 #: fits are rejected above this (relative rms) log-log residual
 FIT_RESIDUAL_MAX = 0.05
+#: tail-mass radii per decay fit, geometrically spaced over the fit window
+FIT_RADII = 12
 
 
 @dataclass
@@ -58,12 +60,12 @@ def invariants(f: Field, alpha: float, spectrum: Optional[np.ndarray] = None):
     except DomainError as exc:
         return i1, i2, None, str(exc)
     uh = scipy.fft.rfft(u) if spectrum is None else spectrum
-    half_sq = np.sum(_half_tables(f.grid, alpha)[0] * (uh.real ** 2 + uh.imag ** 2))
+    half_sq = np.sum(_parseval_weights(f.grid, alpha) * (uh.real ** 2 + uh.imag ** 2))
     return i1, i2, float(half_sq - np.sum(u2 * u) * dx / 3.0), ""
 
 
-def _half_tables(grid: Grid, alpha: float):
-    """Parseval weights for ||D^(alpha/2) u||^2 and the symbol i k, on the half grid.
+def _parseval_weights(grid: Grid, alpha: float) -> np.ndarray:
+    """Parseval weights for ||D^(alpha/2) u||^2 on the half grid.
 
     Built once per grid and alpha.  Modes 1..n/2-1 stand for a pair and
     weigh 2; modes 0 and n/2 weigh 1; dx/n turns the sum into the
@@ -72,12 +74,10 @@ def _half_tables(grid: Grid, alpha: float):
     def build():
         w = np.full(grid.n // 2 + 1, 2.0 * grid.dx / grid.n)
         w[[0, -1]] *= 0.5
-        parseval = w * np.abs(frac_deriv_symbol(alpha / 2.0).on_half_grid(grid)) ** 2
-        ik = derivative_symbol().on_half_grid(grid)
-        for a in (parseval, ik):
-            a.setflags(write=False)
-        return parseval, ik
-    return grid.table(("diagnostics", alpha), build)
+        w *= np.abs(multiplier_table(frac_deriv_symbol(alpha / 2.0), grid)) ** 2
+        w.setflags(write=False)
+        return w
+    return grid.table(("parseval", alpha), build)
 
 
 def moment_first(f: Field) -> float:
@@ -114,6 +114,23 @@ def tail_mass(f: Field, radius: float) -> float:
     return float(np.sum(f.samples[sel] ** 2) * f.grid.dx)
 
 
+def tail_fraction(samples: np.ndarray, grid: Grid) -> float:
+    """Fraction of the squared fluctuation mass in the outer 10 percent.
+
+    The outer region is compared against its own mean level: a flat
+    shelf near the boundary (the gauge constant left by zero-mean
+    projection) carries no boundary information, whereas any wave
+    structure there counts as contamination.
+    """
+    outer = np.abs(grid.x) > 0.45 * grid.length
+    fluct = samples - np.mean(samples)
+    total = float(np.sum(fluct ** 2))
+    if total == 0:
+        return 0.0
+    shelf = samples[outer] - np.mean(samples[outer])
+    return float(np.sum(shelf ** 2)) / total
+
+
 @dataclass
 class DecayFit:
     radii: np.ndarray
@@ -126,7 +143,7 @@ class DecayFit:
     superalgebraic: bool = False
 
 
-def decay_fit(f: Field, window: tuple, n_radii: int = 12) -> DecayFit:
+def decay_fit(f: Field, window: tuple) -> DecayFit:
     """Pointwise decay exponent from the tail-mass profile.
 
     For |u| ~ |x|^-p the half-box tail mass follows
@@ -143,7 +160,7 @@ def decay_fit(f: Field, window: tuple, n_radii: int = 12) -> DecayFit:
         raise ConfigurationError(
             f"fit window must stay inside 0.35 L = {0.35 * f.grid.length:g} "
             "to avoid wrap-around bias")
-    radii = np.geomspace(r_lo, r_hi, n_radii)
+    radii = np.geomspace(r_lo, r_hi, FIT_RADII)
     phi = np.array([tail_mass(f, R) for R in radii])
     if np.any(phi <= 0):
         return DecayFit(radii, phi, math.inf, math.inf, window, 0.0,
@@ -219,7 +236,7 @@ def spectral_jump(f: Field, refine: bool = False) -> complex:
     switches to the 3-point one-sided formula
     (4 u_hat(k1) - u_hat(2 k1)) / (2 k1).
     """
-    mean = mean_coefficient(f)
+    mean = integrate(f)
     if not is_zero_mean(mean, l2_norm(f)):
         raise DomainError(
             f"jump estimator needs zero mean; u_hat(0) = {mean:.3e}")
@@ -237,15 +254,13 @@ def make_record(f: Field, t: float, alpha: float, weight_orders=(),
     ``spectrum`` is the real-FFT half spectrum of ``f`` when the caller
     (the time stepper) already holds it; otherwise it is computed here.
     """
-    from .solver import tail_fraction        # local import; solver depends on us
-
     if spectrum is None:
         spectrum = scipy.fft.rfft(f.samples)
     i1, i2, i3, reason = invariants(f, alpha, spectrum)
-    ux = scipy.fft.irfft(_half_tables(f.grid, alpha)[1] * spectrum, f.grid.n)
+    ux = scipy.fft.irfft(multiplier_table(derivative_symbol(), f.grid) * spectrum, f.grid.n)
     return DiagnosticsRecord(
         t=t, i1=i1, i2=i2, i3=i3, i3_reason=reason,
-        mean=mean_coefficient(f),
+        mean=i1,
         moment_x=moment_first(f),
         max_u=float(np.max(f.samples)),
         min_ux=float(np.min(ux)),

@@ -21,10 +21,10 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import ConfigurationError, DomainError
 from .solver import (InitialCondition, SimConfig, Trajectory, linear_propagator,
-                     picard_oracle, solve, tail_fraction)
+                     picard_oracle, solve)
 from .spectral import (Field, apply_multiplier, coordinate_multiply,
-                       dispersion_symbol, frac_deriv, is_zero_mean, l2_norm,
-                       line_spectrum, mean_coefficient)
+                       dispersion_symbol, frac_deriv, integrate, is_zero_mean,
+                       l2_norm, line_spectrum)
 
 
 @dataclass
@@ -76,7 +76,7 @@ _MEAN_TOL = 1e-10                # relative mean tolerance of campaign data
 
 
 def _require_zero_mean(u0: Field, what: str):
-    mean = mean_coefficient(u0)
+    mean = integrate(u0)
     if not is_zero_mean(mean, l2_norm(u0), _MEAN_TOL):
         raise DomainError(
             f"{what} assumes zero-mean data; u_hat(0) = {mean:.3e}")
@@ -112,7 +112,7 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
     devs = [abs(r.moment_x - (m0 + 0.5 * l2sq * r.t)) for r in traj.diagnostics]
     max_dev = max(devs)
     # integral of D^alpha u vanishes identically under the zero-mode convention
-    dmean = max(abs(mean_coefficient(frac_deriv(traj.final, cfg.alpha))), 0.0)
+    dmean = max(abs(integrate(frac_deriv(traj.final, cfg.alpha))), 0.0)
     slope = np.polyfit([r.t for r in traj.diagnostics],
                        [r.moment_x for r in traj.diagnostics], 1)[0]
     return ExperimentReport(
@@ -293,7 +293,7 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
     t = cfg.t_final
     alpha = cfg.alpha
     probe0 = cfg.ic.build(cfg.grid())
-    zero_mean = is_zero_mean(mean_coefficient(probe0), l2_norm(probe0), _MEAN_TOL)
+    zero_mean = is_zero_mean(integrate(probe0), l2_norm(probe0), _MEAN_TOL)
     if zero_mean:
         # zero-mean projection of non-decaying-mean data leaves a uniform
         # shelf whose weighted content grows with the box; the mean must
@@ -313,13 +313,13 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
         grid = sc.grid()
         u0 = sc.ic.build(grid)
         u_t = linear_propagator(u0, t, alpha)
-        if tail_fraction(u_t.samples, grid) > 1e-3:
+        if diag.tail_fraction(u_t.samples, grid) > 1e-3:
             raise DomainError(f"contamination before measurement time at L = {L:g}")
         if alpha == -1.0:
             window = (0.015 * L, 0.035 * L)
         else:
             window = (0.04 * L, 0.12 * L)
-        ps.append(diag.decay_fit(u_t, window, n_radii=12).fitted_p)
+        ps.append(diag.decay_fit(u_t, window).fitted_p)
         for r in wnorms:
             wnorms[r].append(diag.weighted_norm(u_t, r))
     # bias from the periodized tail shrinks like 1/L; extrapolate when monotone
@@ -411,7 +411,7 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     # (a) two solver runs compared through the scaling map
     ic2 = _scaled_ic(cfg.ic, lam, alpha)
     u0_scaled = ic2.build(grid)
-    if tail_fraction(u0_scaled.samples, grid) > cfg.tail_tol:
+    if diag.tail_fraction(u0_scaled.samples, grid) > cfg.tail_tol:
         raise ConfigurationError("rescaled data does not fit the box")
     T1 = cfg.t_final
     T2 = T1 / lam ** (1.0 + alpha)

@@ -22,7 +22,7 @@ from . import diagnostics as diag
 from .errors import (ConfigurationError, DomainError, NumericError,
                      OracleDivergenceError, StepError)
 from .spectral import (Field, Grid, derivative_symbol, dispersion_symbol,
-                       make_grid)
+                       make_grid, multiplier_table)
 
 CFL_CONSTANT = 0.5
 
@@ -101,10 +101,14 @@ def _random_band(grid: Grid, seeds, k_lo: float, k_hi: float, amp: float) -> np.
 
 
 def _load_field_samples(path: str, grid: Grid) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.shape[0] != grid.n:
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as e:
+        raise ConfigurationError(f"field file '{path}' cannot be read: {e}") from None
+    if data.shape != (grid.n, 2):
         raise ConfigurationError(
-            f"field file '{path}' has {data.shape[0]} rows, grid expects {grid.n}")
+            f"field file '{path}' has {data.shape[0]} rows of {data.shape[1]} columns, "
+            f"grid expects {grid.n} rows of x,u")
     if not np.allclose(data[:, 0], grid.x, rtol=0, atol=1e-9 * grid.dx):
         raise ConfigurationError(f"field file '{path}' nodes do not match the grid")
     return data[:, 1].copy()
@@ -145,6 +149,10 @@ class SimConfig:
                 raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if self.diag_every < 1:
             raise ConfigurationError(f"diag_every must be >= 1, got {self.diag_every}")
+        if self.store_every < 0:
+            raise ConfigurationError(f"store_every must be >= 0, got {self.store_every}")
+        if math.isnan(self.tail_tol):
+            raise ConfigurationError("tail_tol must be a number, got nan")
 
     def grid(self) -> Grid:
         return make_grid(self.n, self.length)
@@ -160,12 +168,8 @@ class Trajectory:
     truncation_reason: str = ""
 
 
-def cfl_bound(f: Field) -> float:
-    """Largest admissible dt for the advective part, 0.5 dx / max(1, |u|)."""
-    return _cfl_bound(float(np.max(np.abs(f.samples))), f.grid.dx)
-
-
-def _cfl_bound(u_max: float, dx: float) -> float:
+def cfl_bound(u_max: float, dx: float) -> float:
+    """Largest admissible dt for the advective part, 0.5 dx / max(1, max|u|)."""
     return CFL_CONSTANT * dx / max(1.0, u_max)
 
 
@@ -183,6 +187,8 @@ def linear_propagator(f: Field, t: float, alpha: float) -> Field:
 
 def _propagators(grid: Grid, alpha: float, times) -> np.ndarray:
     """exp(t i k |k|^alpha) on the half grid, one row per time in ``times``."""
+    # not multiplier_table: its Nyquist entry is the generator's real part, 0,
+    # where the propagator needs the exponential's real part, cos(t k|k|^alpha)
     gen = dispersion_symbol(alpha).on_grid(grid)[: grid.n // 2 + 1]
     vals = np.exp(np.multiply.outer(times, gen))
     vals[..., -1] = vals[..., -1].real                 # unpaired mode stays real
@@ -196,7 +202,7 @@ def _nonlinear_tables(grid: Grid, dealias: bool):
     """
     m = np.arange(grid.n // 2 + 1)
     keep = m <= grid.n // 3 if dealias else np.ones(m.size, dtype=bool)
-    return int(m[keep][-1]), -0.5 * derivative_symbol().on_half_grid(grid) * keep
+    return int(m[keep][-1]), -0.5 * multiplier_table(derivative_symbol(), grid) * keep
 
 
 def _nonlinear_hat(uh: np.ndarray, n: int, top: int, dfac: np.ndarray) -> np.ndarray:
@@ -234,23 +240,6 @@ class _Stepper:
         return E2uh + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
 
 
-def tail_fraction(samples: np.ndarray, grid: Grid) -> float:
-    """Fraction of the squared fluctuation mass in the outer 10 percent.
-
-    The outer region is compared against its own mean level: a flat
-    shelf near the boundary (the gauge constant left by zero-mean
-    projection) carries no boundary information, whereas any wave
-    structure there counts as contamination.
-    """
-    outer = np.abs(grid.x) > 0.45 * grid.length
-    fluct = samples - np.mean(samples)
-    total = float(np.sum(fluct ** 2))
-    if total == 0:
-        return 0.0
-    shelf = samples[outer] - np.mean(samples[outer])
-    return float(np.sum(shelf ** 2)) / total
-
-
 def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = None) -> Trajectory:
     """Integrate to t_final, emitting diagnostics every diag_every steps.
 
@@ -263,12 +252,12 @@ def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = Non
     f0 = u0 if u0 is not None else cfg.ic.build(grid)
     if cfg.nonlinear:
         # the linear flow is integrated exactly and has no step restriction
-        bound = cfl_bound(f0)
+        bound = cfl_bound(float(np.max(np.abs(f0.samples))), f0.grid.dx)
         if cfg.dt > bound * (1.0 + 1e-12):
             raise StepError(
                 f"dt = {cfg.dt:g} exceeds the initial advective bound {bound:g}",
                 suggested_dt=bound)
-    tf0 = tail_fraction(f0.samples, grid)
+    tf0 = diag.tail_fraction(f0.samples, grid)
     if tf0 > cfg.tail_tol:
         raise DomainError(
             f"initial tail fraction {tf0:.3e} already exceeds tail_tol {cfg.tail_tol:g}")
@@ -297,7 +286,7 @@ def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = Non
             raise NumericError(f"state non-finite at t = {t:g}; last good t = {last_good:g}")
         last_good = t
         if cfg.nonlinear:
-            bound = _cfl_bound(u_max, grid.dx)
+            bound = cfl_bound(u_max, grid.dx)
             if cfg.dt > bound * (1.0 + 1e-12):
                 raise StepError(
                     f"CFL violated at t = {t:g}: dt = {cfg.dt:g} > {bound:g}",

@@ -7,7 +7,7 @@ diagonal in the discrete Fourier basis; multiplication by the box
 coordinate is pointwise.
 
 Real states are transformed as the real-FFT half spectrum, modes
-m = 0..n/2 (:meth:`MultiplierSymbol.on_half_grid`): by the solver, the
+m = 0..n/2 (:func:`multiplier_table`): by the solver, the
 diagnostics it feeds and :func:`apply_multiplier`.  The unpaired Nyquist
 mode keeps only the real part of any symbol, which is also what the
 inverse real FFT does with the Nyquist coefficient.  Where a value of
@@ -70,7 +70,7 @@ class Grid:
     def nyquist_index(self) -> int:
         return self.n // 2
 
-    def table(self, key, build: Callable[[], tuple]) -> tuple:
+    def table(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
         """``build()``, evaluated once per grid and key and kept with the grid.
 
         For derived arrays that many calls on one grid need; the arrays
@@ -127,17 +127,12 @@ def line_spectrum(f: Field) -> np.ndarray:
 
 
 def integrate(f: Field) -> float:
-    """Box integral by the rectangle rule (spectrally accurate here)."""
+    """Box integral, u_hat(0), by the rectangle rule (spectrally accurate here)."""
     return float(np.sum(f.samples) * f.grid.dx)
 
 
 def l2_norm(f: Field) -> float:
     return float(np.sqrt(np.sum(f.samples ** 2) * f.grid.dx))
-
-
-def mean_coefficient(f: Field) -> float:
-    """u_hat(0) = integral of u over the box."""
-    return integrate(f)
 
 
 @dataclass(frozen=True)
@@ -164,17 +159,6 @@ class MultiplierSymbol:
             raise NumericError(f"symbol '{self.name}' non-finite at wavenumbers {bad}")
         return vals
 
-    def on_half_grid(self, grid: Grid) -> np.ndarray:
-        """Values on the real-FFT modes m = 0..n/2; the Nyquist entry keeps its real part."""
-        return _half(self.on_grid(grid))
-
-
-def _half(vals: np.ndarray) -> np.ndarray:
-    # modes 0..n/2 of full-grid values, the unpaired Nyquist entry made real
-    half = vals[: vals.size // 2 + 1].copy()
-    half[-1] = half[-1].real
-    return half
-
 
 def _is_hermitian(vals: np.ndarray, grid: Grid) -> bool:
     # paired modes m and -m; the Nyquist mode has no partner
@@ -198,7 +182,8 @@ def multiplier_table(sym: MultiplierSymbol, grid: Grid) -> np.ndarray:
         if not _is_hermitian(vals, grid):
             raise DomainError(
                 f"symbol '{sym.name}' is not Hermitian-symmetric; real output undefined")
-        table = _half(vals)
+        table = vals[: grid.n // 2 + 1].copy()      # modes 0..n/2
+        table[-1] = table[-1].real                  # the unpaired Nyquist entry made real
         table.setflags(write=False)
         grid._multipliers[sym] = table
     return table
@@ -326,7 +311,7 @@ def is_zero_mean(mean: float, norm: float, tol: float = MEAN_TOL) -> bool:
 
 def require_zero_mean(f: Field, s: float):
     """Raise DomainError unless f lies in the zero-mean class that D^s, s < 0, acts on."""
-    mean = mean_coefficient(f)
+    mean = integrate(f)
     if not is_zero_mean(mean, l2_norm(f)):
         raise DomainError(
             f"negative-order derivative (s={s:g}) needs zero mean; "

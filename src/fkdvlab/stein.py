@@ -9,8 +9,9 @@ for 0 < b < 1, evaluated by composite Gauss-Legendre quadrature on
 dyadic panels accumulating at the difference singularity y = x and at
 every kink of the target.  The inner ball |y - x| < delta is excluded
 from the value and accounted for in the error estimate through a local
-Hölder envelope; the tail beyond |y| > y_max is added analytically when
-the target has exact constant limits, otherwise bounded and reported.
+Hölder envelope (an infinite one makes the estimate infinite); the tail
+beyond |y| > y_max is added analytically when the target has exact
+constant limits, otherwise bounded and reported.
 """
 
 from __future__ import annotations
@@ -22,11 +23,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericError
+from .solver import _random_band
 from .spectral import (CutoffSpec, Field, apply_to_samples, derivative_symbol,
                        flat_top_bump, frac_deriv_symbol, hilbert_symbol, lowpass_symbol,
                        weight_profile)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: radius of the excluded inner ball about eta, relative to max(|eta|, INNER_FLOOR)
+INNER_RADIUS = 1e-8
+INNER_FLOOR = 1e-4
+#: |eta| samples, geometric from the smallest radius to 1, of a non-membership scan
+SCAN_POINTS = 48
+#: wavenumber band (k_lo, k_hi) of the probe ensembles' unit-norm random fields
+PROBE_BAND = (0.5, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +105,20 @@ def signed_power_cutoff(beta: float) -> SteinTarget:
                           lambda a: beta * a ** (beta - 1.0) + 2.0, power=beta)
 
 
+def _abs_power(y: np.ndarray, alpha: float) -> np.ndarray:
+    """|y|^alpha with the symbols' convention |0|^alpha = 0."""
+    ay = np.abs(y)
+    with np.errstate(divide="ignore"):          # 0 ** alpha for alpha < 0
+        return np.where(ay > 0, ay ** alpha, 0.0)
+
+
 def propagator_target(alpha: float, t: float) -> SteinTarget:
     """Unitary dispersive propagator exp(i t xi |xi|^alpha)."""
     if not (-1.0 <= alpha < 1.0) or alpha == 0.0:
         raise ConfigurationError(f"alpha must lie in [-1,1) nonzero, got {alpha}")
 
     def f(y):
-        ay = np.abs(y)
-        return np.exp(1j * t * y * np.where(ay > 0, ay ** alpha, 0.0))
+        return np.exp(1j * t * y * _abs_power(y, alpha))
 
     def holder(eta):
         if abs(eta) < 1e-13:
@@ -147,10 +162,8 @@ def weight_target(theta: float, n_w: float) -> SteinTarget:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    delta: float = 1e-8          # inner split radius, scaled by max(|eta|, delta_floor)
     y_max: float = 1e3
     n_panels: int = 2048
-    delta_floor: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -164,6 +177,8 @@ class SteinRequest:
         if not (0.0 < self.b < 1.0):
             raise ConfigurationError(f"order b must lie in (0,1), got {self.b}")
         pts = np.atleast_1d(np.asarray(self.eval_points, dtype=float))
+        if not np.all(np.isfinite(pts)):
+            raise ConfigurationError(f"evaluation points must be finite, got {pts}")
         object.__setattr__(self, "eval_points", pts)
 
 
@@ -171,13 +186,12 @@ class SteinRequest:
 class SteinResult:
     values: np.ndarray
     error_estimates: np.ndarray
-    tail_bound: float
 
 
-def _quad_sq(target: SteinTarget, eta: float, b: float, delta: float,
+def _quad_sq(target: SteinTarget, eta: float, fe: complex, b: float, delta: float,
              y_max: float, n_dyadic: int) -> float:
-    """Quadrature of |f(eta)-f(y)|^2 |eta-y|^(-1-2b) over delta < |y-eta|, |y| < y_max."""
-    fe = complex(target.func(np.asarray([eta]))[0])
+    """Quadrature of |fe-f(y)|^2 |eta-y|^(-1-2b) over delta < |y-eta|, |y| < y_max,
+    where fe = f(eta)."""
     # dyadic panels about eta and about every breakpoint not within 2 delta of it
     centers, inners = [eta], [delta]
     for bp in target.breakpoints:
@@ -199,9 +213,8 @@ def _quad_sq(target: SteinTarget, eta: float, b: float, delta: float,
     return float(np.sum(vals * w))
 
 
-def _tail_sq(target: SteinTarget, eta: float, b: float, y_max: float):
+def _tail_sq(target: SteinTarget, eta: float, fe: complex, b: float, y_max: float):
     """(analytic tail added to the value, residual uncertainty) beyond y_max."""
-    fe = complex(target.func(np.asarray([eta]))[0])
     up = (y_max - eta) ** (-2.0 * b) / (2.0 * b)
     dn = (y_max + eta) ** (-2.0 * b) / (2.0 * b)
     if target.tail_limits is not None:
@@ -230,31 +243,30 @@ def stein_derivative(req: SteinRequest) -> SteinResult:
     """Evaluate the square-function derivative at the requested points.
 
     error_estimates combine panel-refinement differences, the excluded
-    inner ball, and any non-exact tail.  Requests at a pointwise
-    non-Hölder point of the target are rejected.
+    inner ball, and any non-exact tail; an infinite inner-ball bound (no
+    Hölder pair, or exponent <= b) makes the estimate infinite.  Requests
+    at a pointwise non-Hölder point of the target are rejected.
     """
     b, target, quad = req.b, req.target, req.quad
     n_dyadic = max(8, quad.n_panels // (2 * (1 + len(target.breakpoints))))
     values = np.empty(req.eval_points.size)
     errors = np.empty(req.eval_points.size)
-    worst_tail = 0.0
     for i, eta in enumerate(req.eval_points):
         for bad in target.nonholder:
             if abs(eta - bad) < 1e-13:
                 raise DomainError(
                     f"target '{target.name}' is not pointwise Hölder at {bad:g}")
-        delta = quad.delta * max(abs(eta), quad.delta_floor)
-        full = _quad_sq(target, eta, b, delta, quad.y_max, n_dyadic)
-        coarse = _quad_sq(target, eta, b, delta, quad.y_max, n_dyadic // 2)
-        tail_add, tail_unc = _tail_sq(target, eta, b, quad.y_max)
-        inner = _inner_sq_bound(target, eta, b, delta)
+        delta = INNER_RADIUS * max(abs(eta), INNER_FLOOR)
+        fe = complex(target.func(np.asarray([eta]))[0])
+        full = _quad_sq(target, eta, fe, b, delta, quad.y_max, n_dyadic)
+        coarse = _quad_sq(target, eta, fe, b, delta, quad.y_max, n_dyadic // 2)
+        tail_add, tail_unc = _tail_sq(target, eta, fe, b, quad.y_max)
         sq = full + tail_add
         values[i] = math.sqrt(max(sq, 0.0))
-        err_sq = abs(full - coarse) + tail_unc + (0.0 if math.isinf(inner) else inner)
+        err_sq = abs(full - coarse) + tail_unc + _inner_sq_bound(target, eta, b, delta)
         # convert the squared-scale uncertainty to the value scale
         errors[i] = 0.5 * err_sq / values[i] if values[i] > 0 else math.sqrt(err_sq)
-        worst_tail = max(worst_tail, tail_unc)
-    return SteinResult(values, errors, worst_tail)
+    return SteinResult(values, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +412,14 @@ def _bessel_weighted(alpha: float, t: float, kind: str) -> SteinTarget:
     """Targets of the truncated-norm scans, carrying the <xi>^-2 damping."""
     if kind == "propagator":
         def core(y):
-            ay = np.abs(y)
-            osc = np.exp(1j * t * y * np.where(ay > 0, ay ** alpha, 0.0))
-            return (1.0 + y ** 2) ** (-1.0) * osc
+            return (1.0 + y ** 2) ** (-1.0) * np.exp(1j * t * y * _abs_power(y, alpha))
         return _cutoff_target(
             f"<xi>^-2*exp(i*{t:g}*xi|xi|^{alpha:g})*cutoff", core,
             (min(1.0, 1.0 + alpha), abs(t) + 3.0),
             lambda a: abs(t) * (1 + abs(alpha)) * a ** alpha + 3.0)
     if kind == "symbol":
         def core(y):
-            ay = np.abs(y)
-            return (1.0 + y ** 2) ** (-1.0) * np.where(ay > 0, ay ** alpha, 0.0)
+            return (1.0 + y ** 2) ** (-1.0) * _abs_power(y, alpha)
         return _cutoff_target(
             f"<xi>^-2*|xi|^{alpha:g}*cutoff", core, (min(1.0, alpha), 3.0),
             lambda a: abs(alpha) * a ** (alpha - 1.0) + 3.0)
@@ -418,7 +427,7 @@ def _bessel_weighted(alpha: float, t: float, kind: str) -> SteinTarget:
 
 
 def nonmembership_scan(alpha: float, t: float, s_order: float,
-                       eps_list: Sequence[float], n_eta: int = 48,
+                       eps_list: Sequence[float],
                        quad: QuadSpec = QuadSpec(n_panels=1024, y_max=50.0)) -> GrowthTable:
     """Truncated-norm blow-up scan near the frequency origin.
 
@@ -446,7 +455,7 @@ def nonmembership_scan(alpha: float, t: float, s_order: float,
         raise ConfigurationError(
             f"scan order {s_order:g} matches neither 3/2+alpha nor 1/2+alpha")
     target = _bessel_weighted(alpha, t, kind)
-    etas = np.geomspace(eps[-1], 1.0, n_eta)
+    etas = np.geomspace(eps[-1], 1.0, SCAN_POINTS)
     if abs(s_order - 1.0) < 1e-12:
         dens = _local_derivative_density(target, etas)
     else:
@@ -594,16 +603,17 @@ def commutator_probe(kind: str, g: Field, f: Field, params: ProbeParams) -> floa
 
 
 def probe_ensemble(kind: str, grid, params: ProbeParams, n_pairs: int = 50,
-                   seed: int = 0, k_band=(0.5, 4.0), amplitude: float = 1.0):
+                   seed: int = 0):
     """Max and median probe ratio over seeded band-limited field pairs.
 
     All pairs go through the probe together, one row each.
     """
-    from .solver import _random_band
+    if n_pairs < 1:
+        raise ConfigurationError(f"pairs must be >= 1, got {n_pairs}")
 
     def fields(offset):
         seeds = range(seed + offset, seed + offset + 2 * n_pairs, 2)
-        return _random_band(grid, seeds, *k_band, amplitude)
+        return _random_band(grid, seeds, *PROBE_BAND, 1.0)
 
     ratios = _probe_ratios(kind, grid, fields(0), fields(1), params)
     return float(np.max(ratios)), float(np.median(ratios))

@@ -441,11 +441,19 @@ ic = odd_gaussian(-4,1)
         ("--seed", "abc"),
         ("--points", "0.5,abc"),
         ("--target", "nope"),
+        ("--tail-tol", "nan"),
+        ("--store-every", "-3"),
+        ("--points", "nan"),
+        ("--points", "1,inf"),
+        ("--pairs", "0"),
+        ("--pairs", "-3"),
     ])
     def test_bad_input_exits_one_with_error_line(self, tmp_path, capsys, flag, value):
         campaign = {"--t1": "two-time-bh", "--lambda": "symmetry",
                     "--box-list": "decay-threshold", "--r-probe": "decay-threshold"}
-        if flag in ("--points", "--target"):
+        if flag == "--pairs":
+            argv = ["probe", flag, value]
+        elif flag in ("--points", "--target"):
             opts = {"--b": "0.5", "--target": "sign_propagator", "--points": "1.0",
                     flag: value}
             argv = ["stein"] + [tok for item in opts.items() for tok in item]
@@ -458,6 +466,22 @@ ic = odd_gaussian(-4,1)
         assert rc == 1
         assert err.startswith("error:")
         assert flag[2:].replace("-", "_") in err
+
+    @pytest.mark.parametrize("name,text", [
+        ("missing.csv", None),
+        ("letters.csv", "x,u\n" + "0,1\n" * 63 + "0,abc\n"),    # a non-numeric row
+        ("column.csv", "x\n" + "0\n" * 64),                      # one column
+    ])
+    def test_unreadable_field_file_exits_one_naming_it(self, tmp_path, capsys, name, text):
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        rc = main(["--out", str(tmp_path / "out"), "simulate", "--alpha", "0.5",
+                   "--dt", "1e-3", "--t-final", "0.01", "--n", "64", "--length", "10",
+                   "--ic", f"file({tmp_path / name})"])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert name in lines[0]
 
 
 _HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")

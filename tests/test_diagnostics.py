@@ -122,7 +122,7 @@ class TestDecayFit:
     def test_recovers_power_law(self, p_true):
         g = line_grid(8192, 400.0)
         f = Field(g, (1.0 + g.x ** 2) ** (-p_true / 2.0))
-        fit = decay_fit(f, (20.0, 120.0), n_radii=12)
+        fit = decay_fit(f, (20.0, 120.0))
         assert fit.accepted
         assert fit.fitted_p == pytest.approx(p_true, rel=0.01)
         assert fit.r_critical == pytest.approx(p_true - 0.5, abs=0.03)

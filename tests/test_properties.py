@@ -1,5 +1,5 @@
-"""Property tests: the spectral discretisation on random band-limited fields,
-and the config text round trip."""
+"""Property tests: the spectral discretisation and the solver's linear and
+quadratic parts on random band-limited fields, and the config text."""
 
 import tempfile
 from pathlib import Path
@@ -9,9 +9,11 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkdvlab import (CutoffSpec, Field, InitialCondition, MultiplierSymbol, SimConfig,
-                     apply_multiplier, make_grid)
-from fkdvlab.cli import parse_config, write_manifest
+from fkdvlab import (ConfigurationError, CutoffSpec, Field, InitialCondition,
+                     MultiplierSymbol, SimConfig, apply_multiplier, linear_propagator,
+                     make_grid)
+from fkdvlab.cli import _KEYS, parse_config, write_manifest
+from fkdvlab.solver import _Stepper
 from fkdvlab.spectral import (bessel_symbol, derivative_symbol, dispersion_symbol,
                               frac_deriv_symbol, hilbert_symbol, lowpass_symbol)
 
@@ -101,3 +103,58 @@ def test_config_round_trips_through_the_manifest(cfg):
         write_manifest(Path(tmp), cfg, "simulate", 0.0, 1.0, False, "completed")
         parsed, _ = parse_config(Path(tmp) / "manifest.txt")
     assert parsed == cfg
+
+
+alphas = st.floats(-1.0, 1.0, exclude_max=True).filter(lambda a: a != 0.0)
+
+
+def half_weights(n):
+    """Parseval weights of the real-FFT half spectrum: paired modes count twice."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[[0, -1]] = 1.0
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=band_limited(), alpha=alphas, t=st.floats(-10.0, 10.0))
+def test_propagator_keeps_every_modulus_below_nyquist(f, alpha, t):
+    before = np.abs(scipy.fft.rfft(f.samples))[:-1]
+    after = np.abs(scipy.fft.rfft(linear_propagator(f, t, alpha).samples))[:-1]
+    assert np.max(np.abs(after - before)) <= 1e-12 * np.max(before)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=band_limited())
+def test_dealiased_quadratic_term_keeps_mean_and_l2(f):
+    # <-(u^2)_x / 2, u> = -(1/6) integral (u^3)_x = 0 once the square is dealiased
+    uh = scipy.fft.rfft(f.samples)
+    nh = _Stepper(f.grid, 0.5, 1e-3, dealias=True, nonlinear=True).nhat(uh)
+    assert nh[0] == 0.0
+    w = half_weights(f.grid.n)
+    inner = np.sum(w * (np.conj(uh) * nh).real)
+    scale = np.sqrt(np.sum(w * np.abs(uh) ** 2) * np.sum(w * np.abs(nh) ** 2))
+    assert abs(inner) <= 1e-12 * scale
+
+
+config_values = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=16),
+    st.floats().map(repr), st.integers().map(str),
+    st.sampled_from(["true", "no", "1,2.5", "gaussian(0.2,1,0)", "odd_gaussian(-1)",
+                     "random_band(3,0.5,3,1)", "random_band(x,1,2,3)", "file(a.csv)",
+                     "sine_packet(1,2,3)", "nope(1)", "gaussian(1,2", ""]))
+config_keys = st.one_of(st.sampled_from(sorted(_KEYS)), st.text(max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.dictionaries(config_keys, config_values, max_size=8), base=st.booleans())
+def test_config_text_fails_only_with_configuration_error(pairs, base):
+    # with ``base`` the required keys start valid, so the fuzzed values reach SimConfig
+    kv = {"alpha": "0.5", "dt": "1e-3", "t_final": "1"} if base else {}
+    kv.update(pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
+        try:
+            parse_config(path)
+        except ConfigurationError:
+            pass

@@ -42,6 +42,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=key):
             small_cfg(**{key: value})
 
+    def test_nan_tail_tol_rejected(self):
+        # every tail_frac > nan is false, so the guard would be silently off
+        with pytest.raises(ConfigurationError, match="tail_tol"):
+            small_cfg(tail_tol=math.nan)
+        small_cfg(tail_tol=math.inf)            # an explicit "never truncate"
+
+    def test_negative_store_every_rejected(self):
+        with pytest.raises(ConfigurationError, match="store_every"):
+            small_cfg(store_every=-3)
+        small_cfg(store_every=0)                # endpoints only
+
 
 class TestInitialConditions:
     def test_gaussian(self):
@@ -221,7 +232,8 @@ class TestStepper:
         with pytest.raises(StepError) as exc:
             solve(cfg, grid=g, u0=f)
         assert exc.value.suggested_dt is not None
-        assert exc.value.suggested_dt == pytest.approx(cfl_bound(f))
+        u_max = float(np.max(np.abs(f.samples)))
+        assert exc.value.suggested_dt == pytest.approx(cfl_bound(u_max, g.dx))
 
     def test_richardson_order_four(self):
         # self-convergence against a dt/8 reference

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,37 @@ class TestSteinDerivative:
     def test_order_range_validated(self):
         with pytest.raises(ConfigurationError):
             SteinRequest(1.2, sign_propagator(1.0), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="points"):
+            SteinRequest(0.5, sign_propagator(1.0), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("b,target", [
+        (0.5, power_cutoff(0.5)),               # gamma = beta = b: S_b diverges at 0
+        (0.6, propagator_target(-0.5, 1.0)),    # gamma = 1 + alpha = 0.5 < b
+    ], ids=["power_at_b", "propagator_below_b"])
+    def test_infinite_inner_bound_gives_infinite_error(self, b, target):
+        res = stein_derivative(SteinRequest(b, target, np.array([0.0, 1.0])))
+        assert np.all(np.isfinite(res.values))
+        assert res.error_estimates[0] == math.inf
+        assert 0 < res.error_estimates[1] < math.inf
+
+    def test_target_without_holder_pair_gives_infinite_error(self):
+        bare = SteinTarget("bare", power_cutoff(0.6).func, breakpoints=(0.0,),
+                           tail_limits=(0.0, 0.0))
+        res = stein_derivative(SteinRequest(0.3, bare, np.array([0.5])))
+        assert res.error_estimates[0] == math.inf
+
+    @pytest.mark.parametrize("target", [
+        propagator_target(-0.5, 1.0), _bessel_weighted(-0.5, 1.0, "propagator"),
+        _bessel_weighted(-0.5, 1.0, "symbol")], ids=["propagator", "scan_propagator",
+                                                      "scan_symbol"])
+    def test_negative_power_at_origin_is_silent(self, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = target.func(np.array([0.0, 0.5]))
+        assert np.all(np.isfinite(vals))
 
     def test_error_estimates_shrink_under_refinement(self):
         target = power_cutoff(0.6)
@@ -247,6 +279,11 @@ class TestCommutatorProbes:
         f = packet(g)
         with pytest.raises(ConfigurationError):
             commutator_probe("mystery", f, f, ProbeParams())
+
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_ensemble_needs_a_pair(self, n_pairs):
+        with pytest.raises(ConfigurationError, match="pairs"):
+            probe_ensemble("frac_com", make_grid(64, 10.0), ProbeParams(), n_pairs=n_pairs)
 
     @pytest.mark.parametrize("kind", PROBE_KINDS)
     def test_ensemble_matches_per_pair_probes(self, kind):
