@@ -207,7 +207,7 @@ def diagnostics_csv(records, weight_orders) -> str:
     for r in records:
         base = [r.t, r.i1, r.i2,
                 r.i3 if r.i3 is not None else math.nan,
-                r.mean, r.moment_x, r.max_u, r.min_ux, r.tail_frac]
+                r.i1, r.moment_x, r.max_u, r.min_ux, r.tail_frac]
         base += [r.wnorms[w] for w in weight_orders]
         rows.append(",".join(fmt(v) for v in base))
     return "\n".join(rows) + "\n"

@@ -32,7 +32,6 @@ class DiagnosticsRecord:
     i2: float
     i3: Optional[float]
     i3_reason: str
-    mean: float
     moment_x: float
     max_u: float
     min_ux: float
@@ -133,11 +132,7 @@ def tail_fraction(samples: np.ndarray, grid: Grid) -> float:
 
 @dataclass
 class DecayFit:
-    radii: np.ndarray
-    tail_mass: np.ndarray
     fitted_p: float
-    r_critical: float
-    fit_window: tuple
     residual: float
     accepted: bool
     superalgebraic: bool = False
@@ -163,13 +158,7 @@ def decay_fit(f: Field, window: tuple) -> DecayFit:
     radii = np.geomspace(r_lo, r_hi, FIT_RADII)
     phi = np.array([tail_mass(f, R) for R in radii])
     if np.any(phi <= 0):
-        return DecayFit(radii, phi, math.inf, math.inf, window, 0.0,
-                        accepted=False, superalgebraic=True)
-    # reject non-monotone profiles beyond round-off
-    growth = np.diff(phi) / phi[:-1]
-    if np.any(growth > 1e-6):
-        return DecayFit(radii, phi, math.nan, math.nan, window,
-                        float(np.max(growth)), accepted=False)
+        return DecayFit(math.inf, 0.0, accepted=False, superalgebraic=True)
     logphi = np.log(phi)
     scale = float(np.std(logphi)) or 1.0
     edge = 0.5 * f.grid.length
@@ -183,10 +172,8 @@ def decay_fit(f: Field, window: tuple) -> DecayFit:
     p = _argmin_bounded(rms, 0.55, 15.0)
     residual = rms(p) / scale
     if p >= 14.0:
-        return DecayFit(radii, phi, math.inf, math.inf, window, residual,
-                        accepted=False, superalgebraic=True)
-    return DecayFit(radii, phi, p, p - 0.5, window, residual,
-                    accepted=residual <= FIT_RESIDUAL_MAX)
+        return DecayFit(math.inf, residual, accepted=False, superalgebraic=True)
+    return DecayFit(p, residual, accepted=residual <= FIT_RESIDUAL_MAX)
 
 
 def _argmin_bounded(fun, lo: float, hi: float) -> float:
@@ -260,7 +247,6 @@ def make_record(f: Field, t: float, alpha: float, weight_orders=(),
     ux = scipy.fft.irfft(multiplier_table(derivative_symbol(), f.grid) * spectrum, f.grid.n)
     return DiagnosticsRecord(
         t=t, i1=i1, i2=i2, i3=i3, i3_reason=reason,
-        mean=i1,
         moment_x=moment_first(f),
         max_u=float(np.max(f.samples)),
         min_ux=float(np.min(ux)),

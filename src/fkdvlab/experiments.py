@@ -216,8 +216,6 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
     if not (0 <= t1 < t2 <= cfg.t_final):
         raise ConfigurationError(f"need 0 <= t1 < t2 <= t_final, got {t1}, {t2}")
     jumps = {}
-    moments = {}
-    i2 = None
     runs = {}
     times = sorted({t for t in (t1, t2) if t > 0})
     for scale in (1, 2):
@@ -228,9 +226,10 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
         states, runs[f"L={sc_cfg.length:g}"] = _states_at(sc_cfg, grid, u0, times)
         at = {0.0: u0, **states}             # keyed by 0, t1 and t2
         jumps[scale] = {t: diag.spectral_jump(f, refine=True) for t, f in at.items()}
-        moments[scale] = {t: diag.moment_first(f) for t, f in at.items()}
         if scale == 1:
             i2 = diag.invariants(u0, cfg.alpha)[1]
+        else:                                # the identity reads the larger box
+            moment_t1 = diag.moment_first(at[t1])
 
     # Richardson in 1/L: the one-sided quotient bias scales with k1 ~ 1/L
     ext = {t: 2.0 * jumps[2][t] - jumps[1][t] for t in (0.0, t1, t2)}
@@ -245,7 +244,7 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
     tol = 1e-3 if cfg.nonlinear else 1e-6
     errs = {t: abs(ext[t] - predicted(t)) / abs(predicted(t)) for t in (t1, t2)}
     delta = t2 - t1
-    r_meas = 2.0 * math.sin(delta) * moments[2][t1] - (math.cos(delta) - 1.0) * i2
+    r_meas = 2.0 * math.sin(delta) * moment_t1 - (math.cos(delta) - 1.0) * i2
     r_pred = 2.0 * math.sin(delta) * (-predicted(t1).imag) - (math.cos(delta) - 1.0) * i2
     report = ExperimentReport(
         "two_time_bh",

@@ -12,6 +12,7 @@ the equation serves as an independent cross-validation oracle.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -102,7 +103,11 @@ def _random_band(grid: Grid, seeds, k_lo: float, k_hi: float, amp: float) -> np.
 
 def _load_field_samples(path: str, grid: Grid) -> np.ndarray:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)    # loadtxt's "no data" warning
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except UserWarning:
+        raise ConfigurationError(f"field file '{path}' holds no data rows") from None
     except (OSError, ValueError) as e:
         raise ConfigurationError(f"field file '{path}' cannot be read: {e}") from None
     if data.shape != (grid.n, 2):

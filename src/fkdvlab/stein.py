@@ -11,7 +11,8 @@ every kink of the target.  The inner ball |y - x| < delta is excluded
 from the value and accounted for in the error estimate through a local
 Hölder envelope (an infinite one makes the estimate infinite); the tail
 beyond |y| > y_max is added analytically when the target has exact
-constant limits, otherwise bounded and reported.
+constant limits, in the mean with a reported uncertainty when it
+oscillates, and otherwise left out with an infinite estimate.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class SteinTarget:
     oscillatory_tail: bool = False
     holder: Optional[Callable[[float], tuple]] = None
     nonholder: tuple = ()
-    sup_norm: float = 1.0
     power: Optional[float] = None
 
 
@@ -153,7 +153,7 @@ def weight_target(theta: float, n_w: float) -> SteinTarget:
                        lambda y: weight_profile(np.abs(y), n_w, theta),
                        breakpoints=(-3.0 * n_w, -n_w, n_w, 3.0 * n_w),
                        tail_limits=(flat, flat),
-                       holder=lambda eta: (1.0, 1.0), sup_norm=flat)
+                       holder=lambda eta: (1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,8 @@ def _quad_sq(target: SteinTarget, eta: float, fe: complex, b: float, delta: floa
 
 
 def _tail_sq(target: SteinTarget, eta: float, fe: complex, b: float, y_max: float):
-    """(analytic tail added to the value, residual uncertainty) beyond y_max."""
+    """(analytic tail added to the value, residual uncertainty) beyond y_max;
+    a target with neither tail model has an unbounded tail uncertainty."""
     up = (y_max - eta) ** (-2.0 * b) / (2.0 * b)
     dn = (y_max + eta) ** (-2.0 * b) / (2.0 * b)
     if target.tail_limits is not None:
@@ -224,8 +225,7 @@ def _tail_sq(target: SteinTarget, eta: float, fe: complex, b: float, y_max: floa
         # |f(eta)-f(y)|^2 oscillates about 2 for unimodular targets
         est = 2.0 * (up + dn)
         return est, 0.5 * est
-    bound = 4.0 * target.sup_norm ** 2 * (up + dn)
-    return 0.0, bound
+    return 0.0, math.inf
 
 
 def _inner_sq_bound(target: SteinTarget, eta: float, b: float, delta: float) -> float:
@@ -244,8 +244,9 @@ def stein_derivative(req: SteinRequest) -> SteinResult:
 
     error_estimates combine panel-refinement differences, the excluded
     inner ball, and any non-exact tail; an infinite inner-ball bound (no
-    Hölder pair, or exponent <= b) makes the estimate infinite.  Requests
-    at a pointwise non-Hölder point of the target are rejected.
+    Hölder pair, or exponent <= b) or a target with neither tail model
+    makes the estimate infinite.  Requests at a pointwise non-Hölder
+    point of the target are rejected.
     """
     b, target, quad = req.b, req.target, req.quad
     n_dyadic = max(8, quad.n_panels // (2 * (1 + len(target.breakpoints))))
@@ -275,7 +276,6 @@ def stein_derivative(req: SteinRequest) -> SteinResult:
 
 @dataclass
 class SlopeFit:
-    regime: str
     fitted_slope: float
     expected_slope: float
     log_correction_detected: bool
@@ -321,7 +321,7 @@ def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
         ss = float(np.sum((sq - sq.mean()) ** 2)) or 1.0
         r2 = 1.0 - float(np.sum((sq - pred) ** 2)) / ss
         detected = bool(coef[0] > 0 and r2 > 0.99)
-        return SlopeFit(regime, math.nan, math.nan, detected, 1.0 - r2, detected)
+        return SlopeFit(math.nan, math.nan, detected, 1.0 - r2, detected)
 
     logx, logy = np.log(np.abs(pts)), np.log(res.values)
     slope, intercept = np.polyfit(logx, logy, 1)
@@ -329,7 +329,7 @@ def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
     scale = float(np.std(logy)) or 1.0
     residual = float(np.sqrt(np.mean((logy - pred) ** 2))) / scale
     accepted = residual <= 0.25
-    return SlopeFit(regime, float(slope), expected, False, residual, accepted)
+    return SlopeFit(float(slope), expected, False, residual, accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +337,7 @@ def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
 
 
 def _propagator_envelope(alpha: float, b: float, t: float, x: float) -> float:
-    """Growth envelope of the derivative of the dispersive propagator."""
-    if t == 0:
-        return 1.0
+    """Growth envelope of the derivative of the dispersive propagator, t != 0."""
     at = abs(t)
     if alpha > 0:
         return at ** (b / (1.0 + alpha)) + at ** b * abs(x) ** (b * alpha)
@@ -356,8 +354,6 @@ def _propagator_envelope(alpha: float, b: float, t: float, x: float) -> float:
 @dataclass
 class PropagatorBoundReport:
     constant: float
-    constant_refined: float
-    ratios: dict
     stable: bool
 
 
@@ -367,30 +363,27 @@ def propagator_stein_bound(alpha: float, b: float, t_list: Sequence[float],
     """Fitted constant sup S_b(propagator) / envelope over the sample grid.
 
     The constant must be stable (within 2x) under doubling of the panel
-    count; both values are reported.
+    count; ``stable`` says whether it is.
     """
     if not (0.0 < b < 1.0):
         raise ConfigurationError(f"order b must lie in (0,1), got {b}")
     if not (-1.0 < alpha < 1.0) or alpha == 0.0:
         raise ConfigurationError(f"alpha must lie in (-1,1) nonzero, got {alpha}")
-    ratios = {}
     best = 0.0
     best2 = 0.0
     quad2 = replace(quad, n_panels=2 * quad.n_panels)
     for t in t_list:
         if t == 0:
-            ratios.update(((t, x), 0.0) for x in x_list)
             continue
         target = propagator_target(alpha, t)
         v1 = stein_derivative(SteinRequest(b, target, x_list, quad)).values
         v2 = stein_derivative(SteinRequest(b, target, x_list, quad2)).values
         for x, s1, s2 in zip(x_list, v1, v2):
             env = _propagator_envelope(alpha, b, t, x)
-            ratios[(t, x)] = s1 / env
             best = max(best, s1 / env)
             best2 = max(best2, s2 / env)
     stable = best == 0.0 or (best2 / best < 2.0 and best / max(best2, 1e-300) < 2.0)
-    return PropagatorBoundReport(best, best2, ratios, stable)
+    return PropagatorBoundReport(best, stable)
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +392,9 @@ def propagator_stein_bound(alpha: float, b: float, t_list: Sequence[float],
 
 @dataclass
 class GrowthTable:
-    eps: np.ndarray
-    q_squared: np.ndarray
     fitted_c: float
     residual: float
     divergent: bool
-    order: float
-    target_name: str
 
 
 def _bessel_weighted(alpha: float, t: float, kind: str) -> SteinTarget:
@@ -478,7 +467,7 @@ def nonmembership_scan(alpha: float, t: float, s_order: float,
         if span != 0 else math.inf
     c = float(coef[0])
     divergent = bool(c > 0 and residual <= 0.10)
-    return GrowthTable(eps, q2, c, residual, divergent, s_order, target.name)
+    return GrowthTable(c, residual, divergent)
 
 
 def _local_derivative_density(target: SteinTarget, etas: np.ndarray) -> np.ndarray:
@@ -504,7 +493,6 @@ class ProbeParams:
     gamma: float = 0.25
     l: int = 1
     m: int = 0
-    p: int = 2
 
 
 def _l2_rows(u: np.ndarray, dx: float) -> np.ndarray:
@@ -522,8 +510,6 @@ def _probe_ratios(kind: str, grid, g: np.ndarray, f: np.ndarray,
     Every multiplier acts along the last axis and every norm reduces per
     row, so row i gives the ratio of the pair (g[i], f[i]) alone.
     """
-    if params.p != 2:
-        raise ConfigurationError("only p = 2 is supported")
     if kind not in _PROBE_KINDS:
         raise ConfigurationError(f"unknown probe kind '{kind}'")
     dx = grid.dx

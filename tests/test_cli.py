@@ -16,6 +16,7 @@ from fkdvlab.errors import (DomainError, NumericError, OracleDivergenceError,
                             StepError)
 from fkdvlab.cli import (config_lines, diagnostics_csv, field_csv, fmt, main,
                          parse_config, read_keyvalues)
+from fkdvlab.solver import cfl_bound
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -471,8 +472,11 @@ ic = odd_gaussian(-4,1)
         ("missing.csv", None),
         ("letters.csv", "x,u\n" + "0,1\n" * 63 + "0,abc\n"),    # a non-numeric row
         ("column.csv", "x\n" + "0\n" * 64),                      # one column
+        ("empty.csv", ""),
+        ("header.csv", "x,u\n"),
     ])
-    def test_unreadable_field_file_exits_one_naming_it(self, tmp_path, capsys, name, text):
+    def test_unreadable_field_file_exits_one_naming_it(self, tmp_path, capsys, recwarn,
+                                                       name, text):
         if text is not None:
             (tmp_path / name).write_text(text)
         rc = main(["--out", str(tmp_path / "out"), "simulate", "--alpha", "0.5",
@@ -482,6 +486,22 @@ ic = odd_gaussian(-4,1)
         assert rc == 1
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert name in lines[0]
+        assert not recwarn.list         # a warning prints on stderr outside pytest
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5])
+    def test_cfl_violation_mid_run_exits_one(self, tmp_path, capsys, alpha):
+        # dt sits exactly on the initial advective bound, which the first
+        # step's growth of max|u| then breaks
+        g = make_grid(1024, 50.0)
+        u0 = InitialCondition("odd_gaussian", (-3.0, 1.0)).build(g)
+        dt = cfl_bound(float(np.max(np.abs(u0.samples))), g.dx)
+        rc = main(["--out", str(tmp_path / "out"), "simulate", "--alpha", fmt(alpha),
+                   "--n", "1024", "--length", "50", "--dt", fmt(dt),
+                   "--t-final", fmt(10 * dt), "--ic", "odd_gaussian(-3,1)"])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        assert lines[0].startswith(f"numeric error: CFL violated at t = {dt:g}: ")
 
 
 _HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")

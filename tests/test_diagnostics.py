@@ -125,13 +125,20 @@ class TestDecayFit:
         fit = decay_fit(f, (20.0, 120.0))
         assert fit.accepted
         assert fit.fitted_p == pytest.approx(p_true, rel=0.01)
-        assert fit.r_critical == pytest.approx(p_true - 0.5, abs=0.03)
 
     def test_gaussian_flagged_superalgebraic(self):
         g = line_grid()
         f = Field(g, np.exp(-g.x ** 2))
         fit = decay_fit(f, (5.0, 20.0))
         assert fit.superalgebraic
+        assert math.isinf(fit.fitted_p)
+
+    def test_exponential_tail_flagged_superalgebraic(self):
+        # the tail mass stays positive, so the fit runs and hits its p >= 14 edge
+        g = line_grid()
+        fit = decay_fit(Field(g, np.exp(-np.abs(g.x))), (10.0, 40.0))
+        assert fit.superalgebraic
+        assert not fit.accepted
         assert math.isinf(fit.fitted_p)
 
     def test_constant_frequency_linear_tail(self):
@@ -256,7 +263,7 @@ class TestRecord:
         f = Field(g, scipy.fft.irfft(uh, g.n))
         fed = make_record(f, 0.02, alpha, spectrum=uh)
         own = make_record(f, 0.02, alpha)
-        for name in ("i1", "i2", "mean", "moment_x", "max_u", "tail_frac"):
+        for name in ("i1", "i2", "moment_x", "max_u", "tail_frac"):
             assert getattr(fed, name) == getattr(own, name)
         assert fed.min_ux == pytest.approx(own.min_ux, rel=1e-12)
         ux = apply_multiplier(f, derivative_symbol()).samples

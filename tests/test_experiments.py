@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from fkdvlab import (ConfigurationError, DomainError, InitialCondition,
-                     MetricEntry, SimConfig, run_convergence, run_decay_threshold,
-                     run_moment_law, run_symmetry_checks, run_tstar,
-                     run_two_time_bh, run_wave_breaking, solve)
+                     MetricEntry, SimConfig, make_grid, run_convergence,
+                     run_decay_threshold, run_moment_law, run_symmetry_checks,
+                     run_tstar, run_two_time_bh, run_wave_breaking, solve)
+from fkdvlab.experiments import _scaled_ic
 
 
 def cfg_for(alpha, **kw):
@@ -205,6 +207,20 @@ class TestSymmetry:
                       ic=InitialCondition("random_band", (1, 0.5, 2.0, 0.1)))
         with pytest.raises(ConfigurationError, match="analytic"):
             run_symmetry_checks(cfg, 2.0)
+
+    @pytest.mark.parametrize("ic,closed_form", [
+        (InitialCondition("gaussian", (0.3, 1.5, 2.0)),
+         lambda x: 0.3 * np.exp(-((x - 2.0) / 1.5) ** 2)),
+        (InitialCondition("odd_gaussian", (-0.7, 1.2)),
+         lambda x: -0.7 * x * np.exp(-((x / 1.2) ** 2))),
+    ], ids=["gaussian", "odd_gaussian"])
+    @pytest.mark.parametrize("lam,alpha", [(2.0, 0.5), (0.5, -0.5), (1.5, -1.0)])
+    def test_scaled_ic_is_the_rescaled_field(self, ic, closed_form, lam, alpha):
+        # lam^alpha u0(lam x) at the grid nodes
+        g = make_grid(1024, 100.0)
+        scaled = _scaled_ic(ic, lam, alpha).build(g)
+        np.testing.assert_allclose(scaled.samples, lam ** alpha * closed_form(lam * g.x),
+                                   rtol=1e-12, atol=1e-15)
 
 
 class TestBreaking:

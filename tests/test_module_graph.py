@@ -46,3 +46,72 @@ def test_detector_sees_relative_absolute_and_nested_imports(tmp_path):
         "    def m(self):\n"
         "        from fkdvlab import errors\n")
     assert function_local_imports(sample) == {"sample.py:4", "sample.py:7", "sample.py:10"}
+
+
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def dataclass_fields(path: Path) -> set:
+    """``Class.field`` of every dataclass field declared in ``path`` (an
+    ``InitVar`` or ``ClassVar`` annotation declares no field)."""
+    out = set()
+    for cls in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(cls, ast.ClassDef)
+                and any(_is_dataclass_decorator(d) for d in cls.decorator_list)):
+            continue
+        for node in cls.body:
+            if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+                continue
+            ann = node.annotation
+            if isinstance(ann, ast.Subscript) and getattr(ann.value, "id", "") in (
+                    "InitVar", "ClassVar"):
+                continue
+            out.add(f"{cls.name}.{node.target.id}")
+    return out
+
+
+def attribute_reads(path: Path) -> set:
+    """Every name read as ``.<name>`` in ``path``."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(field_files, reader_files) -> list:
+    reads = set().union(*(attribute_reads(p) for p in reader_files))
+    declared = set().union(*(dataclass_fields(p) for p in field_files))
+    return sorted(f for f in declared if f.split(".")[1] not in reads)
+
+
+def test_every_dataclass_field_has_a_reader():
+    """Each field of a dataclass in the package is read as ``.<field>``
+    somewhere in the package, the tests or the benchmark.
+
+    The check is by name: a field that shares its name with any other
+    attribute read anywhere passes.  This file is not counted as a reader.
+    """
+    root = Path(__file__).resolve().parents[1]
+    readers = [p for d in (SRC, root / "tests", root / "perfbench")
+               for p in sorted(d.glob("*.py")) if p.resolve() != Path(__file__).resolve()]
+    assert unread_fields(sorted(SRC.glob("*.py")), readers) == []
+
+
+def test_detector_finds_a_field_nothing_reads(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from dataclasses import InitVar, dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    read: int\n"
+        "    written: int = 0\n"
+        "    only_init: InitVar[int] = None\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    unread: float\n"
+        "class NotData:\n"
+        "    ignored: int\n"
+        "def use(a):\n"
+        "    a.written = a.read\n")
+    assert unread_fields([sample], [sample]) == ["A.written", "B.unread"]

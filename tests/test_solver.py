@@ -5,8 +5,8 @@ import pytest
 import scipy.fft
 
 from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
-                     SimConfig, StepError, l2_norm, linear_propagator, make_grid,
-                     picard_oracle, solve)
+                     NumericError, SimConfig, StepError, l2_norm, linear_propagator,
+                     make_grid, picard_oracle, solve)
 from fkdvlab.errors import OracleDivergenceError
 from fkdvlab.solver import _random_band, _Stepper, cfl_bound
 
@@ -356,6 +356,21 @@ class TestSolve:
         assert traj.truncated
         assert "tail" in traj.truncation_reason
         assert traj.times[-1] < 2.0
+
+    def test_t_final_off_the_step_grid_rejected(self):
+        with pytest.raises(ConfigurationError, match="not a multiple of dt"):
+            solve(small_cfg(t_final=0.0105))
+
+    def test_non_finite_state_names_last_good_time(self, monkeypatch):
+        step, calls = _Stepper.step, []
+
+        def nan_on_third(self, uh):
+            calls.append(1)
+            out = step(self, uh)
+            return out * np.nan if len(calls) == 3 else out
+        monkeypatch.setattr(_Stepper, "step", nan_on_third)
+        with pytest.raises(NumericError, match=r"at t = 0\.003; last good t = 0\.002$"):
+            solve(small_cfg())
 
 
 class TestPicardOracle:

@@ -94,6 +94,15 @@ class TestSteinDerivative:
         res = stein_derivative(SteinRequest(0.3, bare, np.array([0.5])))
         assert res.error_estimates[0] == math.inf
 
+    def test_target_without_tail_model_gives_infinite_error(self):
+        # neither tail_limits nor oscillatory_tail: the tail beyond y_max is unbounded
+        base = power_cutoff(0.6)
+        no_tail = SteinTarget("no_tail", base.func, breakpoints=base.breakpoints,
+                              holder=base.holder)
+        res = stein_derivative(SteinRequest(0.3, no_tail, np.array([0.5, 3.0])))
+        assert np.all(np.isfinite(res.values)) and np.all(res.values > 0)
+        assert np.all(res.error_estimates == math.inf)
+
     @pytest.mark.parametrize("target", [
         propagator_target(-0.5, 1.0), _bessel_weighted(-0.5, 1.0, "propagator"),
         _bessel_weighted(-0.5, 1.0, "symbol")], ids=["propagator", "scan_propagator",
@@ -207,6 +216,17 @@ class TestPropagatorBound:
         rep = propagator_stein_bound(0.5, 0.5, (0.0,), (1.0,),
                                      QuadSpec(n_panels=256, y_max=100.0))
         assert rep.constant == 0.0
+
+    def test_negative_dispersion_power_envelope(self):
+        # alpha < 0 off the log case: envelope |t|^(b/(1+alpha)) + |t| |x|^(1+alpha-b)
+        alpha, b, ts, xs = -0.5, 0.3, (0.5, 1.0), (0.5, 2.0)
+        rep = propagator_stein_bound(alpha, b, ts, xs)
+        ratios = [stein_derivative(SteinRequest(b, propagator_target(alpha, t),
+                                                np.array([x]))).values[0]
+                  / (t ** (b / (1.0 + alpha)) + t * x ** (1.0 + alpha - b))
+                  for t in ts for x in xs]
+        assert rep.constant == pytest.approx(max(ratios), rel=1e-12)
+        assert rep.stable
 
     def test_log_corrected_branch(self):
         # 1 + alpha - b = 0: small-x bound switches to the log form
