@@ -5,8 +5,21 @@ The linear part is integrated exactly through its symbol
 mode keeps the real part, ``cos(t k |k|^alpha)``); the quadratic term is
 advanced with classical RK4 in the integrating-factor variable, which
 makes the stepper exact on the purely linear problem and globally fourth
-order otherwise.  A Picard iteration of the integral (Duhamel) form of
-the equation serves as an independent cross-validation oracle.
+order otherwise.  The stages run on the modes kept in the square, 0..top
+(top = n/3 under the 2/3 rule, n/2 without it); the modes above top never
+enter it and advance by the propagator alone.
+
+Every state is checked for non-finite values and, in a nonlinear run,
+against the CFL bound.  Rows, checkpoints, the final state and every
+state of a linear run are checked exactly, from their own inverse
+transform.  Any other state is checked once the next step has run, from
+that step's stage-1 field, which holds the state's kept modes; max|u| is
+then bounded by ``max|u_kept| + (2 sum_{top<m<n/2} |u_m| + |u_{n/2}|) / n``.
+The bound is never below max|u|, so the check can stop a run earlier,
+never later; without dealiasing it is exact.
+
+A Picard iteration of the integral (Duhamel) form of the equation serves
+as an independent cross-validation oracle.
 """
 
 from __future__ import annotations
@@ -200,26 +213,37 @@ def _propagators(grid: Grid, alpha: float, times) -> np.ndarray:
     return vals
 
 
-def _nonlinear_tables(grid: Grid, dealias: bool):
-    """Highest mode kept in the square, and -i k/2 times the 2/3-rule mask.
+def _nonlinear_factor(grid: Grid, dealias: bool) -> np.ndarray:
+    """-i k/2 on the modes kept in the square, 0..top.
 
-    The mask keeps modes m <= n/3; without dealiasing every mode is kept.
+    The 2/3 rule keeps m <= n/3; without dealiasing every mode is kept.
     """
-    m = np.arange(grid.n // 2 + 1)
-    keep = m <= grid.n // 3 if dealias else np.ones(m.size, dtype=bool)
-    return int(m[keep][-1]), -0.5 * multiplier_table(derivative_symbol(), grid) * keep
+    top = grid.n // 3 if dealias else grid.n // 2
+    return -0.5 * multiplier_table(derivative_symbol(), grid)[: top + 1]
 
 
-def _nonlinear_hat(uh: np.ndarray, n: int, top: int, dfac: np.ndarray) -> np.ndarray:
-    # modes above ``top`` are zero-padded away before squaring
-    u = scipy.fft.irfft(uh[: top + 1], n)
-    return dfac * scipy.fft.rfft(u * u)
+def _square_hat(u: np.ndarray, dfac: np.ndarray) -> np.ndarray:
+    """Kept modes of -(u^2)_x / 2, ``dfac`` as _nonlinear_factor gives it."""
+    return dfac * scipy.fft.rfft(u * u)[: dfac.size]
+
+
+def _sup_bound(u_kept: np.ndarray, uh: np.ndarray, keep: int) -> float:
+    """Upper bound on max|irfft(uh)| from ``u_kept = irfft(uh[:keep])``.
+
+    Each mode keep <= m < n/2 adds at most 2|u_m|/n to a sample, and the
+    Nyquist mode |u_{n/2}|/n; with every mode kept the bound is exact.
+    """
+    hi = np.abs(uh[keep:])
+    tail = 2.0 * np.sum(hi[:-1]) + hi[-1] if hi.size else 0.0
+    return float(np.max(np.abs(u_kept)) + tail / u_kept.size)
 
 
 class _Stepper:
     """Integrating-factor RK4 on the real-FFT half spectrum.
 
-    Every table a step needs is built here, once per run.
+    Every table a step needs is built here, once per run.  The stages run
+    on the modes kept in the square, 0..top; the modes above top never
+    enter it, so they advance by E2 alone.
     """
 
     def __init__(self, grid: Grid, alpha: float, dt: float, dealias: bool,
@@ -227,22 +251,41 @@ class _Stepper:
         self.n = grid.n
         self.dt = dt
         self.nonlinear = nonlinear
-        self.E, self.E2 = _propagators(grid, alpha, (0.5 * dt, dt))
-        self.top, self.dfac = _nonlinear_tables(grid, dealias)
+        self.dfac = _nonlinear_factor(grid, dealias)
+        self.keep = self.dfac.size
+        E, self.E2_all = _propagators(grid, alpha, (0.5 * dt, dt))
+        self.E, self.E2 = E[: self.keep], self.E2_all[: self.keep]
+        self.field = None        # stage 1's field: the kept modes of the last input
 
     def nhat(self, uh: np.ndarray) -> np.ndarray:
-        if not self.nonlinear:
-            return np.zeros_like(uh)
-        return _nonlinear_hat(uh, self.n, self.top, self.dfac)
+        """Kept modes of -(u^2)_x / 2, u made of the kept modes of ``uh``."""
+        return _square_hat(scipy.fft.irfft(uh[: self.keep], self.n), self.dfac)
 
     def step(self, uh: np.ndarray) -> np.ndarray:
-        dt, E, E2 = self.dt, self.E, self.E2
-        E2uh = E2 * uh
-        k1 = self.nhat(uh)
+        out = self.E2_all * uh
+        if not self.nonlinear:
+            return out
+        dt, E, E2, keep = self.dt, self.E, self.E2, self.keep
+        uh, E2uh = uh[:keep], out[:keep]
+        self.field = scipy.fft.irfft(uh, self.n)
+        k1 = _square_hat(self.field, self.dfac)
         k2 = self.nhat(E * (uh + 0.5 * dt * k1))
         k3 = self.nhat(E * uh + 0.5 * dt * k2)
         k4 = self.nhat(E2uh + dt * E * k3)
-        return E2uh + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+        out[:keep] = E2uh + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+        return out
+
+
+def _check_state(u_max: float, t: float, last_good: float, cfg: SimConfig, dx: float):
+    """Stop on a non-finite state, or, in a nonlinear run, on dt above the CFL
+    bound; ``u_max`` is max|u| or a bound above it."""
+    if not math.isfinite(u_max):      # NaN or inf when any sample or mode is
+        raise NumericError(f"state non-finite at t = {t:g}; last good t = {last_good:g}")
+    if cfg.nonlinear:
+        bound = cfl_bound(u_max, dx)
+        if cfg.dt > bound * (1.0 + 1e-12):
+            raise StepError(f"CFL violated at t = {t:g}: dt = {cfg.dt:g} > {bound:g}",
+                            suggested_dt=bound)
 
 
 def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = None) -> Trajectory:
@@ -281,23 +324,24 @@ def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = Non
     truncated = False
     reason = ""
     last_good = 0.0
+    unchecked = False        # the current state awaits the next step's stage-1 check
 
     for i in range(1, n_steps + 1):
-        uh = stepper.step(uh)
+        prev, uh = uh, stepper.step(uh)
+        if unchecked:
+            t_prev = (i - 1) * cfg.dt
+            _check_state(_sup_bound(stepper.field, prev, stepper.keep), t_prev,
+                         last_good, cfg, grid.dx)
+            last_good = t_prev
         t = i * cfg.dt
-        u = scipy.fft.irfft(uh, grid.n)
-        u_max = float(np.max(np.abs(u)))      # NaN or inf when any sample is
-        if not math.isfinite(u_max):
-            raise NumericError(f"state non-finite at t = {t:g}; last good t = {last_good:g}")
-        last_good = t
-        if cfg.nonlinear:
-            bound = cfl_bound(u_max, grid.dx)
-            if cfg.dt > bound * (1.0 + 1e-12):
-                raise StepError(
-                    f"CFL violated at t = {t:g}: dt = {cfg.dt:g} > {bound:g}",
-                    suggested_dt=bound)
         emit = (i % cfg.diag_every == 0) or (i == n_steps)
         checkpoint = cfg.store_every and (i % cfg.store_every == 0)
+        unchecked = cfg.nonlinear and not (emit or checkpoint)
+        if unchecked:
+            continue
+        u = scipy.fft.irfft(uh, grid.n)
+        _check_state(float(np.max(np.abs(u))), t, last_good, cfg, grid.dx)
+        last_good = t
         if not (emit or checkpoint):
             continue
         fld = Field(grid, u)
@@ -338,15 +382,17 @@ def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int,
     taus = np.linspace(0.0, t, n_quad + 1)
     fwd = _propagators(grid, cfg.alpha, taus)  # e^{tau L}
     bwd = _propagators(grid, cfg.alpha, -taus)
-    top, dfac = _nonlinear_tables(grid, cfg.dealias)
+    dfac = _nonlinear_factor(grid, cfg.dealias)
+    keep = dfac.size
     u0h = scipy.fft.rfft(u0.samples)
 
     iterate = fwd * u0h[None, :]               # linear evolution at every node
     prev_delta = None
     for _ in range(iterations if cfg.nonlinear else 0):
-        src = np.empty_like(iterate)
+        src = np.zeros_like(iterate)
         for j in range(n_quad + 1):
-            src[j] = bwd[j] * _nonlinear_hat(iterate[j], grid.n, top, dfac)
+            u = scipy.fft.irfft(iterate[j, :keep], grid.n)
+            src[j, :keep] = bwd[j, :keep] * _square_hat(u, dfac)
         # cumulative_simpson is real-only; integrate the parts separately
         acc = (cumulative_simpson(src.real, x=taus, axis=0, initial=0.0)
                + 1j * cumulative_simpson(src.imag, x=taus, axis=0, initial=0.0))

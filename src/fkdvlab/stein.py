@@ -75,7 +75,16 @@ def _cutoff_target(name: str, core: Callable, origin_holder: tuple,
     target is Lipschitz with constant ``lipschitz(|eta|)``.
     """
     def f(y):
-        return core(y) * flat_top_bump(y, 1.0)
+        # the bump is exactly 1 on |y| <= 1 and exactly 0 on |y| >= 2, so
+        # core is evaluated inside |y| < 2 and the bump only between
+        ay = np.abs(y)
+        inner = ay < 2.0
+        vals = core(y[inner])
+        ramp = ay[inner] > 1.0
+        vals[ramp] *= flat_top_bump(y[inner][ramp], 1.0)
+        out = np.zeros(np.shape(y), dtype=vals.dtype)
+        out[inner] = vals
+        return out
 
     def holder(eta):
         if abs(eta) < 1e-13:

@@ -13,7 +13,7 @@ from fkdvlab import (ConfigurationError, CutoffSpec, Field, InitialCondition,
                      MultiplierSymbol, SimConfig, apply_multiplier, linear_propagator,
                      make_grid)
 from fkdvlab.cli import _KEYS, parse_config, write_manifest
-from fkdvlab.solver import _Stepper
+from fkdvlab.solver import _Stepper, _sup_bound
 from fkdvlab.spectral import (bessel_symbol, derivative_symbol, dispersion_symbol,
                               frac_deriv_symbol, hilbert_symbol, lowpass_symbol)
 
@@ -128,12 +128,29 @@ def test_propagator_keeps_every_modulus_below_nyquist(f, alpha, t):
 def test_dealiased_quadratic_term_keeps_mean_and_l2(f):
     # <-(u^2)_x / 2, u> = -(1/6) integral (u^3)_x = 0 once the square is dealiased
     uh = scipy.fft.rfft(f.samples)
-    nh = _Stepper(f.grid, 0.5, 1e-3, dealias=True, nonlinear=True).nhat(uh)
+    stepper = _Stepper(f.grid, 0.5, 1e-3, dealias=True, nonlinear=True)
+    nh = np.zeros_like(uh)                  # nhat gives the kept modes only
+    nh[: stepper.keep] = stepper.nhat(uh)
     assert nh[0] == 0.0
     w = half_weights(f.grid.n)
     inner = np.sum(w * (np.conj(uh) * nh).real)
     scale = np.sqrt(np.sum(w * np.abs(uh) ** 2) * np.sum(w * np.abs(nh) ** 2))
     assert abs(inner) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=band_limited(), high=st.floats(1e-6, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+def test_stage1_bound_covers_the_dropped_modes(f, high, seed):
+    # the state check reads max|u| off stage 1's field, which holds modes
+    # 0..n/3, and adds the dropped modes' largest possible contribution
+    uh = scipy.fft.rfft(f.samples)
+    stepper = _Stepper(f.grid, 0.5, 1e-3, dealias=True, nonlinear=True)
+    rng = np.random.default_rng(seed)
+    m = uh.size - stepper.keep
+    uh[stepper.keep:] += high * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    stepper.step(uh)
+    u_max = np.max(np.abs(scipy.fft.irfft(uh, f.grid.n)))
+    assert _sup_bound(stepper.field, uh, stepper.keep) >= u_max
 
 
 config_values = st.one_of(

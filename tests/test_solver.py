@@ -8,7 +8,7 @@ from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      NumericError, SimConfig, StepError, l2_norm, linear_propagator,
                      make_grid, picard_oracle, solve)
 from fkdvlab.errors import OracleDivergenceError
-from fkdvlab.solver import _random_band, _Stepper, cfl_bound
+from fkdvlab.solver import _random_band, _Stepper, _sup_bound, cfl_bound
 
 
 def small_cfg(**kw):
@@ -298,6 +298,112 @@ class TestHalfSpectrumStepper:
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+# Diagnostics rows (t, i1, i2, i3, moment_x, max_u, min_ux, tail_frac) and
+# final samples of four short solves, recorded while every RK4 stage still
+# ran on the whole half spectrum and every step was checked by a full
+# inverse transform; rows at t = 0.04, 0.08 and 0.1 leave seven states to
+# the stage-1 check
+SOLVER_PINS = {
+    "alpha05": (dict(alpha=0.5), [
+        (0.0, 2.1699933516750036e-11, 0.3133285343288751, 0.38686979081310763,
+         -0.8862269253341268, 0.4228961538510806, -0.9999999997933967, 3.605307260621593e-18),
+        (0.04, 2.1699864127810997e-11, 0.3133285343275693, 0.3868697691873287,
+         -0.8793402717786822, 0.4216483352545228, -1.0208715038395273, 5.59567696724554e-08),
+        (0.08, 2.1699968211219556e-11, 0.31332853432604946, 0.3868697339279077,
+         -0.8724048416458428, 0.42708336815967113, -1.0012023218011727,
+         2.8102607303949833e-07),
+        (0.1, 2.1700002905689075e-11, 0.3133285343252046, 0.38686971173408113,
+         -0.8690395034481415, 0.43612042446644445, -1.0175370932669405,
+         4.871610420455064e-07),
+    ], [
+        -0.0011562637549762944, -0.00037653631307549285, -0.00033150423322886313,
+        -0.0014843030371969324, -0.0009017088828737752, -0.0012519094651714663,
+        -0.003153617654238508, -0.0023800285917733623, 0.0017707975340033322,
+        0.019834076731189032, 0.0762150963716722, 0.18185920950739437, 0.32128508233291253,
+        0.43612042446644445, 0.4103974156613809, 0.17477258067358553, -0.15607731531648145,
+        -0.37431104368262996, -0.4010641998670645, -0.31052728008675146,
+        -0.19332410914801026, -0.09790548532499989, -0.042801255274185976,
+        -0.01851353877332441, -0.007144572460570042, -0.0031657036225482826,
+        -0.0026910390477614954, -0.001076105030433816, -0.0006162173269733395,
+        -0.0013539781462009182, -0.00040658887817773826, -0.00024037929049430806]),
+    "alpha_m1": (dict(alpha=-1.0), [
+        (0.0, 2.1699933516750036e-11, 0.3133285343288751, 0.24160477067291591,
+         -0.8862269253341268, 0.4228961538510806, -0.9999999997933967, 3.605307260621593e-18),
+        (0.04, 2.1699864127810997e-11, 0.31332853432852187, 0.2416047754839364,
+         -0.8808880551828611, 0.4171963415695322, -1.0367223639040546, 5.7705384080133e-08),
+        (0.08, 2.1699968211219556e-11, 0.313328534328115, 0.2416047844221233,
+         -0.8740274621157076, 0.4113726395334847, -1.0723254974860057,
+         3.0227172447307486e-07),
+        (0.1, 2.1699898822280517e-11, 0.31332853432788954, 0.24160479058446818,
+         -0.870024368969051, 0.4084201072429688, -1.089507953412963, 5.345220007883971e-07),
+    ], [
+        0.0028090132724533506, 0.0024803744133642114, 0.003604076073862539,
+        0.0031372755539280928, 0.0030280270300582363, 0.004607972007117961,
+        0.004711777937916439, 0.006167400814943137, 0.013041714556234683,
+        0.028113167461456576, 0.06754145036481989, 0.14839058575950925, 0.26351776615679084,
+        0.3774060061160167, 0.4084201072429688, 0.2560684356125934, -0.05916723607216578,
+        -0.34794927425999733, -0.44547663501763396, -0.37044028317219135,
+        -0.2353335288155436, -0.1155114541635075, -0.03981013757899701,
+        -0.007916468467125577, 0.002070092950662409, 0.005395517677564479,
+        0.004342317559801731, 0.0034350420458434533, 0.004116641845427982,
+        0.0031207698784697646, 0.0025845525627657406, 0.00349493272203219]),
+    "no_dealias": (dict(alpha=0.5, dealias=False), [
+        (0.0, 2.1699933516750036e-11, 0.3133285343288751, 0.38686979081310763,
+         -0.8862269253341268, 0.4228961538510806, -0.9999999997933967, 3.605307260621593e-18),
+        (0.04, 2.1699968211219556e-11, 0.313328534542197, 0.38686979080904194,
+         -0.8796604329832558, 0.4212784602367483, -1.0239225980149276,
+         1.7409485293912333e-10),
+        (0.08, 2.1699898822280517e-11, 0.3133285163776156, 0.38686979080858375,
+         -0.8732170191667764, 0.4264009779140376, -1.0031678571236433,
+         1.6308493608209317e-09),
+        (0.1, 2.1699898822280517e-11, 0.3133284955032534, 0.38686979080874084,
+         -0.8700275188411757, 0.43479771658606814, -1.028161742905617, 2.247516249259069e-09),
+    ], [
+        -0.0005593413902624106, -0.0006258545324611953, -0.0006794647952859945,
+        -0.000882147680517309, -0.001134491691272957, -0.001689121805948296,
+        -0.0023958913363001932, -0.002740368235696653, 0.001315285337243302,
+        0.020764719637422394, 0.07571161539392406, 0.18124483021548352, 0.3227825796974576,
+        0.43479771658606814, 0.4105757015315695, 0.1758765870023395, -0.15780109927253427,
+        -0.37299187780131793, -0.40120561462611226, -0.3114664161303737,
+        -0.1922252435287094, -0.09825345501818392, -0.0433382326266481,
+        -0.01772627940632963, -0.00743177519707168, -0.0035835672931547186,
+        -0.002024982972571379, -0.0013487808005130109, -0.0009583657131684575,
+        -0.0007754991962837243, -0.0006306787548307768, -0.0006004855265203668]),
+    "linear": (dict(alpha=0.5, nonlinear=False), [
+        (0.0, 2.1699933516750036e-11, 0.3133285343288751, 0.38686979081310763,
+         -0.8862269253341268, 0.4228961538510806, -0.9999999997933967, 3.605307260621593e-18),
+        (0.04, 2.1699829433341478e-11, 0.3133285343288749, 0.3853702263685699,
+         -0.8859202920813514, 0.4166694272408386, -0.9856460149618139, 6.249901135525203e-11),
+        (0.08, 2.1699968211219556e-11, 0.3133285343288749, 0.3838752145941042,
+         -0.8857241586178011, 0.4325177605673188, -0.943635946399549, 3.366543635722269e-10),
+        (0.1, 2.1700002905689075e-11, 0.3133285343288749, 0.38313083237285595,
+         -0.8856673429509634, 0.4405470855059448, -0.9383370227681639, 6.275849816678009e-10),
+    ], [
+        -0.0005803319045820515, -0.0006150784009461563, -0.0007041913674276368,
+        -0.0008711645745426433, -0.0011671519475174724, -0.0016823289859130564,
+        -0.0024490755824292804, -0.002763163049221296, 0.0011774193726886428,
+        0.020847431196838198, 0.07758993211272426, 0.1896996568233751, 0.3380593539725292,
+        0.4405470855059448, 0.39148348585124737, 0.16263678210183355, -0.1414243623678561,
+        -0.3595646831685593, -0.40758181794347825, -0.32333984325368803,
+        -0.19920348297463325, -0.10068645685633573, -0.04400647777174836,
+        -0.017893017517927125, -0.007507635289289827, -0.003604213276369575,
+        -0.0020553615081863735, -0.0013496962983743088, -0.0009798665386945293,
+        -0.0007698005695263854, -0.00065043605791959, -0.0005915096625749572]),
+}
+
+
+@pytest.mark.parametrize("name", SOLVER_PINS)
+def test_solver_bits_pinned(name):
+    kw, rows, final = SOLVER_PINS[name]
+    cfg = SimConfig(dt=0.01, t_final=0.1, n=32, length=10.0, diag_every=4, tail_tol=1.0,
+                    ic=InitialCondition("odd_gaussian", (-1.0, 1.0)), **kw)
+    tr = solve(cfg)
+    got = [(r.t, r.i1, r.i2, r.i3, r.moment_x, r.max_u, r.min_ux, r.tail_frac)
+           for r in tr.diagnostics]
+    assert got == rows
+    assert tr.final.samples.tolist() == final
+
+
 class TestSolve:
     def test_zero_data(self):
         cfg = small_cfg(ic=InitialCondition("gaussian", (0.0, 1.0, 0.0)))
@@ -371,6 +477,66 @@ class TestSolve:
         monkeypatch.setattr(_Stepper, "step", nan_on_third)
         with pytest.raises(NumericError, match=r"at t = 0\.003; last good t = 0\.002$"):
             solve(small_cfg())
+
+    @pytest.mark.parametrize("mode", [1024 // 3 + 1, 512])
+    def test_nan_above_the_kept_modes_stops_the_run(self, monkeypatch, mode):
+        # the stage-1 field holds modes 0..n/3 only; the first dropped mode
+        # and the Nyquist mode reach the check through the bound's tail
+        step, calls = _Stepper.step, []
+
+        def nan_on_third(self, uh):
+            calls.append(1)
+            out = step(self, uh)
+            if len(calls) == 3:
+                out[mode] = np.nan
+            return out
+        monkeypatch.setattr(_Stepper, "step", nan_on_third)
+        with pytest.raises(NumericError, match=r"at t = 0\.003; last good t = 0\.002$"):
+            solve(small_cfg())
+
+    def test_cfl_violation_between_rows_carries_suggestion(self):
+        # dt sits on the initial bound; the first step raises max|u| and
+        # writes no row, so the next step's stage-1 field finds the violation
+        g = make_grid(1024, 50.0)
+        u0 = InitialCondition("odd_gaussian", (-3.0, 1.0)).build(g)
+        dt = cfl_bound(float(np.max(np.abs(u0.samples))), g.dx)
+        cfg = small_cfg(alpha=-1.0, n=1024, length=50.0, dt=dt, t_final=10 * dt,
+                        diag_every=100)
+        with pytest.raises(StepError, match=f"CFL violated at t = {cfg.dt:g}:") as exc:
+            solve(cfg, grid=g, u0=u0)
+        exact = cfl_bound(float(np.max(np.abs(one_step(u0, cfg)))), g.dx)
+        assert exc.value.suggested_dt <= exact
+        assert exc.value.suggested_dt == pytest.approx(exact, rel=1e-12)
+        assert cfg.dt > exc.value.suggested_dt
+
+    def test_stage1_bound_is_exact_without_dealiasing(self):
+        g = make_grid(64, 10.0)
+        uh = scipy.fft.rfft(_random_band(g, [3], 0.5, 20.0, 1.0)[0])
+        st = _Stepper(g, 0.5, 1e-3, dealias=False, nonlinear=True)
+        st.step(uh)
+        assert _sup_bound(st.field, uh, st.keep) == np.max(np.abs(scipy.fft.irfft(uh, g.n)))
+
+    def test_eight_transforms_per_step_without_a_row(self, monkeypatch):
+        counts = {"rfft": 0, "irfft": 0}
+
+        def counted(name):
+            fn = getattr(scipy.fft, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in counts:
+            monkeypatch.setattr(scipy.fft, name, counted(name))
+
+        def transforms(steps):
+            # rows only at t = 0 and at the end, whatever the step count
+            counts.update(rfft=0, irfft=0)
+            solve(small_cfg(t_final=steps * 1e-3, diag_every=1000))
+            return dict(counts)
+        short, long = transforms(10), transforms(20)
+        assert long["rfft"] - short["rfft"] == 4 * 10
+        assert long["irfft"] - short["irfft"] == 4 * 10
 
 
 class TestPicardOracle:
