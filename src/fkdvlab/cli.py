@@ -201,13 +201,13 @@ def write_manifest(out_dir: Path, cfg: SimConfig, command: str,
 
 
 def diagnostics_csv(records, weight_orders) -> str:
-    cols = ["t", "i1", "i2", "i3", "mean", "moment_x", "max_u", "min_ux",
+    cols = ["t", "i1", "i2", "i3", "moment_x", "max_u", "min_ux",
             "tail_frac"] + [f"w_{w:g}" for w in weight_orders]
     rows = [",".join(cols)]
     for r in records:
         base = [r.t, r.i1, r.i2,
                 r.i3 if r.i3 is not None else math.nan,
-                r.i1, r.moment_x, r.max_u, r.min_ux, r.tail_frac]
+                r.moment_x, r.max_u, r.min_ux, r.tail_frac]
         base += [r.wnorms[w] for w in weight_orders]
         rows.append(",".join(fmt(v) for v in base))
     return "\n".join(rows) + "\n"

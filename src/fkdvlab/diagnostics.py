@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigurationError, DomainError
 from .spectral import (Field, Grid, bessel, derivative_symbol, frac_deriv_symbol,
@@ -58,7 +57,7 @@ def invariants(f: Field, alpha: float, spectrum: Optional[np.ndarray] = None):
             require_zero_mean(f, alpha / 2.0)
     except DomainError as exc:
         return i1, i2, None, str(exc)
-    uh = scipy.fft.rfft(u) if spectrum is None else spectrum
+    uh = np.fft.rfft(u) if spectrum is None else spectrum
     half_sq = np.sum(_parseval_weights(f.grid, alpha) * (uh.real ** 2 + uh.imag ** 2))
     return i1, i2, float(half_sq - np.sum(u2 * u) * dx / 3.0), ""
 
@@ -242,9 +241,9 @@ def make_record(f: Field, t: float, alpha: float, weight_orders=(),
     (the time stepper) already holds it; otherwise it is computed here.
     """
     if spectrum is None:
-        spectrum = scipy.fft.rfft(f.samples)
+        spectrum = np.fft.rfft(f.samples)
     i1, i2, i3, reason = invariants(f, alpha, spectrum)
-    ux = scipy.fft.irfft(multiplier_table(derivative_symbol(), f.grid) * spectrum, f.grid.n)
+    ux = np.fft.irfft(multiplier_table(derivative_symbol(), f.grid) * spectrum, f.grid.n)
     return DiagnosticsRecord(
         t=t, i1=i1, i2=i2, i3=i3, i3_reason=reason,
         moment_x=moment_first(f),

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.fft
 
 from . import diagnostics as diag
 from .errors import (ConfigurationError, DomainError, NumericError,
@@ -105,7 +104,7 @@ def _random_band(grid: Grid, seeds, k_lo: float, k_hi: float, amp: float) -> np.
     for row, seed in zip(coeff, seeds):
         rng = np.random.default_rng(seed)
         row[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-    u = scipy.fft.irfft(coeff, grid.n, axis=-1)
+    u = np.fft.irfft(coeff, grid.n, axis=-1)
     norm = np.sqrt(np.sum(u ** 2, axis=-1) * grid.dx)
     if np.any(norm == 0):
         raise ConfigurationError(
@@ -199,7 +198,7 @@ def linear_propagator(f: Field, t: float, alpha: float) -> Field:
     """
     grid = f.grid
     sym = _propagators(grid, alpha, t)
-    out = scipy.fft.irfft(sym * scipy.fft.rfft(f.samples), grid.n)
+    out = np.fft.irfft(sym * np.fft.rfft(f.samples), grid.n)
     return Field(grid, out)
 
 
@@ -224,7 +223,7 @@ def _nonlinear_factor(grid: Grid, dealias: bool) -> np.ndarray:
 
 def _square_hat(u: np.ndarray, dfac: np.ndarray) -> np.ndarray:
     """Kept modes of -(u^2)_x / 2, ``dfac`` as _nonlinear_factor gives it."""
-    return dfac * scipy.fft.rfft(u * u)[: dfac.size]
+    return dfac * np.fft.rfft(u * u)[: dfac.size]
 
 
 def _sup_bound(u_kept: np.ndarray, uh: np.ndarray, keep: int) -> float:
@@ -259,7 +258,7 @@ class _Stepper:
 
     def nhat(self, uh: np.ndarray) -> np.ndarray:
         """Kept modes of -(u^2)_x / 2, u made of the kept modes of ``uh``."""
-        return _square_hat(scipy.fft.irfft(uh[: self.keep], self.n), self.dfac)
+        return _square_hat(np.fft.irfft(uh[: self.keep], self.n), self.dfac)
 
     def step(self, uh: np.ndarray) -> np.ndarray:
         out = self.E2_all * uh
@@ -267,7 +266,7 @@ class _Stepper:
             return out
         dt, E, E2, keep = self.dt, self.E, self.E2, self.keep
         uh, E2uh = uh[:keep], out[:keep]
-        self.field = scipy.fft.irfft(uh, self.n)
+        self.field = np.fft.irfft(uh, self.n)
         k1 = _square_hat(self.field, self.dfac)
         k2 = self.nhat(E * (uh + 0.5 * dt * k1))
         k3 = self.nhat(E * uh + 0.5 * dt * k2)
@@ -311,7 +310,7 @@ def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = Non
             f"initial tail fraction {tf0:.3e} already exceeds tail_tol {cfg.tail_tol:g}")
 
     stepper = _Stepper(grid, cfg.alpha, cfg.dt, cfg.dealias, cfg.nonlinear)
-    uh = scipy.fft.rfft(f0.samples)
+    uh = np.fft.rfft(f0.samples)
     n_steps = int(round(cfg.t_final / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_final) > 1e-8 * max(cfg.t_final, cfg.dt):
         raise ConfigurationError(
@@ -326,37 +325,40 @@ def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = Non
     last_good = 0.0
     unchecked = False        # the current state awaits the next step's stage-1 check
 
-    for i in range(1, n_steps + 1):
-        prev, uh = uh, stepper.step(uh)
-        if unchecked:
-            t_prev = (i - 1) * cfg.dt
-            _check_state(_sup_bound(stepper.field, prev, stepper.keep), t_prev,
-                         last_good, cfg, grid.dx)
-            last_good = t_prev
-        t = i * cfg.dt
-        emit = (i % cfg.diag_every == 0) or (i == n_steps)
-        checkpoint = cfg.store_every and (i % cfg.store_every == 0)
-        unchecked = cfg.nonlinear and not (emit or checkpoint)
-        if unchecked:
-            continue
-        u = scipy.fft.irfft(uh, grid.n)
-        _check_state(float(np.max(np.abs(u))), t, last_good, cfg, grid.dx)
-        last_good = t
-        if not (emit or checkpoint):
-            continue
-        fld = Field(grid, u)
-        if emit:
-            rec = diag.make_record(fld, t, cfg.alpha, cfg.weight_orders, spectrum=uh)
-            times.append(t)
-            records.append(rec)
-            if rec.tail_frac > cfg.tail_tol:
-                truncated = True
-                reason = (f"boundary tail fraction {rec.tail_frac:.3e} exceeded "
-                          f"tail_tol {cfg.tail_tol:g} at t = {t:g}")
-        if checkpoint or i == n_steps:
-            states[t] = fld
-        if truncated:
-            break
+    # an inf state awaiting its stage-1 check meets 0 * inf in the next
+    # step's stages; _check_state stops the run, so numpy need not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(1, n_steps + 1):
+            prev, uh = uh, stepper.step(uh)
+            if unchecked:
+                t_prev = (i - 1) * cfg.dt
+                _check_state(_sup_bound(stepper.field, prev, stepper.keep), t_prev,
+                             last_good, cfg, grid.dx)
+                last_good = t_prev
+            t = i * cfg.dt
+            emit = (i % cfg.diag_every == 0) or (i == n_steps)
+            checkpoint = cfg.store_every and (i % cfg.store_every == 0)
+            unchecked = cfg.nonlinear and not (emit or checkpoint)
+            if unchecked:
+                continue
+            u = np.fft.irfft(uh, grid.n)
+            _check_state(float(np.max(np.abs(u))), t, last_good, cfg, grid.dx)
+            last_good = t
+            if not (emit or checkpoint):
+                continue
+            fld = Field(grid, u)
+            if emit:
+                rec = diag.make_record(fld, t, cfg.alpha, cfg.weight_orders, spectrum=uh)
+                times.append(t)
+                records.append(rec)
+                if rec.tail_frac > cfg.tail_tol:
+                    truncated = True
+                    reason = (f"boundary tail fraction {rec.tail_frac:.3e} exceeded "
+                              f"tail_tol {cfg.tail_tol:g} at t = {t:g}")
+            if checkpoint or i == n_steps:
+                states[t] = fld
+            if truncated:
+                break
 
     final = states[max(states)]
     return Trajectory(np.asarray(times), records, states, final, truncated, reason)
@@ -384,14 +386,14 @@ def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int,
     bwd = _propagators(grid, cfg.alpha, -taus)
     dfac = _nonlinear_factor(grid, cfg.dealias)
     keep = dfac.size
-    u0h = scipy.fft.rfft(u0.samples)
+    u0h = np.fft.rfft(u0.samples)
 
     iterate = fwd * u0h[None, :]               # linear evolution at every node
     prev_delta = None
     for _ in range(iterations if cfg.nonlinear else 0):
         src = np.zeros_like(iterate)
         for j in range(n_quad + 1):
-            u = scipy.fft.irfft(iterate[j, :keep], grid.n)
+            u = np.fft.irfft(iterate[j, :keep], grid.n)
             src[j, :keep] = bwd[j, :keep] * _square_hat(u, dfac)
         # cumulative_simpson is real-only; integrate the parts separately
         acc = (cumulative_simpson(src.real, x=taus, axis=0, initial=0.0)
@@ -403,5 +405,5 @@ def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int,
                 f"Picard iterates diverging: update {delta:.3e} after {prev_delta:.3e}")
         prev_delta = delta
         iterate = new
-    out = scipy.fft.irfft(iterate[-1], grid.n)
+    out = np.fft.irfft(iterate[-1], grid.n)
     return Field(grid, out)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigurationError, DomainError, NumericError
 
@@ -121,7 +120,7 @@ def line_spectrum(f: Field) -> np.ndarray:
     Entry m approximates ``integral u(x) exp(-i k_m x) dx``; the factor
     exp(i k_m L/2) = (-1)^m accounts for node 0 sitting at -L/2.
     """
-    spec = f.grid.dx * scipy.fft.rfft(f.samples)
+    spec = f.grid.dx * np.fft.rfft(f.samples)
     spec[1::2] *= -1.0
     return spec
 
@@ -191,8 +190,8 @@ def multiplier_table(sym: MultiplierSymbol, grid: Grid) -> np.ndarray:
 
 def apply_to_samples(samples: np.ndarray, sym: MultiplierSymbol, grid: Grid) -> np.ndarray:
     """Apply a Hermitian multiplier along the last axis of real (..., n) samples."""
-    spec = scipy.fft.rfft(samples, axis=-1)
-    return scipy.fft.irfft(multiplier_table(sym, grid) * spec, grid.n, axis=-1)
+    spec = np.fft.rfft(samples, axis=-1)
+    return np.fft.irfft(multiplier_table(sym, grid) * spec, grid.n, axis=-1)
 
 
 def apply_multiplier(f: Field, sym: MultiplierSymbol) -> Field:

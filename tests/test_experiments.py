@@ -7,7 +7,7 @@ from fkdvlab import (ConfigurationError, DomainError, InitialCondition,
                      MetricEntry, SimConfig, make_grid, run_convergence,
                      run_decay_threshold, run_moment_law, run_symmetry_checks,
                      run_tstar, run_two_time_bh, run_wave_breaking, solve)
-from fkdvlab.experiments import _scaled_ic
+from fkdvlab.experiments import _scaled_ic, _simpson
 
 
 def cfg_for(alpha, **kw):
@@ -106,6 +106,43 @@ class TestTStar:
                           ic=InitialCondition("odd_gaussian", (-4.0, 1.0)))
             residuals.append(run_tstar(cfg).metrics["integral_residual"].measured)
         assert residuals[1] <= residuals[0] / 4.0
+
+    @pytest.mark.parametrize("dt", [2e-3, 5e-4])
+    def test_rows_form_an_odd_simpson_grid(self, monkeypatch, dt):
+        # 1,414 and 5,657 steps would give 708 and 2,830 rows at diag_every=2,
+        # where scipy's simpson switches to its even-count end correction
+        from scipy.integrate import simpson
+        seen = []
+
+        def spy(y, x):
+            seen.append((y, x))
+            return _simpson(y, x)
+        monkeypatch.setattr("fkdvlab.experiments._simpson", spy)
+        cfg = cfg_for(0.5, dt=dt, t_final=3.0, n=256, length=40.0, tail_tol=math.inf,
+                      ic=InitialCondition("odd_gaussian", (-4.0, 1.0)))
+        t_star = 2 * float(run_tstar(cfg).metrics["zero_crossing"].expected)
+        ((y, x),) = seen
+        assert x.size % 2 == 1
+        assert x[0] == 0.0 and x[-1] == pytest.approx(t_star, rel=1e-14)
+        assert _simpson(y, x) == simpson(y, x=x)
+
+    def test_truncated_solve_leaves_integral_residual_nan(self):
+        # the partial series would read a residual near 1 - t_end/t*,
+        # small for a late truncation, though the run never reached t*
+        run, kw, _ = TRUNCATING["tstar"]
+        rep = run(cfg_for(**kw))
+        assert rep.truncated
+        assert math.isnan(rep.metrics["integral_residual"].measured)
+        assert not rep.metrics["integral_residual"].passed
+
+
+def test_simpson_matches_scipy_on_uneven_nodes():
+    from scipy.integrate import simpson
+    rng = np.random.default_rng(5)
+    for size in (3, 5, 101, 2829):
+        x = np.cumsum(rng.uniform(0.1, 1.0, size)) - 0.3
+        y = rng.standard_normal(size)
+        assert _simpson(y, x) == simpson(y, x=x)
 
 
 class TestTwoTimeBH:

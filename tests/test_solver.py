@@ -520,14 +520,14 @@ class TestSolve:
         counts = {"rfft": 0, "irfft": 0}
 
         def counted(name):
-            fn = getattr(scipy.fft, name)
+            fn = getattr(np.fft, name)
 
             def wrapper(*args, **kwargs):
                 counts[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
         for name in counts:
-            monkeypatch.setattr(scipy.fft, name, counted(name))
+            monkeypatch.setattr(np.fft, name, counted(name))
 
         def transforms(steps):
             # rows only at t = 0 and at the end, whatever the step count

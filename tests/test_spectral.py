@@ -102,6 +102,20 @@ def test_src_uses_no_complex_fft():
     assert hits == []
 
 
+@pytest.mark.parametrize("n", [8, 12, 64, 100, 512, 1000, 1024, 3000, 4096, 8192,
+                               16384, 32768])
+def test_numpy_fft_matches_scipy_fft_bit_for_bit(n):
+    # the solver's bit pins were recorded with scipy.fft; both run pocketfft
+    import scipy.fft
+    u = np.random.default_rng(n).standard_normal((3, n))
+    spec = np.fft.rfft(u, axis=-1)
+    assert np.array_equal(spec, scipy.fft.rfft(u, axis=-1))
+    assert np.array_equal(np.fft.rfft(u[0]), scipy.fft.rfft(u[0]))
+    assert np.array_equal(np.fft.irfft(spec, n, axis=-1), scipy.fft.irfft(spec, n, axis=-1))
+    for half in (spec[0], spec[0, : n // 3 + 1]):      # full, and the kept modes padded
+        assert np.array_equal(np.fft.irfft(half, n), scipy.fft.irfft(half, n))
+
+
 class TestApplyMultiplier:
     def test_identity(self):
         g = trig_grid()
