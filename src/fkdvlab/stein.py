@@ -13,6 +13,10 @@ Hölder envelope (an infinite one makes the estimate infinite); the tail
 beyond |y| > y_max is added analytically when the target has exact
 constant limits, in the mean with a reported uncertainty when it
 oscillates, and otherwise left out with an infinite estimate.
+
+Only :func:`stein_derivative` computes error estimates, which cost a
+second, half-panel quadrature per point.  The slope fits, the propagator
+bound and the non-membership scans read values alone and skip it.
 """
 
 from __future__ import annotations
@@ -248,20 +252,18 @@ def _inner_sq_bound(target: SteinTarget, eta: float, b: float, delta: float) -> 
     return 2.0 * const ** 2 * delta ** (2.0 * (gamma - b)) / (2.0 * (gamma - b))
 
 
-def stein_derivative(req: SteinRequest) -> SteinResult:
-    """Evaluate the square-function derivative at the requested points.
+def _n_dyadic(req: SteinRequest) -> int:
+    """Dyadic panels per centre of the full rule; the refinement rule uses half."""
+    return max(8, req.quad.n_panels // (2 * (1 + len(req.target.breakpoints))))
 
-    error_estimates combine panel-refinement differences, the excluded
-    inner ball, and any non-exact tail; an infinite inner-ball bound (no
-    Hölder pair, or exponent <= b) or a target with neither tail model
-    makes the estimate infinite.  Requests at a pointwise non-Hölder
-    point of the target are rejected.
-    """
+
+def _points(req: SteinRequest):
+    """Per evaluation point: (eta, delta, f(eta), full-panel quadrature, tail
+    uncertainty, value).  Requests at a pointwise non-Hölder point of the
+    target are rejected."""
     b, target, quad = req.b, req.target, req.quad
-    n_dyadic = max(8, quad.n_panels // (2 * (1 + len(target.breakpoints))))
-    values = np.empty(req.eval_points.size)
-    errors = np.empty(req.eval_points.size)
-    for i, eta in enumerate(req.eval_points):
+    n_dyadic = _n_dyadic(req)
+    for eta in req.eval_points:
         for bad in target.nonholder:
             if abs(eta - bad) < 1e-13:
                 raise DomainError(
@@ -269,13 +271,36 @@ def stein_derivative(req: SteinRequest) -> SteinResult:
         delta = INNER_RADIUS * max(abs(eta), INNER_FLOOR)
         fe = complex(target.func(np.asarray([eta]))[0])
         full = _quad_sq(target, eta, fe, b, delta, quad.y_max, n_dyadic)
-        coarse = _quad_sq(target, eta, fe, b, delta, quad.y_max, n_dyadic // 2)
         tail_add, tail_unc = _tail_sq(target, eta, fe, b, quad.y_max)
-        sq = full + tail_add
-        values[i] = math.sqrt(max(sq, 0.0))
+        yield eta, delta, fe, full, tail_unc, math.sqrt(max(full + tail_add, 0.0))
+
+
+def _stein_values(req: SteinRequest) -> np.ndarray:
+    """The values of :func:`stein_derivative`, without the refinement
+    quadrature that only its error estimates need."""
+    return np.array([p[-1] for p in _points(req)])
+
+
+def stein_derivative(req: SteinRequest) -> SteinResult:
+    """Evaluate the square-function derivative at the requested points.
+
+    error_estimates combine panel-refinement differences (a second,
+    half-panel quadrature per point), the excluded inner ball, and any
+    non-exact tail; an infinite inner-ball bound (no Hölder pair, or
+    exponent <= b) or a target with neither tail model makes the
+    estimate infinite.  Requests at a pointwise non-Hölder point of the
+    target are rejected.
+    """
+    b, target, quad = req.b, req.target, req.quad
+    n_coarse = _n_dyadic(req) // 2
+    values = np.empty(req.eval_points.size)
+    errors = np.empty(req.eval_points.size)
+    for i, (eta, delta, fe, full, tail_unc, value) in enumerate(_points(req)):
+        coarse = _quad_sq(target, eta, fe, b, delta, quad.y_max, n_coarse)
+        values[i] = value
         err_sq = abs(full - coarse) + tail_unc + _inner_sq_bound(target, eta, b, delta)
         # convert the squared-scale uncertainty to the value scale
-        errors[i] = 0.5 * err_sq / values[i] if values[i] > 0 else math.sqrt(err_sq)
+        errors[i] = 0.5 * err_sq / value if value > 0 else math.sqrt(err_sq)
     return SteinResult(values, errors)
 
 
@@ -305,7 +330,7 @@ def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
     pts = req.eval_points
     if pts.size < 6:
         raise ConfigurationError("slope fits need at least 6 evaluation points")
-    res = stein_derivative(req)
+    values = _stein_values(req)
     beta = req.target.power
     theta = req.b
     log_branch = False
@@ -323,7 +348,7 @@ def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
 
     if log_branch:
         # squared values against -log eta must be an increasing line
-        sq = res.values ** 2
+        sq = values ** 2
         A = np.vstack([-np.log(np.abs(pts)), np.ones_like(pts)]).T
         coef, *_ = np.linalg.lstsq(A, sq, rcond=None)
         pred = A @ coef
@@ -332,7 +357,7 @@ def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
         detected = bool(coef[0] > 0 and r2 > 0.99)
         return SlopeFit(math.nan, math.nan, detected, 1.0 - r2, detected)
 
-    logx, logy = np.log(np.abs(pts)), np.log(res.values)
+    logx, logy = np.log(np.abs(pts)), np.log(values)
     slope, intercept = np.polyfit(logx, logy, 1)
     pred = slope * logx + intercept
     scale = float(np.std(logy)) or 1.0
@@ -385,8 +410,8 @@ def propagator_stein_bound(alpha: float, b: float, t_list: Sequence[float],
         if t == 0:
             continue
         target = propagator_target(alpha, t)
-        v1 = stein_derivative(SteinRequest(b, target, x_list, quad)).values
-        v2 = stein_derivative(SteinRequest(b, target, x_list, quad2)).values
+        v1 = _stein_values(SteinRequest(b, target, x_list, quad))
+        v2 = _stein_values(SteinRequest(b, target, x_list, quad2))
         for x, s1, s2 in zip(x_list, v1, v2):
             env = _propagator_envelope(alpha, b, t, x)
             best = max(best, s1 / env)
@@ -439,6 +464,12 @@ def nonmembership_scan(alpha: float, t: float, s_order: float,
     propagator (alpha < 0 branch, local derivative used when the order
     hits exactly 1), while 1/2 + alpha probes the damped symbol
     |xi|^alpha (0 < alpha < 1/2 branch).
+
+    Only eta > 0 is evaluated, and the two sides add 2 S(eta)^2.  Both
+    targets satisfy f(-xi) = conj f(xi), their cut-off depends on |xi|
+    and their breakpoints (0, +-1, +-2) are symmetric, so the quadrature
+    panels about -eta mirror those about eta and S(-eta) = S(eta) up to
+    the order of summation; the same holds for |f'| on the local branch.
     """
     eps = np.sort(np.asarray(eps_list, dtype=float))[::-1]
     if eps.size < 3:
@@ -455,14 +486,14 @@ def nonmembership_scan(alpha: float, t: float, s_order: float,
     target = _bessel_weighted(alpha, t, kind)
     etas = np.geomspace(eps[-1], 1.0, SCAN_POINTS)
     if abs(s_order - 1.0) < 1e-12:
-        dens = _local_derivative_density(target, etas)
+        one_side = _local_derivative_sq(target, etas)
     else:
         if not (0 < s_order < 1):
             raise ConfigurationError(
                 f"scan order {s_order:g} outside (0,1); only order 1 has a local branch")
-        req_p = SteinRequest(s_order, target, etas, quad)
-        req_m = SteinRequest(s_order, target, -etas, quad)
-        dens = stein_derivative(req_p).values ** 2 + stein_derivative(req_m).values ** 2
+        one_side = _stein_values(SteinRequest(s_order, target, etas, quad)) ** 2
+    # the density at -eta equals the one at eta (see the docstring)
+    dens = 2.0 * one_side
     q2 = np.empty(eps.size)
     for i, e in enumerate(eps):
         m = etas >= e * 0.9999
@@ -479,13 +510,13 @@ def nonmembership_scan(alpha: float, t: float, s_order: float,
     return GrowthTable(c, residual, divergent)
 
 
-def _local_derivative_density(target: SteinTarget, etas: np.ndarray) -> np.ndarray:
+def _local_derivative_sq(target: SteinTarget, etas: np.ndarray) -> np.ndarray:
+    """|f'(eta)|^2 by central differences at the (positive) scan points."""
     out = np.empty(etas.size)
     for i, e in enumerate(etas):
         h = 1e-7 * max(e, 1e-7)
-        dp = (target.func(np.asarray([e + h]))[0] - target.func(np.asarray([e - h]))[0]) / (2 * h)
-        dm = (target.func(np.asarray([-e + h]))[0] - target.func(np.asarray([-e - h]))[0]) / (2 * h)
-        out[i] = abs(dp) ** 2 + abs(dm) ** 2
+        d = (target.func(np.asarray([e + h]))[0] - target.func(np.asarray([e - h]))[0]) / (2 * h)
+        out[i] = abs(d) ** 2
     return out
 
 

@@ -97,15 +97,24 @@ class TestTStar:
         with pytest.raises(ConfigurationError, match="horizon"):
             run_tstar(cfg)
 
-    def test_residual_order_two_in_dt(self):
-        # at least quadratic decrease while stepping and quadrature
-        # dominate (the box-flux floor sits near 3e-5 at this resolution)
-        residuals = []
-        for dt in (4e-3, 2e-3):
+    def test_residual_step_error_fourth_order_in_dt(self, monkeypatch):
+        # the signed residual is a box-flux floor (near +2.6e-5 here) plus a
+        # step error of the other sign, so its magnitude need not shrink with
+        # dt; successive differences cancel the floor and leave the step error
+        integrals = []
+
+        def spy(y, x):
+            integrals.append(_simpson(y, x))
+            return integrals[-1]
+        monkeypatch.setattr("fkdvlab.experiments._simpson", spy)
+        signed = []
+        for dt in (4e-3, 2e-3, 1e-3):
             cfg = cfg_for(0.5, dt=dt, t_final=3.0, tail_tol=1e-6,
                           ic=InitialCondition("odd_gaussian", (-4.0, 1.0)))
-            residuals.append(run_tstar(cfg).metrics["integral_residual"].measured)
-        assert residuals[1] <= residuals[0] / 4.0
+            measured = run_tstar(cfg).metrics["integral_residual"].measured
+            signed.append(math.copysign(measured, integrals[-1]))
+        d_coarse, d_fine = signed[0] - signed[1], signed[1] - signed[2]
+        assert d_coarse / d_fine >= 16.0
 
     @pytest.mark.parametrize("dt", [2e-3, 5e-4])
     def test_rows_form_an_odd_simpson_grid(self, monkeypatch, dt):
@@ -198,6 +207,15 @@ class TestDecayThreshold:
         assert "critical_norm_convergence" in rep.metrics
         assert rep.metrics["critical_norm_convergence"].passed
         assert rep.metrics["tail_exponent"].measured == pytest.approx(3.5, abs=0.15)
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_nonlinear_flag_noted_not_applied(self, nonlinear):
+        cfg = cfg_for(0.5, nonlinear=nonlinear,
+                      ic=InitialCondition("gaussian", (1.0, 1.0, 0.0)))
+        rep = run_decay_threshold(cfg, [], [100.0, 200.0])
+        noted = [n for n in rep.notes if "not applied" in n]
+        assert noted == (["nonlinear = true is not applied: decay-threshold "
+                          "evolves the free (linear) flow"] if nonlinear else [])
 
     def test_projected_shelf_rejected(self):
         cfg = cfg_for(0.5, ic=InitialCondition("gaussian", (1.0, 1.0, 0.0), True))

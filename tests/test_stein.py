@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      power_cutoff, propagator_stein_bound, sign_propagator,
                      signed_power_cutoff, stein_derivative, stein_slope_fit,
                      truncated_weight, weight_target)
+from fkdvlab import stein
 from fkdvlab.stein import (_bessel_weighted, _probe_ratios, probe_ensemble,
                            propagator_target)
 
@@ -198,6 +200,17 @@ class TestSlopeFits:
         fit = stein_slope_fit(req, "small_eta")
         assert fit.fitted_slope == pytest.approx(-0.3, abs=0.05)
 
+    @pytest.mark.parametrize("b,beta,pts,regime", [
+        (0.5, 0.2, np.geomspace(1e-5, 1e-3, 7), "small_eta"),
+        (0.5, 0.6, np.geomspace(5.0, 80.0, 7), "large_eta"),
+        (0.4, 0.4, np.geomspace(1e-6, 1e-3, 8), "small_eta")],
+        ids=["power", "large", "log"])
+    def test_fit_reads_stein_derivative_values(self, monkeypatch, b, beta, pts, regime):
+        req = SteinRequest(b, power_cutoff(beta), pts)
+        fit = stein_slope_fit(req, regime)
+        monkeypatch.setattr(stein, "_stein_values", lambda r: stein_derivative(r).values)
+        np.testing.assert_equal(astuple(fit), astuple(stein_slope_fit(req, regime)))
+
     def test_needs_six_points(self):
         req = SteinRequest(0.5, power_cutoff(0.2), np.geomspace(1e-4, 1e-3, 4))
         with pytest.raises(ConfigurationError):
@@ -228,6 +241,13 @@ class TestPropagatorBound:
         assert rep.constant == pytest.approx(max(ratios), rel=1e-12)
         assert rep.stable
 
+    def test_constant_reads_stein_derivative_values(self, monkeypatch):
+        args = (0.5, 0.5, (0.5, 1.0, 2.0), (0.1, 1.0, 10.0),
+                QuadSpec(n_panels=512, y_max=200.0))
+        rep = propagator_stein_bound(*args)
+        monkeypatch.setattr(stein, "_stein_values", lambda r: stein_derivative(r).values)
+        assert rep == propagator_stein_bound(*args)
+
     def test_log_corrected_branch(self):
         # 1 + alpha - b = 0: small-x bound switches to the log form
         rep = propagator_stein_bound(-0.5, 0.5, (1.0,), (0.01, 0.1),
@@ -254,6 +274,28 @@ class TestNonmembership:
     def test_local_derivative_branch(self):
         table = nonmembership_scan(-0.5, 1.0, 1.0, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4))
         assert table.divergent
+
+    @pytest.mark.parametrize("alpha,t,kind,b", [
+        (-0.7, 1.0, "propagator", 0.8), (0.5, 1.0, "propagator", 0.3),
+        (0.3, 0.0, "symbol", 0.8), (-0.5, 0.0, "symbol", 0.3)])
+    def test_scan_targets_mirror_symmetric(self, alpha, t, kind, b):
+        # the one-sided scan counts S(eta) twice for S(eta)^2 + S(-eta)^2
+        etas = np.geomspace(1e-5, 1.0, 6)
+        target = _bessel_weighted(alpha, t, kind)
+        plus = stein_derivative(SteinRequest(b, target, etas, SCAN_QUAD)).values
+        minus = stein_derivative(SteinRequest(b, target, -etas, SCAN_QUAD)).values
+        np.testing.assert_allclose(minus, plus, rtol=1e-14, atol=0)
+
+    # (fitted_c, residual) recorded when both sides of the origin were evaluated
+    @pytest.mark.parametrize("alpha,t,order,fitted_c,residual", [
+        (-0.7, 1.0, 0.8, 6.225448776651367, 0.0078103772251598615),
+        (-0.5, 1.0, 1.0, 0.5142026879834458, 0.0080923177271481),
+        (0.3, 0.0, 0.8, 1.6152698483707353, 0.007727298415707444)])
+    def test_criterion_7_scans_pinned(self, alpha, t, order, fitted_c, residual):
+        table = nonmembership_scan(alpha, t, order,
+                                   (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5))
+        assert table.fitted_c == pytest.approx(fitted_c, rel=1e-12, abs=0)
+        assert table.residual == pytest.approx(residual, rel=1e-12, abs=0)
 
     def test_order_must_match_a_scan(self):
         with pytest.raises(ConfigurationError, match="order"):
