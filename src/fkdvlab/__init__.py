@@ -5,9 +5,8 @@ __version__ = "0.1.0"
 from .errors import (ConfigurationError, DomainError, NumericError,
                      OracleDivergenceError, StepError)
 from .spectral import (CutoffSpec, Field, Grid, MultiplierSymbol, apply_multiplier,
-                       bessel, coordinate_multiply, frac_deriv, hilbert, integrate,
-                       l2_norm, line_spectrum, make_grid, projector_low,
-                       truncated_weight)
+                       coordinate_multiply, frac_deriv, integrate, l2_norm,
+                       line_spectrum, make_grid, truncated_weight)
 from .solver import (InitialCondition, SimConfig, Trajectory, linear_propagator,
                      picard_oracle, solve)
 from .diagnostics import (DecayFit, DiagnosticsRecord, decay_fit,

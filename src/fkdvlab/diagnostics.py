@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import (Field, Grid, bessel, derivative_symbol, frac_deriv_symbol,
-                       integrate, is_zero_mean, l2_norm, line_spectrum,
-                       multiplier_table, require_zero_mean, truncated_weight)
+from .spectral import (Field, Grid, apply_multiplier, bessel_symbol, derivative_symbol,
+                       frac_deriv_symbol, l2_norm, line_spectrum, multiplier_table,
+                       require_zero_mean, truncated_weight)
 
 #: fits are rejected above this (relative rms) log-log residual
 FIT_RESIDUAL_MAX = 0.05
@@ -54,7 +54,7 @@ def invariants(f: Field, alpha: float, spectrum: Optional[np.ndarray] = None):
     i2 = float(np.sum(u2) * dx)
     try:
         if alpha < 0:
-            require_zero_mean(f, alpha / 2.0)
+            require_zero_mean(f, f"negative-order derivative (s={alpha / 2.0:g})")
     except DomainError as exc:
         return i1, i2, None, str(exc)
     uh = np.fft.rfft(u) if spectrum is None else spectrum
@@ -90,8 +90,8 @@ def weighted_norm(f: Field, r: float, weight: str = "exact",
     weight = "exact" uses (1+x^2)^(r/2); weight = "truncated" uses the
     smooth bounded surrogate with parameter ``n_w``.
     """
-    if r < 0:
-        raise ConfigurationError(f"weight order must be >= 0, got {r}")
+    if not (0 <= r < math.inf):
+        raise ConfigurationError(f"weight order must be >= 0 and finite, got {r}")
     if weight == "exact":
         w2r = (1.0 + f.grid.x ** 2) ** r
     elif weight == "truncated":
@@ -103,7 +103,7 @@ def weighted_norm(f: Field, r: float, weight: str = "exact",
 
 def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm through the Bessel symbol <k>^s."""
-    return l2_norm(bessel(f, s))
+    return l2_norm(apply_multiplier(f, bessel_symbol(s)))
 
 
 def tail_mass(f: Field, radius: float) -> float:
@@ -215,22 +215,15 @@ def interpolation_probe(f: Field, a: float, b: float, theta1: float) -> float:
     return lhs / (den_w ** (1.0 - theta1) * den_s ** theta1)
 
 
-def spectral_jump(f: Field, refine: bool = False) -> complex:
-    """One-sided difference quotient m_plus of u_hat at 0+.
+def spectral_jump(f: Field) -> complex:
+    """One-sided difference quotient m_plus of u_hat at 0+, by the 3-point
+    formula (4 u_hat(k1) - u_hat(2 k1)) / (2 k1), whose error is O(k1^2).
 
-    For real fields the quotient at 0- is -conj(m_plus).  ``refine``
-    switches to the 3-point one-sided formula
-    (4 u_hat(k1) - u_hat(2 k1)) / (2 k1).
+    For real fields the quotient at 0- is -conj(m_plus).
     """
-    mean = integrate(f)
-    if not is_zero_mean(mean, l2_norm(f)):
-        raise DomainError(
-            f"jump estimator needs zero mean; u_hat(0) = {mean:.3e}")
+    require_zero_mean(f, "jump estimator")
     c = line_spectrum(f)
-    k1 = f.grid.k[1]
-    if refine:
-        return complex((4.0 * c[1] - c[2]) / (2.0 * k1))
-    return complex(c[1] / k1)
+    return complex((4.0 * c[1] - c[2]) / (2.0 * f.grid.k[1]))
 
 
 def make_record(f: Field, t: float, alpha: float, weight_orders=(),

@@ -20,17 +20,17 @@ import numpy as np
 
 from . import diagnostics as diag
 from .errors import ConfigurationError, DomainError
-from .solver import (InitialCondition, SimConfig, Trajectory, linear_propagator,
-                     picard_oracle, solve)
+from .solver import (InitialCondition, SimConfig, Trajectory, _step_count,
+                     linear_propagator, picard_oracle, solve)
 from .spectral import (Field, apply_multiplier, coordinate_multiply,
                        dispersion_symbol, frac_deriv, integrate, is_zero_mean,
-                       l2_norm, line_spectrum)
+                       l2_norm, line_spectrum, require_zero_mean)
 
 
 @dataclass
 class MetricEntry:
-    """One falsifiable number; ``mode`` is 'abs' (|m-e| <= tol),
-    'le' (m <= e + tol) or 'ge' (m >= e - tol)."""
+    """One falsifiable number; ``mode`` is 'abs' (|m-e| <= tol) or
+    'le' (m <= e + tol)."""
 
     measured: float
     expected: float
@@ -43,8 +43,6 @@ class MetricEntry:
             ok = abs(self.measured - self.expected) <= self.tolerance
         elif self.mode == "le":
             ok = self.measured <= self.expected + self.tolerance
-        elif self.mode == "ge":
-            ok = self.measured >= self.expected - self.tolerance
         else:
             raise ConfigurationError(f"unknown metric mode '{self.mode}'")
         self.passed = bool(ok)
@@ -75,13 +73,6 @@ class ExperimentReport:
 _MEAN_TOL = 1e-10                # relative mean tolerance of campaign data
 
 
-def _require_zero_mean(u0: Field, what: str):
-    mean = integrate(u0)
-    if not is_zero_mean(mean, l2_norm(u0), _MEAN_TOL):
-        raise DomainError(
-            f"{what} assumes zero-mean data; u_hat(0) = {mean:.3e}")
-
-
 def _rel_err(u: np.ndarray, ref: np.ndarray) -> float:
     scale = np.linalg.norm(ref)
     return float(np.linalg.norm(u - ref) / scale) if scale > 0 else math.nan
@@ -103,10 +94,9 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
         raise DomainError(
             "the moment production law holds for -1 < alpha < 1, alpha != 0; "
             f"got alpha = {cfg.alpha}")
-    grid = cfg.grid()
-    u0 = cfg.ic.build(grid)
-    _require_zero_mean(u0, "moment law")
-    traj = solve(cfg, grid=grid, u0=u0)
+    u0 = cfg.ic.build(cfg.grid())
+    require_zero_mean(u0, "moment law", _MEAN_TOL)
+    traj = solve(cfg, u0)
     m0 = traj.diagnostics[0].moment_x
     l2sq = traj.diagnostics[0].i2
     devs = [abs(r.moment_x - (m0 + 0.5 * l2sq * r.t)) for r in traj.diagnostics]
@@ -154,9 +144,8 @@ def run_tstar(cfg: SimConfig) -> ExperimentReport:
     and the moment's zero crossing, expected at t*/2 (1e-3).  A truncated
     solve never reaches t*, so its residual is NaN.
     """
-    grid = cfg.grid()
-    u0 = cfg.ic.build(grid)
-    _require_zero_mean(u0, "sharp-time run")
+    u0 = cfg.ic.build(cfg.grid())
+    require_zero_mean(u0, "sharp-time run", _MEAN_TOL)
     m0 = diag.moment_first(u0)
     l2sq = diag.invariants(u0, cfg.alpha)[1]
     t_star = -4.0 * m0 / l2sq
@@ -172,7 +161,7 @@ def run_tstar(cfg: SimConfig) -> ExperimentReport:
     n_steps += -n_steps % 4
     dt_eff = t_star / n_steps
     run_cfg = replace(cfg, dt=dt_eff, t_final=t_star, diag_every=2)
-    traj = solve(run_cfg, grid=grid, u0=u0)
+    traj = solve(run_cfg, u0)
     ts = np.array([r.t for r in traj.diagnostics])
     ms = np.array([r.moment_x for r in traj.diagnostics])
     residual = (math.nan if traj.truncated
@@ -198,12 +187,12 @@ def run_tstar(cfg: SimConfig) -> ExperimentReport:
 # constant-frequency (alpha = -1) jump evolution
 
 
-def _states_at(cfg: SimConfig, grid, u0: Field, times: Sequence[float]) -> tuple:
-    idx = [int(round(t / cfg.dt)) for t in times]
+def _states_at(cfg: SimConfig, u0: Field, times: Sequence[float]) -> tuple:
+    idx = [_step_count(t, cfg.dt, "time") for t in times]
     cadence = math.gcd(*idx) if idx else 1
     run_cfg = replace(cfg, store_every=max(cadence, 1),
                       t_final=max(times), diag_every=max(cadence, 1))
-    traj = solve(run_cfg, grid=grid, u0=u0)
+    traj = solve(run_cfg, u0)
     out = {}
     for t in times:
         key = min(traj.states, key=lambda s: abs(s - t))
@@ -233,12 +222,11 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
     times = sorted({t for t in (t1, t2) if t > 0})
     for scale in (1, 2):
         sc_cfg = replace(cfg, n=cfg.n * scale, length=cfg.length * scale)
-        grid = sc_cfg.grid()
-        u0 = cfg.ic.build(grid)
-        _require_zero_mean(u0, "two-time identity run")
-        states, runs[f"L={sc_cfg.length:g}"] = _states_at(sc_cfg, grid, u0, times)
+        u0 = cfg.ic.build(sc_cfg.grid())
+        require_zero_mean(u0, "two-time identity run", _MEAN_TOL)
+        states, runs[f"L={sc_cfg.length:g}"] = _states_at(sc_cfg, u0, times)
         at = {0.0: u0, **states}             # keyed by 0, t1 and t2
-        jumps[scale] = {t: diag.spectral_jump(f, refine=True) for t, f in at.items()}
+        jumps[scale] = {t: diag.spectral_jump(f) for t, f in at.items()}
         if scale == 1:
             i2 = diag.invariants(u0, cfg.alpha)[1]
         else:                                # the identity reads the larger box
@@ -423,7 +411,7 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     u0 = cfg.ic.build(grid)
     if alpha < 0:
         # negative-order derivatives below act on the zero-mean class only
-        _require_zero_mean(u0, "symmetry checks")
+        require_zero_mean(u0, "symmetry checks", _MEAN_TOL)
 
     # (a) two solver runs compared through the scaling map
     ic2 = _scaled_ic(cfg.ic, lam, alpha)
@@ -432,9 +420,9 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
         raise ConfigurationError("rescaled data does not fit the box")
     T1 = cfg.t_final
     T2 = T1 / lam ** (1.0 + alpha)
-    traj1 = solve(replace(cfg, t_final=T1), grid=grid, u0=u0)
+    traj1 = solve(replace(cfg, t_final=T1), u0)
     dt2 = T2 / max(1, int(round(T2 / cfg.dt)))
-    traj2 = solve(replace(cfg, ic=ic2, t_final=T2, dt=dt2), grid=grid, u0=u0_scaled)
+    traj2 = solve(replace(cfg, ic=ic2, t_final=T2, dt=dt2), u0_scaled)
     runs = {"original": traj1, "rescaled": traj2}
     scale_res = math.nan           # the end states are compared at matched times only
     if not (traj1.truncated or traj2.truncated):
@@ -501,10 +489,9 @@ def run_wave_breaking(cfg: SimConfig) -> ExperimentReport:
     if not (-1.0 <= cfg.alpha < -1.0 / 3.0):
         raise ConfigurationError(
             f"breaking range is -1 <= alpha < -1/3, got {cfg.alpha}")
-    grid = cfg.grid()
-    u0 = cfg.ic.build(grid)
-    _require_zero_mean(u0, "wave-breaking run")
-    traj = solve(cfg, grid=grid, u0=u0)
+    u0 = cfg.ic.build(cfg.grid())
+    require_zero_mean(u0, "wave-breaking run", _MEAN_TOL)
+    traj = solve(cfg, u0)
     ts, gs = _grad_sup_series(traj)
     g0 = gs[0]
     onset = _onset_time(ts, gs, 10.0 * g0)
@@ -512,10 +499,10 @@ def run_wave_breaking(cfg: SimConfig) -> ExperimentReport:
     if traj.truncated and math.isnan(onset):
         notes.append("INCONCLUSIVE: tail contamination before gradient growth")
     half = replace(cfg, dt=0.5 * cfg.dt, diag_every=2 * cfg.diag_every)
-    traj_h = solve(half, grid=grid, u0=u0)
+    traj_h = solve(half, u0)
     ts_h, gs_h = _grad_sup_series(traj_h)
     onset_h = _onset_time(ts_h, gs_h, 10.0 * g0)
-    control = solve(replace(cfg, alpha=0.5), grid=grid, u0=u0)
+    control = solve(replace(cfg, alpha=0.5), u0)
     _, gs_c = _grad_sup_series(control)
     growth_c = float(np.max(gs_c) / g0)
 
@@ -545,13 +532,12 @@ def run_convergence(cfg: SimConfig) -> ExperimentReport:
     ``nonlinear = false`` gates the step error itself instead of the
     Richardson order.
     """
-    grid = cfg.grid()
-    u0 = cfg.ic.build(grid)
+    u0 = cfg.ic.build(cfg.grid())
     t_cmp = max(1, int(min(0.05, cfg.t_final) / cfg.dt)) * cfg.dt
     solves = {"dt/8": replace(cfg, dt=cfg.dt / 8.0), "dt": cfg,
               "dt/2": replace(cfg, dt=cfg.dt / 2.0),
               "oracle window": replace(cfg, t_final=t_cmp)}
-    runs = {label: solve(c, grid=grid, u0=u0) for label, c in solves.items()}
+    runs = {label: solve(c, u0) for label, c in solves.items()}
     ref, short = runs["dt/8"], runs["oracle window"]
     errs = [math.nan, math.nan]
     if not any(runs[label].truncated for label in ("dt/8", "dt", "dt/2")):

@@ -38,6 +38,8 @@ from .spectral import (Field, Grid, derivative_symbol, dispersion_symbol,
                        make_grid, multiplier_table)
 
 CFL_CONSTANT = 0.5
+#: Simpson intervals in tau of the Picard oracle's source integral (an even count)
+_PICARD_INTERVALS = 64
 
 _IC_PARAMS = {
     "gaussian": ("A", "sigma", "x0"),
@@ -287,39 +289,53 @@ def _check_state(u_max: float, t: float, last_good: float, cfg: SimConfig, dx: f
                             suggested_dt=bound)
 
 
-def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = None) -> Trajectory:
+def _step_count(t: float, dt: float, what: str) -> int:
+    """Number of dt steps that reach time t; ``what`` names t in the error
+    raised when t is not a multiple of dt."""
+    n_steps = int(round(t / dt))
+    if abs(n_steps * dt - t) > 1e-8 * max(t, dt):
+        raise ConfigurationError(
+            f"{what} = {t:g} is not a multiple of dt = {dt:g} "
+            f"(nearest reachable time {n_steps * dt:g})")
+    return n_steps
+
+
+def solve(cfg: SimConfig, u0: Optional[Field] = None) -> Trajectory:
     """Integrate to t_final, emitting diagnostics every diag_every steps.
 
+    The run is on ``u0``'s grid, which must have the config's n and
+    length; without ``u0`` it starts from ``cfg.ic`` on ``cfg.grid()``.
     The run stops early (``truncated = True``) once the boundary tail
     fraction exceeds ``cfg.tail_tol``; a NaN state raises NumericError
     carrying the last good time.  Fixed cfg (seeds included) gives a
     bit-identical trajectory.
     """
-    grid = grid or cfg.grid()
-    f0 = u0 if u0 is not None else cfg.ic.build(grid)
+    if u0 is None:
+        u0 = cfg.ic.build(cfg.grid())
+    grid = u0.grid
+    if (grid.n, grid.length) != (cfg.n, cfg.length):
+        raise ConfigurationError(
+            f"u0 lies on a grid of n = {grid.n}, length = {grid.length:g}; "
+            f"the config has n = {cfg.n}, length = {cfg.length:g}")
     if cfg.nonlinear:
         # the linear flow is integrated exactly and has no step restriction
-        bound = cfl_bound(float(np.max(np.abs(f0.samples))), f0.grid.dx)
+        bound = cfl_bound(float(np.max(np.abs(u0.samples))), grid.dx)
         if cfg.dt > bound * (1.0 + 1e-12):
             raise StepError(
                 f"dt = {cfg.dt:g} exceeds the initial advective bound {bound:g}",
                 suggested_dt=bound)
-    tf0 = diag.tail_fraction(f0.samples, grid)
+    tf0 = diag.tail_fraction(u0.samples, grid)
     if tf0 > cfg.tail_tol:
         raise DomainError(
             f"initial tail fraction {tf0:.3e} already exceeds tail_tol {cfg.tail_tol:g}")
 
     stepper = _Stepper(grid, cfg.alpha, cfg.dt, cfg.dealias, cfg.nonlinear)
-    uh = np.fft.rfft(f0.samples)
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_final) > 1e-8 * max(cfg.t_final, cfg.dt):
-        raise ConfigurationError(
-            f"t_final = {cfg.t_final:g} is not a multiple of dt = {cfg.dt:g} "
-            f"(nearest reachable time {n_steps * cfg.dt:g})")
+    uh = np.fft.rfft(u0.samples)
+    n_steps = _step_count(cfg.t_final, cfg.dt, "t_final")
 
     times = [0.0]
-    records = [diag.make_record(f0, 0.0, cfg.alpha, cfg.weight_orders, spectrum=uh)]
-    states = {0.0: f0}
+    records = [diag.make_record(u0, 0.0, cfg.alpha, cfg.weight_orders, spectrum=uh)]
+    states = {0.0: u0}
     truncated = False
     reason = ""
     last_good = 0.0
@@ -364,13 +380,12 @@ def solve(cfg: SimConfig, grid: Optional[Grid] = None, u0: Optional[Field] = Non
     return Trajectory(np.asarray(times), records, states, final, truncated, reason)
 
 
-def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int,
-                  n_quad: int = 64) -> Field:
+def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int) -> Field:
     """Fixed-point iterate of the integral form of the equation.
 
     Independent of the stepper: the source integral uses composite
-    Simpson quadrature in tau on ``n_quad + 1`` uniform nodes, with the
-    whole iterate stored along the quadrature grid.  Zero iterations
+    Simpson quadrature in tau on ``_PICARD_INTERVALS + 1`` uniform nodes,
+    with the whole iterate stored along the quadrature grid.  Zero iterations
     reproduce the free evolution, and so does a config with
     ``nonlinear = False``, whose equation has no source term.
     """
@@ -378,10 +393,8 @@ def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int,
 
     if iterations < 0:
         raise ConfigurationError("iterations must be >= 0")
-    if n_quad % 2 != 0:
-        raise ConfigurationError("n_quad must be even for Simpson quadrature")
     grid = u0.grid
-    taus = np.linspace(0.0, t, n_quad + 1)
+    taus = np.linspace(0.0, t, _PICARD_INTERVALS + 1)
     fwd = _propagators(grid, cfg.alpha, taus)  # e^{tau L}
     bwd = _propagators(grid, cfg.alpha, -taus)
     dfac = _nonlinear_factor(grid, cfg.dealias)
@@ -392,7 +405,7 @@ def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int,
     prev_delta = None
     for _ in range(iterations if cfg.nonlinear else 0):
         src = np.zeros_like(iterate)
-        for j in range(n_quad + 1):
+        for j in range(_PICARD_INTERVALS + 1):
             u = np.fft.irfft(iterate[j, :keep], grid.n)
             src[j, :keep] = bwd[j, :keep] * _square_hat(u, dfac)
         # cumulative_simpson is real-only; integrate the parts separately

@@ -18,6 +18,7 @@ needed, :func:`line_spectrum` gives it on the same modes.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -64,10 +65,6 @@ class Grid:
     @property
     def dx(self) -> float:
         return self.length / self.n
-
-    @property
-    def nyquist_index(self) -> int:
-        return self.n // 2
 
     def table(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
         """``build()``, evaluated once per grid and key and kept with the grid.
@@ -209,11 +206,6 @@ def apply_multiplier(f: Field, sym: MultiplierSymbol) -> Field:
 
 
 @functools.lru_cache
-def identity_symbol() -> MultiplierSymbol:
-    return MultiplierSymbol("identity", lambda k: np.ones_like(k), 1.0)
-
-
-@functools.lru_cache
 def frac_deriv_symbol(s: float) -> MultiplierSymbol:
     """|k|^s with zero mode mapped to 0 for s != 0 and to 1 for s = 0."""
     def ev(k):
@@ -299,7 +291,7 @@ def frac_deriv(f: Field, s: float) -> Field:
     always mapped to 0 for s != 0.
     """
     if s < 0:
-        require_zero_mean(f, s)
+        require_zero_mean(f, f"negative-order derivative (s={s:g})")
     return apply_multiplier(f, frac_deriv_symbol(s))
 
 
@@ -308,31 +300,13 @@ def is_zero_mean(mean: float, norm: float, tol: float = MEAN_TOL) -> bool:
     return abs(mean) <= tol * max(norm, 1e-300)
 
 
-def require_zero_mean(f: Field, s: float):
-    """Raise DomainError unless f lies in the zero-mean class that D^s, s < 0, acts on."""
+def require_zero_mean(f: Field, what: str, tol: float = MEAN_TOL):
+    """Raise DomainError unless f passes :func:`is_zero_mean` at ``tol``;
+    ``what`` names the operation that needs it."""
     mean = integrate(f)
-    if not is_zero_mean(mean, l2_norm(f)):
+    if not is_zero_mean(mean, l2_norm(f), tol):
         raise DomainError(
-            f"negative-order derivative (s={s:g}) needs zero mean; "
-            f"u_hat(0) = {mean:.3e} exceeds {MEAN_TOL:g} * ||u||")
-
-
-def hilbert(f: Field) -> Field:
-    """Hilbert transform: H sin(kx) = -cos(kx) for k > 0."""
-    return apply_multiplier(f, hilbert_symbol())
-
-
-def bessel(f: Field, s: float) -> Field:
-    return apply_multiplier(f, bessel_symbol(s))
-
-
-def projector_low(f: Field, cut: CutoffSpec) -> Field:
-    """Smooth low-pass projector; identity on spectra supported in |k| <= a."""
-    k_nyq = abs(f.grid.k[f.grid.nyquist_index])
-    if cut.a > k_nyq:
-        raise ConfigurationError(
-            f"cutoff a={cut.a:g} exceeds the Nyquist wavenumber {k_nyq:g}")
-    return apply_multiplier(f, lowpass_symbol(cut))
+            f"{what} needs zero mean; u_hat(0) = {mean:.3e} exceeds {tol:g} * ||u||")
 
 
 def coordinate_multiply(f: Field) -> Field:
@@ -348,11 +322,19 @@ def truncated_weight(grid: Grid, n_w: float, theta: float) -> np.ndarray:
     """
     if not (0 < theta <= 1):
         raise ConfigurationError(f"weight exponent must lie in (0, 1], got {theta}")
+    _check_weight_scale(n_w)
     if not (3.0 * n_w < grid.length / 2):
         raise ConfigurationError(
             f"flat region 3N = {3 * n_w:g} must fit inside the half box "
             f"{grid.length / 2:g}")
     return weight_profile(np.abs(grid.x), n_w, theta)
+
+
+def _check_weight_scale(n_w: float):
+    """Reject a truncation scale N (``n_w``) that is not positive and finite."""
+    if not (0 < n_w < math.inf):
+        raise ConfigurationError(
+            f"weight scale n_w must be positive and finite, got {n_w}")
 
 
 def weight_profile(ax: np.ndarray, n_w: float, theta: float) -> np.ndarray:

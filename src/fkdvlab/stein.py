@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .solver import _random_band
-from .spectral import (CutoffSpec, Field, apply_to_samples, derivative_symbol,
-                       flat_top_bump, frac_deriv_symbol, hilbert_symbol, lowpass_symbol,
-                       weight_profile)
+from .spectral import (CutoffSpec, Field, _check_weight_scale, apply_to_samples,
+                       derivative_symbol, flat_top_bump, frac_deriv_symbol,
+                       hilbert_symbol, lowpass_symbol, weight_profile)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: radius of the excluded inner ball about eta, relative to max(|eta|, INNER_FLOOR)
@@ -101,8 +101,8 @@ def _cutoff_target(name: str, core: Callable, origin_holder: tuple,
 
 def power_cutoff(beta: float) -> SteinTarget:
     """|xi|^beta under the smooth flat-top cutoff (1 on |xi|<=1, 0 beyond 2)."""
-    if beta <= 0:
-        raise ConfigurationError(f"power exponent must be positive, got {beta}")
+    if not (0 < beta < math.inf):
+        raise ConfigurationError(f"power exponent beta must lie in (0, inf), got {beta}")
     return _cutoff_target(f"|xi|^{beta:g}*cutoff", lambda y: np.abs(y) ** beta,
                           (min(beta, 1.0), 1.0),
                           lambda a: beta * a ** (beta - 1.0) + 2.0, power=beta)
@@ -110,8 +110,8 @@ def power_cutoff(beta: float) -> SteinTarget:
 
 def signed_power_cutoff(beta: float) -> SteinTarget:
     """sign(xi)|xi|^beta under the smooth flat-top cutoff."""
-    if beta <= 0:
-        raise ConfigurationError(f"power exponent must be positive, got {beta}")
+    if not (0 < beta < math.inf):
+        raise ConfigurationError(f"power exponent beta must lie in (0, inf), got {beta}")
     return _cutoff_target(f"sign*|xi|^{beta:g}*cutoff",
                           lambda y: np.sign(y) * np.abs(y) ** beta,
                           (min(beta, 1.0), 2.0),
@@ -129,6 +129,8 @@ def propagator_target(alpha: float, t: float) -> SteinTarget:
     """Unitary dispersive propagator exp(i t xi |xi|^alpha)."""
     if not (-1.0 <= alpha < 1.0) or alpha == 0.0:
         raise ConfigurationError(f"alpha must lie in [-1,1) nonzero, got {alpha}")
+    if not math.isfinite(t):
+        raise ConfigurationError(f"time t must be finite, got {t}")
 
     def f(y):
         return np.exp(1j * t * y * _abs_power(y, alpha))
@@ -144,6 +146,8 @@ def propagator_target(alpha: float, t: float) -> SteinTarget:
 
 def sign_propagator(t: float) -> SteinTarget:
     """exp(i t sign(xi)): locally constant, one jump at the origin."""
+    if not math.isfinite(t):
+        raise ConfigurationError(f"time t must be finite, got {t}")
 
     def f(y):
         return np.exp(1j * t * np.sign(y))
@@ -161,6 +165,7 @@ def weight_target(theta: float, n_w: float) -> SteinTarget:
     its tail limit (2N)^theta is reached by 3N only for large N."""
     if not (0 < theta <= 1):
         raise ConfigurationError(f"theta must lie in (0,1], got {theta}")
+    _check_weight_scale(n_w)
     flat = (2.0 * n_w) ** theta
     return SteinTarget(f"weight(theta={theta:g},N={n_w:g})",
                        lambda y: weight_profile(np.abs(y), n_w, theta),

@@ -309,16 +309,16 @@ def test_criterion_10_solver_validity():
     cfg = SimConfig(alpha=0.5, ic=ic, tail_tol=1.0, **{**REF, "t_final": 0.5})
     g = cfg.grid()
     u0 = cfg.ic.build(g)
-    ref = solve(replace(cfg, dt=0.0025), grid=g, u0=u0).final
+    ref = solve(replace(cfg, dt=0.0025), u0).final
     errs = []
     for dt in (0.02, 0.01):
-        tr = solve(replace(cfg, dt=dt), grid=g, u0=u0)
+        tr = solve(replace(cfg, dt=dt), u0)
         errs.append(np.linalg.norm(tr.final.samples - ref.samples)
                     / np.linalg.norm(ref.samples))
     order = math.log2(errs[0] / errs[1])
 
     pic = picard_oracle(u0, cfg, 0.05, iterations=6)
-    short = solve(replace(cfg, t_final=0.05), grid=g, u0=u0)
+    short = solve(replace(cfg, t_final=0.05), u0)
     pic_err = float(np.linalg.norm(pic.samples - short.final.samples)
                     / l2_norm(short.final))
 

@@ -468,6 +468,51 @@ ic = odd_gaussian(-4,1)
         assert err.startswith("error:")
         assert flag[2:].replace("-", "_") in err
 
+    @pytest.mark.parametrize("target,flag,value", [
+        ("propagator", "--t", "nan"),
+        ("sign_propagator", "--t", "inf"),
+        ("power_cutoff", "--beta", "nan"),
+        ("weight", "--n-w", "0"),
+        ("weight", "--n-w", "-1"),
+    ])
+    def test_bad_stein_target_parameter_exits_one(self, tmp_path, capsys, target,
+                                                  flag, value):
+        rc = main(["--out", str(tmp_path / "out"), "stein", "--b", "0.5",
+                   "--target", target, "--points", "0.5,1", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert flag[2:].replace("-", "_") in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha", "0.5", "--n", "64", "--length", "10",
+         "--t-final", "0.01", "--weight-orders", "nan"],
+        ["simulate", "--alpha", "0.5", "--n", "64", "--length", "10",
+         "--t-final", "0.01", "--weight-orders", "1,inf"],
+        ["experiment", "decay-threshold", "--alpha", "-0.5", "--n", "1024",
+         "--length", "200", "--t-final", "1", "--ic", "gaussian(1,1,0)",
+         "--box-list", "200,400", "--r-probe", "nan"],
+    ], ids=["simulate-nan", "simulate-inf", "decay-threshold-nan"])
+    def test_non_finite_weight_order_exits_one(self, tmp_path, capsys, argv):
+        rc = main(["--out", str(tmp_path / "out"), *argv, "--dt", "1e-3"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: weight order") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+    def test_two_time_off_the_step_grid_exits_one(self, tmp_path, capsys):
+        # with dt = 0.01 the state at t1 = 0.333 does not exist; 0.33 does
+        argv = ["experiment", "two-time-bh", "--alpha", "-1", "--n", "1024",
+                "--length", "100", "--dt", "0.01", "--t-final", "1",
+                "--ic", "odd_gaussian(0.5,1)", "--t2", "1"]
+        rc = main(["--out", str(tmp_path / "off"), *argv, "--t1", "0.333"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == ("error: time = 0.333 is not a multiple of dt = 0.01 "
+                       "(nearest reachable time 0.33)\n")
+        assert main(["--out", str(tmp_path / "on"), *argv, "--t1", "0.33"]) == 0
+
     @pytest.mark.parametrize("name,text", [
         ("missing.csv", None),
         ("letters.csv", "x,u\n" + "0,1\n" * 63 + "0,abc\n"),    # a non-numeric row

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from fkdvlab import (DomainError, Field, InitialCondition, decay_fit, hilbert,
-                     interpolation_probe, invariants, l2_norm, make_grid,
+from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
+                     decay_fit, interpolation_probe, invariants, l2_norm, make_grid,
                      moment_first, sobolev_norm, spectral_jump, weighted_norm)
 from fkdvlab.diagnostics import make_record
 from fkdvlab.solver import _Stepper
-from fkdvlab.spectral import apply_multiplier, derivative_symbol, frac_deriv
+from fkdvlab.spectral import (apply_multiplier, derivative_symbol, frac_deriv,
+                              hilbert_symbol)
 
 
 def line_grid(n=4096, L=200.0):
@@ -92,6 +93,12 @@ class TestWeightedNorm:
         vals = [weighted_norm(f, r) for r in rs]
         assert vals == sorted(vals)
 
+    @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
+    def test_order_outside_zero_to_inf_rejected(self, r):
+        g = line_grid(1024, 100.0)
+        with pytest.raises(ConfigurationError, match="weight order"):
+            weighted_norm(Field(g, np.exp(-g.x ** 2)), r)
+
 
 class TestSobolevNorm:
     def test_order_zero(self):
@@ -146,7 +153,8 @@ class TestDecayFit:
         g = make_grid(16384, 1600.0)
         u0 = Field(g, np.exp(-g.x ** 2))
         t = 1.0
-        u = Field(g, math.cos(t) * u0.samples - math.sin(t) * hilbert(u0).samples)
+        hu0 = apply_multiplier(u0, hilbert_symbol())
+        u = Field(g, math.cos(t) * u0.samples - math.sin(t) * hu0.samples)
         fit = decay_fit(u, (0.015 * g.length, 0.035 * g.length))
         assert fit.accepted
         assert fit.fitted_p == pytest.approx(1.0, abs=0.05)
@@ -215,26 +223,21 @@ class TestSpectralJump:
     def test_requires_zero_mean(self):
         g = line_grid()
         f = Field(g, np.exp(-g.x ** 2))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="jump estimator needs zero mean"):
             spectral_jump(f)
 
-    def test_refinement_consistency(self):
-        g = line_grid()
-        f = Field(g, g.x * np.exp(-g.x ** 2))
-        m2 = spectral_jump(f, refine=False)
-        m3 = spectral_jump(f, refine=True)
-        k1 = g.k[1]
-        assert abs(m2 - m3) <= 2.0 * k1 * abs(m3)
-
-    def test_refinement_cancels_curvature(self):
-        # mean-free data with curved transform near 0: the 3-point form wins
-        g = line_grid()
-        u = g.x * np.exp(-g.x ** 2) + (4 * g.x ** 2 - 2) * np.exp(-g.x ** 2)
-        f = Field(g, u)
-        m2 = spectral_jump(f, refine=False)
-        m3 = spectral_jump(f, refine=True)
-        target = -1j * np.sqrt(np.pi) / 2        # second term carries no moment
-        assert abs(m3 - target) < abs(m2 - target)
+    def test_three_point_matches_derivative(self):
+        # mean-free data with a curved transform near 0: the 3-point quotient
+        # meets the exact derivative -i sqrt(pi)/2 to O(k1^2), so doubling
+        # the box (halving k1) cuts its error about fourfold
+        errs = []
+        for n, L in ((4096, 200.0), (8192, 400.0)):
+            g = make_grid(n, L)
+            u = g.x * np.exp(-g.x ** 2) + (4 * g.x ** 2 - 2) * np.exp(-g.x ** 2)
+            target = -1j * np.sqrt(np.pi) / 2    # the second term carries no moment
+            errs.append(abs(spectral_jump(Field(g, u)) - target) / abs(target))
+            assert errs[-1] <= g.k[1] ** 2
+        assert errs[0] / errs[1] >= 3.5
 
 
 class TestRecord:

@@ -2,6 +2,7 @@
 the graph is what the import lines at the top of each module say it is."""
 
 import ast
+import re
 from pathlib import Path
 
 import fkdvlab
@@ -115,3 +116,72 @@ def test_detector_finds_a_field_nothing_reads(tmp_path):
         "def use(a):\n"
         "    a.written = a.read\n")
     assert unread_fields([sample], [sample]) == ["A.written", "B.unread"]
+
+
+def _identifiers(node) -> set:
+    """Names, attributes, imported names, and string constants that are
+    identifiers (a name looked up by string, as a tracer table does)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            out.add(sub.value)
+    return out
+
+
+def named_in(path: Path) -> set:
+    """Every identifier ``path`` names outside the definition that binds it:
+    a top-level ``def`` or ``class`` does not count as a use of its own name."""
+    out = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = getattr(stmt, "name", None)
+        out |= _identifiers(stmt) - {own}
+    return out
+
+
+def unnamed_exports(init: Path, code_files, docs) -> list:
+    """Names the package ``init`` imports that no code file names and no
+    document mentions."""
+    exported = {a.asname or a.name for node in ast.walk(ast.parse(init.read_text()))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    named = set().union(*(named_in(p) for p in code_files))
+    named |= set().union(*(set(re.findall(r"\w+", d.read_text())) for d in docs))
+    return sorted(exported - named)
+
+
+def test_every_export_is_named_outside_the_package_root():
+    """Each name ``fkdvlab/__init__.py`` exports is named in another module
+    of the package (outside its definition), in the benchmark, or in the
+    README, so the export list holds no name that only tests call."""
+    root = Path(__file__).resolve().parents[1]
+    code = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    code += sorted((root / "perfbench").glob("*.py"))
+    assert unnamed_exports(SRC / "__init__.py", code, [root / "README.md"]) == []
+
+
+def test_detector_finds_an_export_nothing_names(tmp_path):
+    init = tmp_path / "__init__.py"
+    init.write_text("from .ops import (recursive, imported, documented, traced,\n"
+                    "                  attribute, unused)\n")
+    ops = tmp_path / "ops.py"
+    ops.write_text(
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def imported():\n"
+        "    '''unused is mentioned in a docstring only'''\n"
+        "def unused():\n"
+        "    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from .ops import imported\n"
+                    "TABLE = {'traced': 1}\n"
+                    "def f(m):\n"
+                    "    return m.attribute\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("Call `documented(x)` first.\n")
+    assert unnamed_exports(init, [ops, user], [readme]) == ["recursive", "unused"]

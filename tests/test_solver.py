@@ -152,7 +152,7 @@ class TestLinearPropagator:
         g = make_grid(64, 20.0)
         t, alpha = 0.3, 0.5
         f = Field(g, np.cos(np.pi * np.arange(g.n)))
-        k_nyq = abs(g.k[g.nyquist_index])
+        k_nyq = abs(g.k[g.n // 2])
         scale = math.cos(t * k_nyq ** (1.0 + alpha))
         out = linear_propagator(f, t, alpha)
         assert np.allclose(out.samples, scale * f.samples, rtol=0, atol=1e-13)
@@ -230,7 +230,7 @@ class TestStepper:
         g = cfg.grid()
         f = InitialCondition("gaussian", (5.0, 1.0, 0.0)).build(g)
         with pytest.raises(StepError) as exc:
-            solve(cfg, grid=g, u0=f)
+            solve(cfg, f)
         assert exc.value.suggested_dt is not None
         u_max = float(np.max(np.abs(f.samples)))
         assert exc.value.suggested_dt == pytest.approx(cfl_bound(u_max, g.dx))
@@ -242,10 +242,10 @@ class TestStepper:
         g = cfg.grid()
         u0 = cfg.ic.build(g)
         from dataclasses import replace
-        ref = solve(replace(cfg, dt=0.0025), grid=g, u0=u0).final
+        ref = solve(replace(cfg, dt=0.0025), u0).final
         errs = []
         for dt in (0.02, 0.01):
-            tr = solve(replace(cfg, dt=dt), grid=g, u0=u0)
+            tr = solve(replace(cfg, dt=dt), u0)
             errs.append(np.linalg.norm(tr.final.samples - ref.samples)
                         / np.linalg.norm(ref.samples))
         order = np.log2(errs[0] / errs[1])
@@ -293,7 +293,7 @@ class TestHalfSpectrumStepper:
                         ic=InitialCondition("random_band", (5, 0.5, 6.0, 1.0)))
         g = cfg.grid()
         u0 = cfg.ic.build(g)
-        out = solve(cfg, grid=g, u0=u0).final.samples
+        out = solve(cfg, u0).final.samples
         ref = reference_ifrk4(u0.samples, g, alpha, cfg.dt, 100, dealias, nonlinear)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -405,6 +405,22 @@ def test_solver_bits_pinned(name):
 
 
 class TestSolve:
+    def test_u0_from_another_box_rejected(self):
+        # run unchecked, u0 sampled on L = 50 under a config of L = 100 mixes
+        # the boxes: i2 reads 0.0476 in row 0 and 0.0952 at t = 0.1
+        cfg = small_cfg(ic=InitialCondition("gaussian", (0.2, 1.0, 0.0), True))
+        u0 = cfg.ic.build(make_grid(1024, 50.0))
+        with pytest.raises(ConfigurationError, match=r"n = 1024, length = 50; "
+                                                     r"the config has n = 1024, length = 100"):
+            solve(cfg, u0)
+
+    def test_runs_on_the_grid_of_u0(self):
+        cfg = small_cfg()
+        u0 = cfg.ic.build(cfg.grid())
+        traj = solve(cfg, u0)
+        assert traj.final.grid is u0.grid
+        assert np.array_equal(traj.final.samples, solve(cfg).final.samples)
+
     def test_zero_data(self):
         cfg = small_cfg(ic=InitialCondition("gaussian", (0.0, 1.0, 0.0)))
         traj = solve(cfg)
@@ -445,7 +461,7 @@ class TestSolve:
                         ic=InitialCondition("gaussian", (0.3, 1.0, 0.0)))
         g = cfg.grid()
         u0 = cfg.ic.build(g)
-        traj = solve(cfg, grid=g, u0=u0)
+        traj = solve(cfg, u0)
         direct = linear_propagator(u0, 0.5, cfg.alpha)
         rel = np.linalg.norm(traj.final.samples - direct.samples) / l2_norm(direct)
         assert rel <= 1e-11
@@ -503,7 +519,7 @@ class TestSolve:
         cfg = small_cfg(alpha=-1.0, n=1024, length=50.0, dt=dt, t_final=10 * dt,
                         diag_every=100)
         with pytest.raises(StepError, match=f"CFL violated at t = {cfg.dt:g}:") as exc:
-            solve(cfg, grid=g, u0=u0)
+            solve(cfg, u0)
         exact = cfl_bound(float(np.max(np.abs(one_step(u0, cfg)))), g.dx)
         assert exc.value.suggested_dt <= exact
         assert exc.value.suggested_dt == pytest.approx(exact, rel=1e-12)
@@ -569,7 +585,7 @@ class TestPicardOracle:
         u0 = InitialCondition("gaussian", (0.1, 1.0, 0.0)).build(g)
         from dataclasses import replace
         pic = picard_oracle(u0, cfg, 0.05, iterations=6)
-        tr = solve(replace(cfg, t_final=0.05), grid=g, u0=u0)
+        tr = solve(replace(cfg, t_final=0.05), u0)
         rel = np.linalg.norm(pic.samples - tr.final.samples) / l2_norm(tr.final)
         assert rel <= 1e-6
 
@@ -578,4 +594,4 @@ class TestPicardOracle:
         g = cfg.grid()
         u0 = InitialCondition("odd_gaussian", (40.0, 1.0)).build(g)
         with pytest.raises(OracleDivergenceError):
-            picard_oracle(u0, cfg, 3.0, iterations=12, n_quad=16)
+            picard_oracle(u0, cfg, 3.0, iterations=12)

@@ -148,6 +148,24 @@ class TestSteinDerivative:
         assert np.array_equal(weight_target(theta, n_w).func(g.x),
                               truncated_weight(g, n_w, theta))
 
+    @pytest.mark.parametrize("build,name", [
+        (lambda: power_cutoff(math.inf), "beta"),
+        (lambda: signed_power_cutoff(math.nan), "beta"),
+        (lambda: propagator_target(0.5, math.inf), "time t"),
+        (lambda: sign_propagator(math.nan), "time t"),
+    ])
+    def test_non_finite_target_parameter_rejected(self, build, name):
+        with pytest.raises(ConfigurationError, match=name):
+            build()
+
+    @pytest.mark.parametrize("n_w", [0.0, -1.0, math.nan, math.inf])
+    def test_weight_scale_checked_alike(self, n_w):
+        # the target and the grid weight share one check of N
+        g = make_grid(4096, 200.0)
+        for build in (lambda: weight_target(0.5, n_w), lambda: truncated_weight(g, n_w, 0.5)):
+            with pytest.raises(ConfigurationError, match="n_w must be positive and finite"):
+                build()
+
 
 class TestSlopeFits:
     def test_small_eta_power_regime(self):
