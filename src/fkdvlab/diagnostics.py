@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .spectral import (Field, Grid, apply_multiplier, bessel_symbol, derivative_symbol,
                        frac_deriv_symbol, l2_norm, line_spectrum, multiplier_table,
-                       require_zero_mean, truncated_weight)
+                       require_zero_mean)
 
 #: fits are rejected above this (relative rms) log-log residual
 FIT_RESIDUAL_MAX = 0.05
@@ -83,21 +83,11 @@ def moment_first(f: Field) -> float:
     return float(np.sum(f.grid.x * f.samples) * f.grid.dx)
 
 
-def weighted_norm(f: Field, r: float, weight: str = "exact",
-                  n_w: float = 0.0) -> float:
-    """L2 norm against <x>^r (or its truncated version).
-
-    weight = "exact" uses (1+x^2)^(r/2); weight = "truncated" uses the
-    smooth bounded surrogate with parameter ``n_w``.
-    """
+def weighted_norm(f: Field, r: float) -> float:
+    """L2 norm against the weight <x>^r = (1+x^2)^(r/2)."""
     if not (0 <= r < math.inf):
         raise ConfigurationError(f"weight order must be >= 0 and finite, got {r}")
-    if weight == "exact":
-        w2r = (1.0 + f.grid.x ** 2) ** r
-    elif weight == "truncated":
-        w2r = truncated_weight(f.grid, n_w, 1.0) ** (2.0 * r)
-    else:
-        raise ConfigurationError(f"unknown weight kind '{weight}'")
+    w2r = (1.0 + f.grid.x ** 2) ** r
     return float(np.sqrt(np.sum(w2r * f.samples ** 2) * f.grid.dx))
 
 

@@ -232,8 +232,9 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
         else:                                # the identity reads the larger box
             moment_t1 = diag.moment_first(at[t1])
 
-    # Richardson in 1/L: the one-sided quotient bias scales with k1 ~ 1/L
-    ext = {t: 2.0 * jumps[2][t] - jumps[1][t] for t in (0.0, t1, t2)}
+    # Richardson in k1 = 2 pi / L: the three-point quotient's bias is O(k1^2),
+    # so doubling the box quarters it
+    ext = {t: (4.0 * jumps[2][t] - jumps[1][t]) / 3.0 for t in (0.0, t1, t2)}
     m0 = ext[0.0]
 
     def predicted(t):

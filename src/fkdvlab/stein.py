@@ -21,6 +21,7 @@ bound and the non-membership scans read values alone and skip it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -33,7 +34,6 @@ from .spectral import (CutoffSpec, Field, _check_weight_scale, apply_to_samples,
                        derivative_symbol, flat_top_bump, frac_deriv_symbol,
                        hilbert_symbol, lowpass_symbol, weight_profile)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: radius of the excluded inner ball about eta, relative to max(|eta|, INNER_FLOOR)
 INNER_RADIUS = 1e-8
 INNER_FLOOR = 1e-4
@@ -41,6 +41,8 @@ INNER_FLOOR = 1e-4
 SCAN_POINTS = 48
 #: wavenumber band (k_lo, k_hi) of the probe ensembles' unit-norm random fields
 PROBE_BAND = (0.5, 4.0)
+#: bytes of one (rows, n) float sample array in a probe ensemble's row block
+_PROBE_BLOCK_BYTES = 256 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +151,11 @@ def sign_propagator(t: float) -> SteinTarget:
     if not math.isfinite(t):
         raise ConfigurationError(f"time t must be finite, got {t}")
 
+    # the three values exp(i t sign) takes, indexed by sign + 1
+    levels = np.exp(1j * t * np.array([-1.0, 0.0, 1.0]))
+
     def f(y):
-        return np.exp(1j * t * np.sign(y))
+        return levels[np.sign(y).astype(np.intp) + 1]
 
     def holder(eta):
         return (math.inf, 0.0)   # locally constant away from 0
@@ -206,6 +211,13 @@ class SteinResult:
     error_estimates: np.ndarray
 
 
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """The 16-point Gauss-Legendre rule (nodes, weights) on [-1, 1], built
+    on first use: importing the package loads no ``numpy.polynomial``."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def _quad_sq(target: SteinTarget, eta: float, fe: complex, b: float, delta: float,
              y_max: float, n_dyadic: int) -> float:
     """Quadrature of |fe-f(y)|^2 |eta-y|^(-1-2b) over delta < |y-eta|, |y| < y_max,
@@ -225,8 +237,9 @@ def _quad_sq(target: SteinTarget, eta: float, fe: complex, b: float, delta: floa
     keep = ~((a >= eta - 1.0000001 * delta) & (c <= eta + 1.0000001 * delta))
     a, c = a[keep], c[keep]
     mid, half = 0.5 * (a + c), 0.5 * (c - a)
-    y = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    w = half[:, None] * _GL_WEIGHTS[None, :]
+    nodes, weights = _gauss_legendre()
+    y = mid[:, None] + half[:, None] * nodes[None, :]
+    w = half[:, None] * weights[None, :]
     vals = np.abs(fe - target.func(y)) ** 2 / np.abs(eta - y) ** (1.0 + 2.0 * b)
     return float(np.sum(vals * w))
 
@@ -637,14 +650,22 @@ def probe_ensemble(kind: str, grid, params: ProbeParams, n_pairs: int = 50,
                    seed: int = 0):
     """Max and median probe ratio over seeded band-limited field pairs.
 
-    All pairs go through the probe together, one row each.
+    Pair i is (g, f) of seeds (seed + 2i, seed + 2i + 1).  The pairs go
+    through the probe in blocks of rows, each sample array of a block
+    within ``_PROBE_BLOCK_BYTES``, so memory does not grow with n_pairs.
+    Every row is drawn, normalised and probed on its own, so the ratios
+    do not depend on the block size, and the first failing block holds
+    the first failing pair.
     """
     if n_pairs < 1:
         raise ConfigurationError(f"pairs must be >= 1, got {n_pairs}")
+    rows = max(1, _PROBE_BLOCK_BYTES // (8 * grid.n))
 
-    def fields(offset):
-        seeds = range(seed + offset, seed + offset + 2 * n_pairs, 2)
-        return _random_band(grid, seeds, *PROBE_BAND, 1.0)
+    def block(start):
+        seeds = range(seed + 2 * start, seed + 2 * min(start + rows, n_pairs), 2)
+        g = _random_band(grid, seeds, *PROBE_BAND, 1.0)
+        f = _random_band(grid, [s + 1 for s in seeds], *PROBE_BAND, 1.0)
+        return _probe_ratios(kind, grid, g, f, params)
 
-    ratios = _probe_ratios(kind, grid, fields(0), fields(1), params)
+    ratios = np.concatenate([block(start) for start in range(0, n_pairs, rows)])
     return float(np.max(ratios)), float(np.median(ratios))

@@ -174,6 +174,14 @@ class TestTwoTimeBH:
         assert abs(rep.metrics["identity_residual_vs_prediction"].measured) > 0.01
         assert rep.metrics["identity_residual_vs_prediction"].passed
 
+    def test_extrapolation_cancels_the_quadratic_bias(self):
+        # the three-point jump's bias is O(k1^2), so the boxes combine as
+        # (4 J(2L) - J(L)) / 3; the O(k1) weights 2 J(2L) - J(L) read 1.27e-4 here
+        cfg = SimConfig(alpha=-1.0, n=1024, length=100.0, dt=0.01, t_final=1.0,
+                        ic=InitialCondition("odd_gaussian", (0.5, 1.0)))
+        rep = run_two_time_bh(cfg, 0.33, 1.0)
+        assert rep.metrics["jump_law_rel_error_t2"].measured <= 1e-5
+
     def test_jump_error_decreases_under_box_doubling(self):
         import numpy as np
         from fkdvlab import solve

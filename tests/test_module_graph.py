@@ -2,7 +2,10 @@
 the graph is what the import lines at the top of each module say it is."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fkdvlab
@@ -185,3 +188,17 @@ def test_detector_finds_an_export_nothing_names(tmp_path):
     readme = tmp_path / "README.md"
     readme.write_text("Call `documented(x)` first.\n")
     assert unnamed_exports(init, [ops, user], [readme]) == ["recursive", "unused"]
+
+
+def test_import_loads_no_numpy_polynomial_or_random():
+    """Importing the package and its CLI leaves numpy's polynomial and random
+    modules unloaded; the quadrature rule and the random fields load them
+    on first use."""
+    code = ("import sys, fkdvlab, fkdvlab.cli; "
+            "print(sorted(m for m in ('numpy.polynomial', 'numpy.random') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

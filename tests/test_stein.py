@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import astuple
 
@@ -12,6 +13,7 @@ from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      signed_power_cutoff, stein_derivative, stein_slope_fit,
                      truncated_weight, weight_target)
 from fkdvlab import stein
+from fkdvlab.solver import _random_band
 from fkdvlab.stein import (_bessel_weighted, _probe_ratios, probe_ensemble,
                            propagator_target)
 
@@ -65,6 +67,20 @@ class TestSteinDerivative:
             res = stein_derivative(SteinRequest(b, target, xs))
             exact = 2 * abs(math.sin(t)) * (2 * b) ** -0.5 * xs ** -b
             assert np.max(np.abs(res.values - exact) / exact) <= 1e-3
+
+    @pytest.mark.parametrize("t", [0.5, np.pi / 2, -1.3, 0.0])
+    def test_sign_propagator_levels_are_the_direct_exp(self, t):
+        # the three precomputed levels carry the bits of exp(i t sign(y))
+        y = np.array([[-2.0, -1e-300, -0.0], [0.0, 1e-300, 3.0]])
+        got = sign_propagator(t).func(y)
+        want = np.exp(1j * t * np.sign(y))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_quadrature_rule_is_leggauss_16(self):
+        nodes, weights = stein._gauss_legendre()
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
 
     def test_jump_point_rejected(self):
         target = sign_propagator(1.0)
@@ -377,6 +393,33 @@ class TestCommutatorProbes:
                   for j in range(9)]
         assert mx == pytest.approx(max(ratios), rel=1e-13)
         assert med == pytest.approx(float(np.median(ratios)), rel=1e-13)
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    def test_ensemble_blocks_match_per_pair_probes_exactly(self, kind):
+        # 37 pairs at n = 2048 run as blocks of 16, 16 and 5 rows
+        params = ProbeParams(beta=0.5, gamma=0.25, l=1, m=0)
+        g = make_grid(2048, 100.0)
+        assert 37 % (stein._PROBE_BLOCK_BYTES // (8 * g.n)) != 0
+        mx, med = probe_ensemble(kind, g, params, n_pairs=37, seed=2)
+
+        def band(seed):
+            return Field(g, _random_band(g, [seed], *stein.PROBE_BAND, 1.0)[0])
+        ratios = [commutator_probe(kind, band(2 + 2 * j), band(3 + 2 * j), params)
+                  for j in range(37)]
+        assert mx == max(ratios)
+        assert med == float(np.median(ratios))
+
+    def test_ensemble_memory_does_not_grow_with_pairs(self):
+        # one (rows, n) block at a time; holding all 64 pairs at once traced ~15 MiB
+        params = ProbeParams(beta=0.5)
+        g = make_grid(4096, 100.0)
+        tracemalloc.start()
+        try:
+            probe_ensemble("hilbert_frac", g, params, n_pairs=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_constant_g_row_gives_zero(self):
         g = make_grid(512, 50.0)
