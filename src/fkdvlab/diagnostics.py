@@ -38,6 +38,10 @@ class DiagnosticsRecord:
     wnorms: dict = field(default_factory=dict)
 
 
+#: the DiagnosticsRecord fields a caller can ask make_record for
+COLUMNS = ("i1", "i2", "i3", "moment_x", "max_u", "min_ux", "tail_frac", "wnorms")
+
+
 def invariants(f: Field, alpha: float, spectrum: Optional[np.ndarray] = None):
     """The three formally conserved functionals (i1, i2, i3).
 
@@ -102,6 +106,16 @@ def tail_mass(f: Field, radius: float) -> float:
     return float(np.sum(f.samples[sel] ** 2) * f.grid.dx)
 
 
+def outer_region(grid: Grid) -> np.ndarray:
+    """Mask of the nodes in the outer 10 percent of the box, |x| > 0.45 L;
+    built once per grid."""
+    def build():
+        mask = np.abs(grid.x) > 0.45 * grid.length
+        mask.setflags(write=False)
+        return mask
+    return grid.table("outer", build)
+
+
 def tail_fraction(samples: np.ndarray, grid: Grid) -> float:
     """Fraction of the squared fluctuation mass in the outer 10 percent.
 
@@ -110,7 +124,7 @@ def tail_fraction(samples: np.ndarray, grid: Grid) -> float:
     projection) carries no boundary information, whereas any wave
     structure there counts as contamination.
     """
-    outer = np.abs(grid.x) > 0.45 * grid.length
+    outer = outer_region(grid)
     fluct = samples - np.mean(samples)
     total = float(np.sum(fluct ** 2))
     if total == 0:
@@ -217,21 +231,45 @@ def spectral_jump(f: Field) -> complex:
 
 
 def make_record(f: Field, t: float, alpha: float, weight_orders=(),
-                spectrum: Optional[np.ndarray] = None) -> DiagnosticsRecord:
+                spectrum: Optional[np.ndarray] = None,
+                columns=COLUMNS) -> DiagnosticsRecord:
     """Assemble the per-time diagnostics row.
 
-    ``spectrum`` is the real-FFT half spectrum of ``f`` when the caller
-    (the time stepper) already holds it; otherwise it is computed here.
+    ``columns`` names the fields of ``COLUMNS`` the caller reads; the
+    others are not computed: numbers read NaN, ``i3`` is None with a
+    reason and ``wnorms`` is empty.  ``tail_frac`` is always computed,
+    since the solver's tail guard reads it.  ``spectrum`` is the real-FFT
+    half spectrum of ``f`` when the caller (the time stepper) already
+    holds it; otherwise it is computed here if a column needs it.
     """
-    if spectrum is None:
+    read = set(columns)
+    unknown = read.difference(COLUMNS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown diagnostics column(s) {', '.join(sorted(unknown))}; "
+            f"choose from {', '.join(COLUMNS)}")
+    nan = math.nan
+    if spectrum is None and "min_ux" in read:
         spectrum = np.fft.rfft(f.samples)
-    i1, i2, i3, reason = invariants(f, alpha, spectrum)
-    ux = np.fft.irfft(multiplier_table(derivative_symbol(), f.grid) * spectrum, f.grid.n)
+    i1 = i2 = nan
+    i3, reason = None, "i3 not computed: the caller does not read it"
+    if read & {"i1", "i2", "i3"}:          # one call gives all three
+        j1, j2, j3, why = invariants(f, alpha, spectrum)
+        i1 = j1 if "i1" in read else nan
+        i2 = j2 if "i2" in read else nan
+        if "i3" in read:
+            i3, reason = j3, why
+    min_ux = nan
+    if "min_ux" in read:
+        ux = np.fft.irfft(multiplier_table(derivative_symbol(), f.grid) * spectrum,
+                          f.grid.n)
+        min_ux = float(np.min(ux))
     return DiagnosticsRecord(
         t=t, i1=i1, i2=i2, i3=i3, i3_reason=reason,
-        moment_x=moment_first(f),
-        max_u=float(np.max(f.samples)),
-        min_ux=float(np.min(ux)),
+        moment_x=moment_first(f) if "moment_x" in read else nan,
+        max_u=float(np.max(f.samples)) if "max_u" in read else nan,
+        min_ux=min_ux,
         tail_frac=tail_fraction(f.samples, f.grid),
-        wnorms={r: weighted_norm(f, r) for r in weight_orders},
+        wnorms=({r: weighted_norm(f, r) for r in weight_orders}
+                if "wnorms" in read else {}),
     )

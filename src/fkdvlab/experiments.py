@@ -96,9 +96,9 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
             f"got alpha = {cfg.alpha}")
     u0 = cfg.ic.build(cfg.grid())
     require_zero_mean(u0, "moment law", _MEAN_TOL)
-    traj = solve(cfg, u0)
+    traj = solve(cfg, u0, columns=("moment_x",))
     m0 = traj.diagnostics[0].moment_x
-    l2sq = traj.diagnostics[0].i2
+    l2sq = diag.invariants(u0, cfg.alpha)[1]
     devs = [abs(r.moment_x - (m0 + 0.5 * l2sq * r.t)) for r in traj.diagnostics]
     max_dev = max(devs)
     # integral of D^alpha u vanishes identically under the zero-mode convention
@@ -161,7 +161,7 @@ def run_tstar(cfg: SimConfig) -> ExperimentReport:
     n_steps += -n_steps % 4
     dt_eff = t_star / n_steps
     run_cfg = replace(cfg, dt=dt_eff, t_final=t_star, diag_every=2)
-    traj = solve(run_cfg, u0)
+    traj = solve(run_cfg, u0, columns=("moment_x",))
     ts = np.array([r.t for r in traj.diagnostics])
     ms = np.array([r.moment_x for r in traj.diagnostics])
     residual = (math.nan if traj.truncated
@@ -192,7 +192,7 @@ def _states_at(cfg: SimConfig, u0: Field, times: Sequence[float]) -> tuple:
     cadence = math.gcd(*idx) if idx else 1
     run_cfg = replace(cfg, store_every=max(cadence, 1),
                       t_final=max(times), diag_every=max(cadence, 1))
-    traj = solve(run_cfg, u0)
+    traj = solve(run_cfg, u0, columns=())
     out = {}
     for t in times:
         key = min(traj.states, key=lambda s: abs(s - t))
@@ -300,8 +300,7 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
         # zero-mean projection of non-decaying-mean data leaves a uniform
         # shelf whose weighted content grows with the box; the mean must
         # vanish structurally (odd or derivative-form data)
-        outer = np.abs(probe0.grid.x) > 0.45 * probe0.grid.length
-        shelf = float(np.median(probe0.samples[outer]))
+        shelf = float(np.median(probe0.samples[diag.outer_region(probe0.grid)]))
         if abs(shelf) > 1e-12 * float(np.max(np.abs(probe0.samples))):
             raise ConfigurationError(
                 "zero-mean decay scans need structurally mean-free data "
@@ -421,9 +420,9 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
         raise ConfigurationError("rescaled data does not fit the box")
     T1 = cfg.t_final
     T2 = T1 / lam ** (1.0 + alpha)
-    traj1 = solve(replace(cfg, t_final=T1), u0)
+    traj1 = solve(replace(cfg, t_final=T1), u0, columns=())
     dt2 = T2 / max(1, int(round(T2 / cfg.dt)))
-    traj2 = solve(replace(cfg, ic=ic2, t_final=T2, dt=dt2), u0_scaled)
+    traj2 = solve(replace(cfg, ic=ic2, t_final=T2, dt=dt2), u0_scaled, columns=())
     runs = {"original": traj1, "rescaled": traj2}
     scale_res = math.nan           # the end states are compared at matched times only
     if not (traj1.truncated or traj2.truncated):
@@ -492,7 +491,7 @@ def run_wave_breaking(cfg: SimConfig) -> ExperimentReport:
             f"breaking range is -1 <= alpha < -1/3, got {cfg.alpha}")
     u0 = cfg.ic.build(cfg.grid())
     require_zero_mean(u0, "wave-breaking run", _MEAN_TOL)
-    traj = solve(cfg, u0)
+    traj = solve(cfg, u0, columns=("min_ux",))
     ts, gs = _grad_sup_series(traj)
     g0 = gs[0]
     onset = _onset_time(ts, gs, 10.0 * g0)
@@ -500,10 +499,10 @@ def run_wave_breaking(cfg: SimConfig) -> ExperimentReport:
     if traj.truncated and math.isnan(onset):
         notes.append("INCONCLUSIVE: tail contamination before gradient growth")
     half = replace(cfg, dt=0.5 * cfg.dt, diag_every=2 * cfg.diag_every)
-    traj_h = solve(half, u0)
+    traj_h = solve(half, u0, columns=("min_ux",))
     ts_h, gs_h = _grad_sup_series(traj_h)
     onset_h = _onset_time(ts_h, gs_h, 10.0 * g0)
-    control = solve(replace(cfg, alpha=0.5), u0)
+    control = solve(replace(cfg, alpha=0.5), u0, columns=("min_ux",))
     _, gs_c = _grad_sup_series(control)
     growth_c = float(np.max(gs_c) / g0)
 
@@ -538,7 +537,7 @@ def run_convergence(cfg: SimConfig) -> ExperimentReport:
     solves = {"dt/8": replace(cfg, dt=cfg.dt / 8.0), "dt": cfg,
               "dt/2": replace(cfg, dt=cfg.dt / 2.0),
               "oracle window": replace(cfg, t_final=t_cmp)}
-    runs = {label: solve(c, u0) for label, c in solves.items()}
+    runs = {label: solve(c, u0, columns=()) for label, c in solves.items()}
     ref, short = runs["dt/8"], runs["oracle window"]
     errs = [math.nan, math.nan]
     if not any(runs[label].truncated for label in ("dt/8", "dt", "dt/2")):

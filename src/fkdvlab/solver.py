@@ -179,6 +179,15 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
+    """A solve's diagnostics rows and stored states.
+
+    ``times`` and ``diagnostics`` hold one entry per row.  ``states`` maps
+    a time to its Field: t = 0, every checkpoint, and the last state the
+    run reached, which is the end of the run or, when the tail guard
+    truncated it, the row that tripped the guard.  ``final`` is that last
+    state.
+    """
+
     times: np.ndarray
     diagnostics: list
     states: dict
@@ -242,9 +251,12 @@ def _sup_bound(u_kept: np.ndarray, uh: np.ndarray, keep: int) -> float:
 class _Stepper:
     """Integrating-factor RK4 on the real-FFT half spectrum.
 
-    Every table a step needs is built here, once per run.  The stages run
-    on the modes kept in the square, 0..top; the modes above top never
-    enter it, so they advance by E2 alone.
+    Every table and stage buffer a step needs is built here, once per run.
+    The stages run on the modes kept in the square, 0..top; the modes
+    above top never enter it, so they advance by E2 alone.  The buffers
+    take the same products in the same order as the plain expressions
+    ``E * (uh + dt/2 k1)``, ``E uh + dt/2 k2``, ``E2 uh + dt E k3`` and
+    ``E2 uh + dt/6 (E2 k1 + 2 E (k2 + k3) + k4)``, so with the same bits.
     """
 
     def __init__(self, grid: Grid, alpha: float, dt: float, dealias: bool,
@@ -256,24 +268,47 @@ class _Stepper:
         self.keep = self.dfac.size
         E, self.E2_all = _propagators(grid, alpha, (0.5 * dt, dt))
         self.E, self.E2 = E[: self.keep], self.E2_all[: self.keep]
-        self.field = None        # stage 1's field: the kept modes of the last input
+        self.dtE, self.twoE = dt * self.E, 2.0 * self.E
+        self.field = np.empty(self.n)    # stage 1's field: the kept modes of the last input
+        self._real = np.empty(self.n)
+        self._half = np.empty(self.n // 2 + 1, dtype=complex)
+        self._k = np.empty((4, self.keep), dtype=complex)
+        self._a = np.empty(self.keep, dtype=complex)
+        self._b = np.empty(self.keep, dtype=complex)
 
-    def nhat(self, uh: np.ndarray) -> np.ndarray:
-        """Kept modes of -(u^2)_x / 2, u made of the kept modes of ``uh``."""
-        return _square_hat(np.fft.irfft(uh[: self.keep], self.n), self.dfac)
+    def _square_kept(self, u: np.ndarray, out=None) -> np.ndarray:
+        """``_square_hat(u, self.dfac)``, the square taken in the real buffer."""
+        sq = np.multiply(u, u, out=self._real)
+        return np.multiply(self.dfac, np.fft.rfft(sq, out=self._half)[: self.keep], out=out)
+
+    def nhat(self, uh: np.ndarray, out=None) -> np.ndarray:
+        """Kept modes of -(u^2)_x / 2, u made of the kept modes of ``uh``;
+        written into ``out`` when given."""
+        return self._square_kept(np.fft.irfft(uh[: self.keep], self.n, out=self._real), out)
 
     def step(self, uh: np.ndarray) -> np.ndarray:
         out = self.E2_all * uh
         if not self.nonlinear:
             return out
-        dt, E, E2, keep = self.dt, self.E, self.E2, self.keep
+        h, E, keep = 0.5 * self.dt, self.E, self.keep
+        k1, k2, k3, k4 = self._k
+        a, b = self._a, self._b
         uh, E2uh = uh[:keep], out[:keep]
-        self.field = np.fft.irfft(uh, self.n)
-        k1 = _square_hat(self.field, self.dfac)
-        k2 = self.nhat(E * (uh + 0.5 * dt * k1))
-        k3 = self.nhat(E * uh + 0.5 * dt * k2)
-        k4 = self.nhat(E2uh + dt * E * k3)
-        out[:keep] = E2uh + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+        # k1 from the input's field, which the state check reads afterwards
+        self._square_kept(np.fft.irfft(uh, self.n, out=self.field), k1)
+        # k2 = nhat(E (uh + h k1))
+        np.add(uh, np.multiply(h, k1, out=a), out=a)
+        self.nhat(np.multiply(E, a, out=a), k2)
+        # k3 = nhat(E uh + h k2)
+        np.add(np.multiply(E, uh, out=a), np.multiply(h, k2, out=b), out=a)
+        self.nhat(a, k3)
+        # k4 = nhat(E2 uh + (dt E) k3)
+        self.nhat(np.add(E2uh, np.multiply(self.dtE, k3, out=a), out=a), k4)
+        # E2 uh + dt/6 (E2 k1 + (2 E) (k2 + k3) + k4)
+        np.multiply(self.E2, k1, out=a)
+        np.add(a, np.multiply(self.twoE, np.add(k2, k3, out=b), out=b), out=a)
+        np.add(a, k4, out=a)
+        np.add(E2uh, np.multiply(self.dt / 6.0, a, out=a), out=E2uh)
         return out
 
 
@@ -300,8 +335,12 @@ def _step_count(t: float, dt: float, what: str) -> int:
     return n_steps
 
 
-def solve(cfg: SimConfig, u0: Optional[Field] = None) -> Trajectory:
+def solve(cfg: SimConfig, u0: Optional[Field] = None,
+          columns=diag.COLUMNS) -> Trajectory:
     """Integrate to t_final, emitting diagnostics every diag_every steps.
+
+    ``columns`` names the row fields the caller reads, as
+    ``diag.make_record`` takes them; the tail fraction is always computed.
 
     The run is on ``u0``'s grid, which must have the config's n and
     length; without ``u0`` it starts from ``cfg.ic`` on ``cfg.grid()``.
@@ -334,7 +373,7 @@ def solve(cfg: SimConfig, u0: Optional[Field] = None) -> Trajectory:
     n_steps = _step_count(cfg.t_final, cfg.dt, "t_final")
 
     times = [0.0]
-    records = [diag.make_record(u0, 0.0, cfg.alpha, cfg.weight_orders, spectrum=uh)]
+    records = [diag.make_record(u0, 0.0, cfg.alpha, cfg.weight_orders, uh, columns)]
     states = {0.0: u0}
     truncated = False
     reason = ""
@@ -364,20 +403,38 @@ def solve(cfg: SimConfig, u0: Optional[Field] = None) -> Trajectory:
                 continue
             fld = Field(grid, u)
             if emit:
-                rec = diag.make_record(fld, t, cfg.alpha, cfg.weight_orders, spectrum=uh)
+                rec = diag.make_record(fld, t, cfg.alpha, cfg.weight_orders, uh, columns)
                 times.append(t)
                 records.append(rec)
                 if rec.tail_frac > cfg.tail_tol:
                     truncated = True
                     reason = (f"boundary tail fraction {rec.tail_frac:.3e} exceeded "
                               f"tail_tol {cfg.tail_tol:g} at t = {t:g}")
-            if checkpoint or i == n_steps:
+            if checkpoint or i == n_steps or truncated:
                 states[t] = fld
             if truncated:
                 break
 
     final = states[max(states)]
     return Trajectory(np.asarray(times), records, states, final, truncated, reason)
+
+
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Running Simpson integral along axis 0 of ``y``, sampled on an odd
+    number of uniform nodes h apart, from 0 at the first node.
+
+    Each interval takes the quadratic through three nodes: interval 2j
+    the one through nodes 2j..2j+2, h/12 (5 f0 + 8 f1 - f2), and interval
+    2j+1 the mirrored form, h/12 (-f0 + 8 f1 + 5 f2), on the same nodes.
+    This is scipy.integrate.cumulative_simpson's rule, summed here in numpy.
+    """
+    f0, f1, f2 = y[:-2:2], y[1:-1:2], y[2::2]
+    parts = np.empty((y.shape[0] - 1,) + y.shape[1:], dtype=y.dtype)
+    parts[0::2] = 5.0 * f0 + 8.0 * f1 - f2
+    parts[1::2] = -f0 + 8.0 * f1 + 5.0 * f2
+    out = np.zeros_like(parts, shape=y.shape)
+    np.cumsum(parts * (h / 12.0), axis=0, out=out[1:])
+    return out
 
 
 def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int) -> Field:
@@ -389,8 +446,6 @@ def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int) -> Field
     reproduce the free evolution, and so does a config with
     ``nonlinear = False``, whose equation has no source term.
     """
-    from scipy.integrate import cumulative_simpson
-
     if iterations < 0:
         raise ConfigurationError("iterations must be >= 0")
     grid = u0.grid
@@ -408,9 +463,7 @@ def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int) -> Field
         for j in range(_PICARD_INTERVALS + 1):
             u = np.fft.irfft(iterate[j, :keep], grid.n)
             src[j, :keep] = bwd[j, :keep] * _square_hat(u, dfac)
-        # cumulative_simpson is real-only; integrate the parts separately
-        acc = (cumulative_simpson(src.real, x=taus, axis=0, initial=0.0)
-               + 1j * cumulative_simpson(src.imag, x=taus, axis=0, initial=0.0))
+        acc = _cumulative_simpson(src, taus[1])
         new = fwd * (u0h[None, :] + acc)
         delta = float(np.linalg.norm(new[-1] - iterate[-1]))
         if prev_delta is not None and delta > 2.0 * prev_delta and delta > 1e-12:

@@ -202,6 +202,16 @@ class TestExecution:
         assert (out1 / "diagnostics.csv").read_bytes() == \
             (out2 / "diagnostics.csv").read_bytes()
 
+    def test_truncated_simulate_writes_the_state_where_it_stopped(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "simulate", "--alpha", "-0.5", "--n", "4096",
+                     "--length", "200", "--dt", "1e-3", "--t-final", "1",
+                     "--ic", "odd_gaussian(-4,1)", "--tail-tol", "1e-6"]) == 0
+        t_stop = float((out / "diagnostics.csv").read_text().splitlines()[-1].split(",")[0])
+        assert 0 < t_stop < 1
+        assert sorted(p.name for p in (out / "fields").iterdir()) == [
+            "state_t0.000000.csv", f"state_t{t_stop:.6f}.csv"]
+
     def test_field_export_import_roundtrip(self, tmp_path):
         cfg_path = write_cfg(tmp_path, MINIMAL)
         out = tmp_path / "out"
@@ -587,9 +597,68 @@ def _scipy_loaded_by(tmp_path, argv):
     return rc, set(loaded)
 
 
+# every CLI command at a size that runs in about a second; -> the file it writes
+EVERY_COMMAND = {
+    "simulate": (["simulate", "--alpha", "0.5", "--n", "1024", "--length", "100",
+                  "--dt", "1e-3", "--t-final", "0.05", "--ic", "gaussian(0.2,1,0)"],
+                 "diagnostics.csv"),
+    "moment-law": (["experiment", "moment-law", "--alpha", "-0.5", "--n", "1024",
+                    "--length", "100", "--dt", "1e-3", "--t-final", "0.5",
+                    "--tail-tol", "1e-4", "--ic", "odd_gaussian(-4,1)"], "report.csv"),
+    "tstar": (["experiment", "tstar", "--alpha", "0.5", "--n", "1024", "--length", "100",
+               "--dt", "0.01", "--t-final", "3", "--tail-tol", "1e-3",
+               "--ic", "odd_gaussian(-4,1)"], "report.csv"),
+    "two-time-bh": (["experiment", "two-time-bh", "--alpha", "-1", "--n", "1024",
+                     "--length", "100", "--dt", "0.01", "--t-final", "1",
+                     "--ic", "odd_gaussian(0.5,1)", "--t1", "0.33", "--t2", "1"],
+                    "report.csv"),
+    "decay-threshold": (["experiment", "decay-threshold", "--alpha", "-0.5", "--n", "1024",
+                         "--length", "100", "--dt", "1e-3", "--t-final", "1",
+                         "--ic", "gaussian(1,1,0)", "--box-list", "100,200"], "report.csv"),
+    "symmetry": (["experiment", "symmetry", "--alpha", "0.5", "--n", "1024",
+                  "--length", "100", "--dt", "1e-3", "--t-final", "0.1",
+                  "--ic", "sine_packet(0.1,2,4)", "--lambda", "2"], "report.csv"),
+    "breaking": (["experiment", "breaking", "--alpha", "-1", "--n", "1024", "--length", "100",
+                  "--dt", "2e-3", "--t-final", "0.1", "--diag-every", "25",
+                  "--ic", "odd_gaussian(-3,1)", "--tail-tol", "1e-5"], "report.csv"),
+    "stein": (["stein", "--b", "0.5", "--target", "sign_propagator",
+               "--t", "1.5707963267948966", "--points", "1.0"], "report.csv"),
+    "probe": (["probe", "--kinds", "hilbert_frac", "--pairs", "3", "--n", "512",
+               "--length", "50"], "report.csv"),
+    "convergence": (["convergence", "--alpha", "0.5", "--n", "256", "--length", "50",
+                     "--dt", "0.02", "--t-final", "0.1", "--ic", "gaussian(0.1,1,0)"],
+                    "report.csv"),
+}
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it unimportable every command
+    # writes what it writes with scipy at hand
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import fkdvlab.cli\n"
+        f"runs = {EVERY_COMMAND!r}\n"
+        "out = {}\n"
+        "for name, (argv, written) in runs.items():\n"
+        "    rc = fkdvlab.cli.main(['--out', 'no_scipy/' + name] + argv)\n"
+        "    out[name] = [rc, open(f'no_scipy/{name}/{written}').read()]\n"
+        "print(json.dumps(out))\n")
+    src = str(Path(fkdvlab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    blocked = json.loads(done.stdout.splitlines()[-1])
+    for name, (argv, written) in EVERY_COMMAND.items():
+        out = tmp_path / "with_scipy" / name
+        rc = main(["--out", str(out)] + argv)
+        assert blocked[name] == [rc, (out / written).read_text()], name
+
+
 class TestColdStart:
-    # numpy.fft is the lab's transform and _simpson its t* quadrature;
-    # only the convergence command's Picard oracle imports scipy
+    # numpy.fft is the lab's transform, and _simpson and _cumulative_simpson
+    # its quadratures, so no command imports scipy
     def test_simulate_loads_no_heavy_scipy(self, tmp_path):
         cfg_path = write_cfg(tmp_path, MINIMAL)
         rc, loaded = _scipy_loaded_by(

@@ -8,7 +8,7 @@ from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      decay_fit, interpolation_probe, invariants, l2_norm, make_grid,
                      moment_first, sobolev_norm, spectral_jump, truncated_weight,
                      weighted_norm)
-from fkdvlab.diagnostics import make_record
+from fkdvlab.diagnostics import make_record, outer_region, tail_fraction
 from fkdvlab.solver import _Stepper
 from fkdvlab.spectral import (apply_multiplier, derivative_symbol, frac_deriv,
                               hilbert_symbol)
@@ -242,6 +242,35 @@ class TestSpectralJump:
 
 
 class TestRecord:
+    def test_unread_columns_are_not_computed(self):
+        g = line_grid(1024, 100.0)
+        f = InitialCondition("odd_gaussian", (-1.0, 1.0)).build(g)
+        full = make_record(f, 0.3, 0.5, weight_orders=(1.0,))
+        lean = make_record(f, 0.3, 0.5, weight_orders=(1.0,), columns=("moment_x",))
+        assert (lean.t, lean.moment_x, lean.tail_frac) == \
+            (full.t, full.moment_x, full.tail_frac)
+        assert all(math.isnan(getattr(lean, name))
+                   for name in ("i1", "i2", "max_u", "min_ux"))
+        assert lean.i3 is None and "not read" in lean.i3_reason
+        assert lean.wnorms == {}
+
+    @pytest.mark.parametrize("columns", [("moment",), ("min_u", "moment_x")])
+    def test_unknown_column_rejected(self, columns):
+        g = line_grid(256, 50.0)
+        f = InitialCondition("gaussian", (0.2, 1.0, 0.0)).build(g)
+        with pytest.raises(ConfigurationError, match="unknown diagnostics column"):
+            make_record(f, 0.0, 0.5, columns=columns)
+
+    def test_outer_region_built_once_per_grid(self):
+        g = line_grid(256, 50.0)
+        mask = outer_region(g)
+        assert outer_region(g) is mask and not mask.flags.writeable
+        assert np.array_equal(mask, np.abs(g.x) > 0.45 * g.length)
+        u = np.zeros(g.n)
+        u[mask] = np.arange(mask.sum())
+        shelf = u[mask] - np.mean(u[mask])
+        assert tail_fraction(u, g) == np.sum(shelf ** 2) / np.sum((u - np.mean(u)) ** 2)
+
     def test_record_fields(self):
         g = line_grid(1024, 100.0)
         f = InitialCondition("gaussian", (0.2, 1.0, 0.0), True).build(g)

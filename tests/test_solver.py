@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.integrate import cumulative_simpson
 
 from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      NumericError, SimConfig, StepError, l2_norm, linear_propagator,
                      make_grid, picard_oracle, solve)
+from fkdvlab.diagnostics import COLUMNS
 from fkdvlab.errors import OracleDivergenceError
-from fkdvlab.solver import _random_band, _Stepper, _sup_bound, cfl_bound
+from fkdvlab.solver import (_cumulative_simpson, _random_band, _Stepper, _sup_bound,
+                            cfl_bound)
 
 
 def small_cfg(**kw):
@@ -16,6 +20,33 @@ def small_cfg(**kw):
                 diag_every=20)
     base.update(kw)
     return SimConfig(**base)
+
+
+@pytest.fixture
+def transforms_added(monkeypatch):
+    """``f(diag_every, columns)``: the rfft and irfft calls that 10 more
+    steps add to a ``small_cfg`` solve of 10 steps."""
+    counts = {"rfft": 0, "irfft": 0}
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counted(name))
+
+    def transforms(steps, diag_every, columns):
+        counts.update(rfft=0, irfft=0)
+        solve(small_cfg(t_final=steps * 1e-3, diag_every=diag_every), columns=columns)
+        return dict(counts)
+
+    def added(diag_every, columns=COLUMNS):
+        short, long = (transforms(s, diag_every, columns) for s in (10, 20))
+        return {name: long[name] - short[name] for name in counts}
+    return added
 
 
 class TestConfig:
@@ -241,7 +272,6 @@ class TestStepper:
                         ic=InitialCondition("gaussian", (0.1, 1.0, 0.0), True))
         g = cfg.grid()
         u0 = cfg.ic.build(g)
-        from dataclasses import replace
         ref = solve(replace(cfg, dt=0.0025), u0).final
         errs = []
         for dt in (0.02, 0.01):
@@ -451,7 +481,6 @@ class TestSolve:
     def test_linear_path_independent_of_diag_cadence(self):
         cfg = small_cfg(nonlinear=False,
                         ic=InitialCondition("gaussian", (0.3, 1.0, 0.0)))
-        from dataclasses import replace
         a = solve(replace(cfg, diag_every=5))
         b = solve(replace(cfg, diag_every=50))
         assert np.array_equal(a.final.samples, b.final.samples)
@@ -478,6 +507,17 @@ class TestSolve:
         assert traj.truncated
         assert "tail" in traj.truncation_reason
         assert traj.times[-1] < 2.0
+
+    def test_truncated_run_keeps_the_state_where_it_stopped(self):
+        cfg = SimConfig(alpha=-0.5, dt=1e-3, t_final=1.0, n=4096, length=200.0,
+                        tail_tol=1e-6, ic=InitialCondition("odd_gaussian", (-4.0, 1.0)))
+        tr = solve(cfg)
+        t_stop = tr.times[-1]
+        assert tr.truncated and t_stop < cfg.t_final
+        assert sorted(tr.states) == [0.0, t_stop]
+        assert tr.final is tr.states[t_stop]
+        ref = solve(replace(cfg, t_final=t_stop, tail_tol=1.0)).final
+        assert np.array_equal(tr.final.samples, ref.samples)
 
     def test_t_final_off_the_step_grid_rejected(self):
         with pytest.raises(ConfigurationError, match="not a multiple of dt"):
@@ -532,30 +572,64 @@ class TestSolve:
         st.step(uh)
         assert _sup_bound(st.field, uh, st.keep) == np.max(np.abs(scipy.fft.irfft(uh, g.n)))
 
-    def test_eight_transforms_per_step_without_a_row(self, monkeypatch):
-        counts = {"rfft": 0, "irfft": 0}
+    def test_eight_transforms_per_step_without_a_row(self, transforms_added):
+        # rows only at t = 0 and at the end, whatever the step count
+        assert transforms_added(diag_every=1000) == {"rfft": 4 * 10, "irfft": 4 * 10}
 
-        def counted(name):
-            fn = getattr(np.fft, name)
 
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-        for name in counts:
-            monkeypatch.setattr(np.fft, name, counted(name))
+# the row fields each campaign reads, on its kind of data at small n
+CAMPAIGN_COLUMNS = {
+    "tstar": (dict(alpha=0.5, diag_every=2, ic=InitialCondition("odd_gaussian", (-4.0, 1.0))),
+              ("moment_x",)),
+    "moment_law": (dict(alpha=-0.5, diag_every=10,
+                        ic=InitialCondition("odd_gaussian", (-4.0, 1.0))), ("moment_x",)),
+    "breaking": (dict(alpha=-1.0, dt=2e-3, diag_every=5,
+                      ic=InitialCondition("odd_gaussian", (-3.0, 1.0))), ("min_ux",)),
+}
 
-        def transforms(steps):
-            # rows only at t = 0 and at the end, whatever the step count
-            counts.update(rfft=0, irfft=0)
-            solve(small_cfg(t_final=steps * 1e-3, diag_every=1000))
-            return dict(counts)
-        short, long = transforms(10), transforms(20)
-        assert long["rfft"] - short["rfft"] == 4 * 10
-        assert long["irfft"] - short["irfft"] == 4 * 10
+
+class TestColumns:
+    @pytest.mark.parametrize("name", CAMPAIGN_COLUMNS)
+    def test_read_columns_equal_the_full_rows(self, name):
+        kw, columns = CAMPAIGN_COLUMNS[name]
+        cfg = small_cfg(n=512, length=50.0, t_final=0.1, tail_tol=1e-6, **kw)
+        full, lean = solve(cfg), solve(cfg, columns=columns)
+        assert len(lean.diagnostics) == len(full.diagnostics) > 2
+        for a, b in zip(lean.diagnostics, full.diagnostics):
+            for col in ("t", "tail_frac") + columns:
+                assert getattr(a, col) == getattr(b, col)
+            assert math.isnan(a.i2) and a.i3 is None
+        assert np.array_equal(lean.final.samples, full.final.samples)
+
+    def test_unknown_column_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown diagnostics column.*mom"):
+            solve(small_cfg(), columns=("mom",))
+
+    @pytest.mark.parametrize("columns,per_row", [(("moment_x",), 1),
+                                                 (("moment_x", "min_ux"), 2)])
+    def test_transforms_per_row_follow_the_columns_read(self, transforms_added,
+                                                         columns, per_row):
+        # a row every 2nd step, as the t* campaign writes them: 5 more rows
+        assert transforms_added(diag_every=2, columns=columns) == \
+            {"rfft": 4 * 10, "irfft": 4 * 10 + per_row * 5}
 
 
 class TestPicardOracle:
+    def test_cumulative_simpson_matches_scipy(self):
+        rng = np.random.default_rng(7)
+        y = rng.standard_normal((65, 7))
+        for t in (0.05, 1.0, 3.0):
+            taus = np.linspace(0.0, t, 65)
+            ref = cumulative_simpson(y, x=taus, axis=0, initial=0.0)
+            got = _cumulative_simpson(y, taus[1])
+            assert got.shape == ref.shape and np.all(got[0] == 0.0)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            z = y + 1j * rng.standard_normal(y.shape)      # complex: part by part
+            ref_z = (cumulative_simpson(z.real, x=taus, axis=0, initial=0.0)
+                     + 1j * cumulative_simpson(z.imag, x=taus, axis=0, initial=0.0))
+            assert np.max(np.abs(_cumulative_simpson(z, taus[1]) - ref_z)) \
+                <= 1e-14 * np.max(np.abs(ref_z))
+
     def test_zero_iterations_is_linear(self):
         cfg = small_cfg()
         g = cfg.grid()
@@ -583,7 +657,6 @@ class TestPicardOracle:
         cfg = small_cfg(alpha=0.5, n=4096, length=200.0, dt=1e-3)
         g = cfg.grid()
         u0 = InitialCondition("gaussian", (0.1, 1.0, 0.0)).build(g)
-        from dataclasses import replace
         pic = picard_oracle(u0, cfg, 0.05, iterations=6)
         tr = solve(replace(cfg, t_final=0.05), u0)
         rel = np.linalg.norm(pic.samples - tr.final.samples) / l2_norm(tr.final)
