@@ -6,17 +6,16 @@ from .errors import (ConfigurationError, DomainError, NumericError,
                      OracleDivergenceError, StepError)
 from .spectral import (CutoffSpec, Field, Grid, MultiplierSymbol, apply_multiplier,
                        coordinate_multiply, frac_deriv, integrate, l2_norm,
-                       line_spectrum, make_grid, truncated_weight)
+                       line_spectrum, make_grid)
 from .solver import (InitialCondition, SimConfig, Trajectory, linear_propagator,
                      picard_oracle, solve)
-from .diagnostics import (DecayFit, DiagnosticsRecord, decay_fit,
-                          interpolation_probe, invariants, moment_first,
-                          sobolev_norm, spectral_jump, weighted_norm)
+from .diagnostics import (DecayFit, DiagnosticsRecord, decay_fit, invariants,
+                          moment_first, spectral_jump, weighted_norm)
 from .stein import (GrowthTable, ProbeParams, QuadSpec, SlopeFit, SteinRequest,
-                    SteinResult, SteinTarget, commutator_probe,
-                    nonmembership_scan, power_cutoff, propagator_stein_bound,
-                    propagator_target, sign_propagator, signed_power_cutoff,
-                    stein_derivative, stein_slope_fit, weight_target)
+                    SteinResult, SteinTarget, nonmembership_scan, power_cutoff,
+                    propagator_stein_bound, propagator_target, sign_propagator,
+                    signed_power_cutoff, stein_derivative, stein_slope_fit,
+                    weight_target)
 from .experiments import (ExperimentReport, MetricEntry, run_convergence,
                           run_decay_threshold, run_moment_law, run_symmetry_checks,
                           run_tstar, run_two_time_bh, run_wave_breaking)

@@ -14,9 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import (Field, Grid, apply_multiplier, bessel_symbol, derivative_symbol,
-                       frac_deriv_symbol, l2_norm, line_spectrum, multiplier_table,
-                       require_zero_mean)
+from .spectral import (Field, Grid, derivative_symbol, frac_deriv_symbol, line_spectrum,
+                       multiplier_table, require_zero_mean)
 
 #: fits are rejected above this (relative rms) log-log residual
 FIT_RESIDUAL_MAX = 0.05
@@ -93,11 +92,6 @@ def weighted_norm(f: Field, r: float) -> float:
         raise ConfigurationError(f"weight order must be >= 0 and finite, got {r}")
     w2r = (1.0 + f.grid.x ** 2) ** r
     return float(np.sqrt(np.sum(w2r * f.samples ** 2) * f.grid.dx))
-
-
-def sobolev_norm(f: Field, s: float) -> float:
-    """H^s norm through the Bessel symbol <k>^s."""
-    return l2_norm(apply_multiplier(f, bessel_symbol(s)))
 
 
 def tail_mass(f: Field, radius: float) -> float:
@@ -198,25 +192,6 @@ def _argmin_bounded(fun, lo: float, hi: float) -> float:
             d = a + shrink * (b - a)
             fd = fun(d)
     return float(0.5 * (a + b))
-
-
-def interpolation_probe(f: Field, a: float, b: float, theta1: float) -> float:
-    """Ratio ||J^(th a) (<x>^((1-th) b) f)|| / (||<x>^b f||^(1-th) ||J^a f||^th).
-
-    Scale-invariant in the amplitude of f; finite and order-one for
-    smooth concentrated fields.
-    """
-    if not (a > 0 and b > 0):
-        raise ConfigurationError("orders a and b must be positive")
-    if not (0 < theta1 < 1):
-        raise ConfigurationError(f"theta1 must lie in (0,1), got {theta1}")
-    wless = Field(f.grid, (1.0 + f.grid.x ** 2) ** ((1.0 - theta1) * b / 2.0) * f.samples)
-    lhs = sobolev_norm(wless, theta1 * a)
-    den_w = weighted_norm(f, b)
-    den_s = sobolev_norm(f, a)
-    if den_w == 0 or den_s == 0:
-        raise DomainError("degenerate input: zero weighted or Sobolev norm")
-    return lhs / (den_w ** (1.0 - theta1) * den_s ** theta1)
 
 
 def spectral_jump(f: Field) -> complex:

@@ -2,7 +2,7 @@
 
 The real line is modelled by a large periodic box [-L/2, L/2) with data
 concentrated near the centre.  All operators (fractional derivatives,
-Hilbert transform, Bessel potentials, smooth frequency projectors) are
+Hilbert transform, smooth frequency projectors) are
 diagonal in the discrete Fourier basis; multiplication by the box
 coordinate is pointwise.
 
@@ -18,7 +18,6 @@ needed, :func:`line_spectrum` gives it on the same modes.
 from __future__ import annotations
 
 import functools
-import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -223,12 +222,6 @@ def hilbert_symbol() -> MultiplierSymbol:
 
 
 @functools.lru_cache
-def bessel_symbol(s: float) -> MultiplierSymbol:
-    """(1 + k^2)^(s/2); zero mode is 1."""
-    return MultiplierSymbol(f"<k>^{s:g}", lambda k: (1.0 + k ** 2) ** (s / 2.0), 1.0)
-
-
-@functools.lru_cache
 def dispersion_symbol(alpha: float) -> MultiplierSymbol:
     """i k |k|^alpha, the generator of the linear flow; zero mode 0."""
     def ev(k):
@@ -314,31 +307,9 @@ def coordinate_multiply(f: Field) -> Field:
     return Field(f.grid, f.grid.x * f.samples)
 
 
-def truncated_weight(grid: Grid, n_w: float, theta: float) -> np.ndarray:
-    """Smooth bounded weight, :func:`weight_profile` of |x|: close to
-    (1+x^2)^(theta/2) for |x| <= N and to (2N)^theta beyond 3N, equal to
-    round-off only for large N.  The flat outer region makes the periodic
-    continuation smooth.
-    """
-    if not (0 < theta <= 1):
-        raise ConfigurationError(f"weight exponent must lie in (0, 1], got {theta}")
-    _check_weight_scale(n_w)
-    if not (3.0 * n_w < grid.length / 2):
-        raise ConfigurationError(
-            f"flat region 3N = {3 * n_w:g} must fit inside the half box "
-            f"{grid.length / 2:g}")
-    return weight_profile(np.abs(grid.x), n_w, theta)
-
-
-def _check_weight_scale(n_w: float):
-    """Reject a truncation scale N (``n_w``) that is not positive and finite."""
-    if not (0 < n_w < math.inf):
-        raise ConfigurationError(
-            f"weight scale n_w must be positive and finite, got {n_w}")
-
-
 def weight_profile(ax: np.ndarray, n_w: float, theta: float) -> np.ndarray:
-    """The truncated weight as a function of |x|, for 0 < theta <= 1.
+    """The truncated coordinate weight as a function of |x|, for 0 < theta <= 1:
+    a smooth bounded surrogate of <x>^theta, flat at (2N)^theta beyond 3N.
 
     The bridge between (1+x^2)^(theta/2) and (2N)^theta is a smooth
     minimum (sharp logsumexp) of the two closed forms: its derivative is

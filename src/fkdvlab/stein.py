@@ -30,9 +30,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .solver import _random_band
-from .spectral import (CutoffSpec, Field, _check_weight_scale, apply_to_samples,
-                       derivative_symbol, flat_top_bump, frac_deriv_symbol,
-                       hilbert_symbol, lowpass_symbol, weight_profile)
+from .spectral import (CutoffSpec, apply_to_samples, derivative_symbol, flat_top_bump,
+                       frac_deriv_symbol, hilbert_symbol, lowpass_symbol, weight_profile)
 
 #: radius of the excluded inner ball about eta, relative to max(|eta|, INNER_FLOOR)
 INNER_RADIUS = 1e-8
@@ -166,11 +165,13 @@ def sign_propagator(t: float) -> SteinTarget:
 
 
 def weight_target(theta: float, n_w: float) -> SteinTarget:
-    """The truncated coordinate weight of :func:`spectral.truncated_weight`;
+    """The truncated coordinate weight :func:`spectral.weight_profile` of |xi|;
     its tail limit (2N)^theta is reached by 3N only for large N."""
     if not (0 < theta <= 1):
         raise ConfigurationError(f"theta must lie in (0,1], got {theta}")
-    _check_weight_scale(n_w)
+    if not (0 < n_w < math.inf):
+        raise ConfigurationError(
+            f"weight scale n_w must be positive and finite, got {n_w}")
     flat = (2.0 * n_w) ** theta
     return SteinTarget(f"weight(theta={theta:g},N={n_w:g})",
                        lambda y: weight_profile(np.abs(y), n_w, theta),
@@ -563,10 +564,13 @@ def _sup_rows(u: np.ndarray) -> np.ndarray:
 
 def _probe_ratios(kind: str, grid, g: np.ndarray, f: np.ndarray,
                   params: ProbeParams) -> np.ndarray:
-    """Probe ratios of the row pairs (g[i], f[i]) of two (B, n) sample arrays.
+    """Probe ratios of the row pairs (g[i], f[i]) of two (B, n) sample arrays:
+    a commutator norm over its inequality's right-hand side, at p = 2.
 
     Every multiplier acts along the last axis and every norm reduces per
-    row, so row i gives the ratio of the pair (g[i], f[i]) alone.
+    row, so row i gives the ratio of the pair (g[i], f[i]) alone.  A
+    constant g gives ratio 0; parameters outside the hypothesis of the
+    inequality are rejected with the violated constraint named.
     """
     if kind not in _PROBE_KINDS:
         raise ConfigurationError(f"unknown probe kind '{kind}'")
@@ -633,17 +637,6 @@ def _probe_ratios(kind: str, grid, g: np.ndarray, f: np.ndarray,
     if not np.all(np.isfinite(ratios)):
         raise NumericError(f"probe '{kind}' produced non-finite ratios")
     return ratios
-
-
-def commutator_probe(kind: str, g: Field, f: Field, params: ProbeParams) -> float:
-    """Ratio of a commutator norm to its inequality right-hand side.
-
-    Computed spectrally at p = 2.  A constant g gives a vanishing
-    commutator and ratio 0; parameters outside the hypothesis of the
-    respective inequality are rejected with the violated constraint
-    named.
-    """
-    return float(_probe_ratios(kind, g.grid, g.samples[None], f.samples[None], params)[0])
 
 
 def probe_ensemble(kind: str, grid, params: ProbeParams, n_pairs: int = 50,

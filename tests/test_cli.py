@@ -440,6 +440,25 @@ ic = odd_gaussian(-4,1)
         assert "TRUNCATED:" in capsys.readouterr().out
         assert "truncated = true" in (out / "manifest.txt").read_text().splitlines()
 
+    @pytest.mark.parametrize("argv,metric", [
+        (["moment-law", "--alpha", "0.5", "--dt", "1e-3", "--ic", "odd_gaussian(-1,1)",
+          "--tail-tol", "1e-15"], "moment_max_deviation"),
+        (["two-time-bh", "--alpha", "-1", "--dt", "0.01", "--ic", "odd_gaussian(0.5,1)",
+          "--t1", "0.33", "--t2", "1", "--tail-tol", "1e-12"], "jump_law_rel_error_t1"),
+    ], ids=["moment-law", "two-time-bh"])
+    def test_truncated_campaign_reads_nan_and_exits_two(self, tmp_path, capsys,
+                                                        argv, metric):
+        # before, the moment law passed on the rows it reached and exited 0,
+        # and two-time-bh exited 1 on the time it did not reach
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "experiment", *argv,
+                   "--n", "1024", "--length", "100", "--t-final", "1"])
+        assert rc == 2
+        assert "note: TRUNCATED: " in capsys.readouterr().out
+        rows = [r.split(",") for r in (out / "report.csv").read_text().splitlines()]
+        ((measured, passed),) = [(r[2], r[-1]) for r in rows if r[1] == metric]
+        assert (measured, passed) == ("nan", "false")
+
     @pytest.mark.parametrize("flag,value", [
         ("--ic", "gaussian(1,2)"),
         ("--ic", "file()"),
@@ -657,8 +676,8 @@ def test_every_command_runs_without_scipy(tmp_path):
 
 
 class TestColdStart:
-    # numpy.fft is the lab's transform, and _simpson and _cumulative_simpson
-    # its quadratures, so no command imports scipy
+    # numpy.fft is the lab's transform and _cumulative_simpson its Simpson
+    # rule, so no command imports scipy
     def test_simulate_loads_no_heavy_scipy(self, tmp_path):
         cfg_path = write_cfg(tmp_path, MINIMAL)
         rc, loaded = _scipy_loaded_by(

@@ -5,13 +5,12 @@ import pytest
 import scipy.fft
 
 from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
-                     decay_fit, interpolation_probe, invariants, l2_norm, make_grid,
-                     moment_first, sobolev_norm, spectral_jump, truncated_weight,
-                     weighted_norm)
+                     decay_fit, invariants, l2_norm, make_grid, moment_first,
+                     spectral_jump, weighted_norm)
 from fkdvlab.diagnostics import make_record, outer_region, tail_fraction
 from fkdvlab.solver import _Stepper
 from fkdvlab.spectral import (apply_multiplier, derivative_symbol, frac_deriv,
-                              hilbert_symbol)
+                              hilbert_symbol, weight_profile)
 
 
 def line_grid(n=4096, L=200.0):
@@ -44,6 +43,12 @@ class TestInvariants:
         _, _, i3, reason = invariants(f, -0.5)
         assert i3 is None
         assert "zero mean" in reason
+
+    def test_i2_equals_squared_l2_norm(self):
+        g = line_grid(1024, 100.0)
+        f = InitialCondition("random_band", (2, 0.5, 4.0, 1.0)).build(g)
+        i2 = invariants(f, 0.5)[1]
+        assert i2 == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
 
 
 class TestMoment:
@@ -80,8 +85,8 @@ class TestWeightedNorm:
         g = line_grid()
         f = Field(g, np.exp(-g.x ** 2))
         exact = weighted_norm(f, 1.0)
-        vals = [math.sqrt(np.sum((truncated_weight(g, n_w, 1.0) * f.samples) ** 2) * g.dx)
-                for n_w in (4.0, 8.0, 16.0)]
+        ws = [weight_profile(np.abs(g.x), n_w, 1.0) for n_w in (4.0, 8.0, 16.0)]
+        vals = [math.sqrt(np.sum((w * f.samples) ** 2) * g.dx) for w in ws]
         assert vals == sorted(vals)
         assert vals[-1] <= exact
         assert vals[-1] == pytest.approx(exact, rel=1e-8)
@@ -99,30 +104,6 @@ class TestWeightedNorm:
         g = line_grid(1024, 100.0)
         with pytest.raises(ConfigurationError, match="weight order"):
             weighted_norm(Field(g, np.exp(-g.x ** 2)), r)
-
-
-class TestSobolevNorm:
-    def test_order_zero(self):
-        g = line_grid(1024, 100.0)
-        f = InitialCondition("random_band", (5, 0.5, 4.0, 1.0)).build(g)
-        assert sobolev_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-13)
-
-    def test_single_mode(self):
-        g = make_grid(256, 2 * np.pi)
-        f = Field(g, np.sin(g.x))
-        assert sobolev_norm(f, 1.0) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
-
-    def test_monotone_in_order(self):
-        g = line_grid(1024, 100.0)
-        f = InitialCondition("random_band", (9, 0.5, 4.0, 1.0)).build(g)
-        vals = [sobolev_norm(f, s) for s in (0.0, 0.5, 1.0, 2.0)]
-        assert vals == sorted(vals)
-
-    def test_i2_equals_squared_h0(self):
-        g = line_grid(1024, 100.0)
-        f = InitialCondition("random_band", (2, 0.5, 4.0, 1.0)).build(g)
-        i2 = invariants(f, 0.5)[1]
-        assert i2 == pytest.approx(sobolev_norm(f, 0.0) ** 2, rel=1e-12)
 
 
 class TestDecayFit:
@@ -165,35 +146,6 @@ class TestDecayFit:
         f = Field(g, np.exp(-g.x ** 2))
         with pytest.raises(Exception):
             decay_fit(f, (50.0, 90.0))   # beyond 0.35 L
-
-
-class TestInterpolationProbe:
-    def test_gaussian_reference(self):
-        g = line_grid()
-        f = Field(g, np.exp(-g.x ** 2))
-        ratio = interpolation_probe(f, 1.0, 1.0, 0.5)
-        assert 0.0 < ratio <= 3.0
-
-    def test_amplitude_invariance(self):
-        g = line_grid()
-        f = Field(g, np.exp(-g.x ** 2))
-        r1 = interpolation_probe(f, 1.0, 1.0, 0.5)
-        r2 = interpolation_probe(Field(g, 2 * f.samples), 1.0, 1.0, 0.5)
-        assert r1 == pytest.approx(r2, rel=1e-12)
-
-    def test_ensemble_bounded(self):
-        g = line_grid(1024, 100.0)
-        ratios = []
-        for seed in range(100):
-            f = InitialCondition("random_band", (seed, 0.5, 4.0, 1.0)).build(g)
-            ratios.append(interpolation_probe(f, 1.0, 1.0, 0.5))
-        assert np.all(np.isfinite(ratios))
-        assert max(ratios) <= 3.0
-
-    def test_degenerate_input_rejected(self):
-        g = line_grid(1024, 100.0)
-        with pytest.raises(DomainError):
-            interpolation_probe(Field(g, np.zeros(g.n)), 1.0, 1.0, 0.5)
 
 
 class TestSpectralJump:

@@ -7,7 +7,8 @@ from fkdvlab import (ConfigurationError, DomainError, InitialCondition,
                      MetricEntry, SimConfig, make_grid, run_convergence,
                      run_decay_threshold, run_moment_law, run_symmetry_checks,
                      run_tstar, run_two_time_bh, run_wave_breaking, solve)
-from fkdvlab.experiments import _scaled_ic, _simpson
+from fkdvlab.experiments import _scaled_ic
+from fkdvlab.solver import _cumulative_simpson
 
 
 def cfg_for(alpha, **kw):
@@ -52,9 +53,11 @@ class TestMomentLaw:
     def test_slope_matches_production_law(self):
         # the box moment follows the affine law up to tail flux; the
         # fitted slope is far more robust than pointwise deviations
-        cfg = cfg_for(0.5, t_final=2.0, diag_every=200,
+        # tail_tol 1e-6 lets the solve reach t_final; at 1e-8 it stops at t = 0.4
+        cfg = cfg_for(0.5, t_final=2.0, diag_every=200, tail_tol=1e-6,
                       ic=InitialCondition("odd_gaussian", (-4.0, 1.0)))
         rep = run_moment_law(cfg)
+        assert not rep.truncated
         note = rep.notes[0]
         slope, predicted = [float(tok.split()[-1]) for tok in note.split(" vs ")]
         assert slope == pytest.approx(predicted, rel=1e-3)
@@ -70,6 +73,16 @@ class TestMomentLaw:
         rep = run_moment_law(cfg)
         assert rep.metrics["dispersive_mean"].measured <= 1e-15
         assert any("convention" in n for n in rep.notes)
+
+    def test_truncated_solve_leaves_max_deviation_nan(self):
+        # the rows up to the stop at t = 0.2 deviate by 4.8e-7, inside the
+        # 3.1e-6 tolerance, though the run to t = 1 deviates by 1.1e-5
+        cfg = cfg_for(0.5, n=1024, length=100.0, tail_tol=1e-15,
+                      ic=InitialCondition("odd_gaussian", (-1.0, 1.0)))
+        rep = run_moment_law(cfg)
+        assert rep.truncated
+        assert math.isnan(rep.metrics["moment_max_deviation"].measured)
+        assert not rep.passed
 
 
 class TestTStar:
@@ -102,10 +115,11 @@ class TestTStar:
         # dt; successive differences cancel the floor and leave the step error
         integrals = []
 
-        def spy(y, x):
-            integrals.append(_simpson(y, x))
-            return integrals[-1]
-        monkeypatch.setattr("fkdvlab.experiments._simpson", spy)
+        def spy(y, h):
+            out = _cumulative_simpson(y, h)
+            integrals.append(out[-1])
+            return out
+        monkeypatch.setattr("fkdvlab.experiments._cumulative_simpson", spy)
         signed = []
         for dt in (4e-3, 2e-3, 1e-3):
             cfg = cfg_for(0.5, dt=dt, t_final=3.0, tail_tol=1e-6,
@@ -122,17 +136,19 @@ class TestTStar:
         from scipy.integrate import simpson
         seen = []
 
-        def spy(y, x):
-            seen.append((y, x))
-            return _simpson(y, x)
-        monkeypatch.setattr("fkdvlab.experiments._simpson", spy)
+        def spy(y, h):
+            seen.append((y, h))
+            return _cumulative_simpson(y, h)
+        monkeypatch.setattr("fkdvlab.experiments._cumulative_simpson", spy)
         cfg = cfg_for(0.5, dt=dt, t_final=3.0, n=256, length=40.0, tail_tol=math.inf,
                       ic=InitialCondition("odd_gaussian", (-4.0, 1.0)))
         t_star = 2 * float(run_tstar(cfg).metrics["zero_crossing"].expected)
-        ((y, x),) = seen
-        assert x.size % 2 == 1
-        assert x[0] == 0.0 and x[-1] == pytest.approx(t_star, rel=1e-14)
-        assert _simpson(y, x) == simpson(y, x=x)
+        ((y, h),) = seen
+        assert y.size % 2 == 1
+        assert h * (y.size - 1) == pytest.approx(t_star, rel=1e-14)
+        m0 = y[0]
+        assert abs(_cumulative_simpson(y, h)[-1] - simpson(y, dx=h)) \
+            <= 1e-14 * abs(m0) * t_star
 
     def test_truncated_solve_leaves_integral_residual_nan(self):
         # the partial series would read a residual near 1 - t_end/t*,
@@ -142,15 +158,6 @@ class TestTStar:
         assert rep.truncated
         assert math.isnan(rep.metrics["integral_residual"].measured)
         assert not rep.metrics["integral_residual"].passed
-
-
-def test_simpson_matches_scipy_on_uneven_nodes():
-    from scipy.integrate import simpson
-    rng = np.random.default_rng(5)
-    for size in (3, 5, 101, 2829):
-        x = np.cumsum(rng.uniform(0.1, 1.0, size)) - 0.3
-        y = rng.standard_normal(size)
-        assert _simpson(y, x) == simpson(y, x=x)
 
 
 class TestTwoTimeBH:
@@ -181,6 +188,14 @@ class TestTwoTimeBH:
                         ic=InitialCondition("odd_gaussian", (0.5, 1.0)))
         rep = run_two_time_bh(cfg, 0.33, 1.0)
         assert rep.metrics["jump_law_rel_error_t2"].measured <= 1e-5
+
+    def test_truncated_solves_leave_the_metrics_nan(self):
+        # the L = 100 and L = 200 solves stop at t = 0.09 and 0.25, before t1
+        run, kw, _ = TRUNCATING["two-time-bh"]
+        rep = run(cfg_for(**kw))
+        assert rep.truncated
+        for metric in rep.metrics.values():
+            assert math.isnan(metric.measured) and not metric.passed
 
     def test_jump_error_decreases_under_box_doubling(self):
         import numpy as np
@@ -310,6 +325,9 @@ TRUNCATING = {
     "moment-law": (run_moment_law, dict(
         alpha=-0.5, n=1024, length=100.0, t_final=0.5, tail_tol=1e-4,
         ic=InitialCondition("odd_gaussian", (-4.0, 1.0))), {"main"}),
+    "two-time-bh": (lambda cfg: run_two_time_bh(cfg, 0.33, 1.0), dict(
+        alpha=-1.0, n=1024, length=100.0, dt=0.01, tail_tol=1e-12,
+        ic=InitialCondition("odd_gaussian", (0.5, 1.0))), {"L=100", "L=200"}),
     "tstar": (run_tstar, dict(
         alpha=0.5, n=1024, length=100.0, t_final=3.0, tail_tol=1e-12,
         ic=InitialCondition("odd_gaussian", (-4.0, 1.0))), {"main"}),

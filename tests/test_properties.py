@@ -14,13 +14,19 @@ from fkdvlab import (ConfigurationError, CutoffSpec, Field, InitialCondition,
                      make_grid)
 from fkdvlab.cli import _KEYS, parse_config, write_manifest
 from fkdvlab.solver import _Stepper, _sup_bound
-from fkdvlab.spectral import (bessel_symbol, derivative_symbol, dispersion_symbol,
-                              frac_deriv_symbol, hilbert_symbol, lowpass_symbol)
+from fkdvlab.spectral import (derivative_symbol, dispersion_symbol, frac_deriv_symbol,
+                              hilbert_symbol, lowpass_symbol)
+
+
+def bessel(s):
+    """(1 + k^2)^(s/2) with zero mode 1, a Hermitian symbol built here."""
+    return MultiplierSymbol(f"<k>^{s:g}", lambda k: (1.0 + k ** 2) ** (s / 2.0), 1.0)
+
 
 orders = st.floats(-1.0, 2.0, allow_nan=False)
 symbols = st.one_of(
     orders.map(frac_deriv_symbol),
-    orders.map(bessel_symbol),
+    orders.map(bessel),
     st.floats(-1.0, 0.9).filter(lambda a: a != 0.0).map(dispersion_symbol),
     st.floats(0.05, 2.0).map(lambda a: lowpass_symbol(CutoffSpec(a))),
     st.just(hilbert_symbol()),

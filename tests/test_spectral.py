@@ -9,14 +9,13 @@ import pytest
 import fkdvlab
 from fkdvlab import (ConfigurationError, CutoffSpec, DomainError, Field,
                      MultiplierSymbol, apply_multiplier, coordinate_multiply,
-                     frac_deriv, integrate, l2_norm, line_spectrum, make_grid,
-                     truncated_weight)
+                     frac_deriv, integrate, l2_norm, line_spectrum, make_grid)
 from fkdvlab.errors import NumericError
 from fkdvlab.experiments import _evaluate_at
 from fkdvlab.solver import InitialCondition
-from fkdvlab.spectral import (bessel_symbol, derivative_symbol, dispersion_symbol,
-                              frac_deriv_symbol, hilbert_symbol, is_zero_mean,
-                              lowpass_symbol, multiplier_table, weight_profile)
+from fkdvlab.spectral import (derivative_symbol, dispersion_symbol, frac_deriv_symbol,
+                              hilbert_symbol, is_zero_mean, lowpass_symbol,
+                              multiplier_table, weight_profile)
 
 
 def trig_grid(n=256):
@@ -154,10 +153,15 @@ class TestApplyMultiplier:
         assert np.allclose(a.samples, b.samples, atol=1e-13 * l2_norm(f))
 
 
+def bessel(s):
+    """(1 + k^2)^(s/2) with zero mode 1, a Hermitian symbol built here."""
+    return MultiplierSymbol(f"<k>^{s:g}", lambda k: (1.0 + k ** 2) ** (s / 2.0), 1.0)
+
+
 CONSTRUCTED_SYMBOLS = [
     frac_deriv_symbol(0.0), frac_deriv_symbol(0.5),
     frac_deriv_symbol(-0.5), frac_deriv_symbol(1.7), hilbert_symbol(),
-    bessel_symbol(-1.0), bessel_symbol(2.0), dispersion_symbol(0.5),
+    bessel(-1.0), bessel(2.0), dispersion_symbol(0.5),
     dispersion_symbol(-1.0), derivative_symbol(), lowpass_symbol(CutoffSpec(1.0)),
 ]
 
@@ -345,27 +349,27 @@ class TestTruncatedWeight:
     def test_value_at_origin(self):
         g = make_grid(2048, 400.0)
         for n_w, theta in ((5.0, 0.5), (20.0, 1.0)):
-            w = truncated_weight(g, n_w, theta)
+            w = weight_profile(np.abs(g.x), n_w, theta)
             assert w[g.n // 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_region_value(self):
         # (2N)^theta beyond 3N: N=5, theta=0.5 gives sqrt(10)
         g = make_grid(2048, 400.0)
-        w = truncated_weight(g, 5.0, 0.5)
+        w = weight_profile(np.abs(g.x), 5.0, 0.5)
         j = np.argmin(np.abs(g.x - 20.0))          # |x| = 4N
         assert w[j] == pytest.approx(np.sqrt(10.0), rel=1e-12)
 
     def test_inner_region_matches_closed_form(self):
         g = make_grid(2048, 400.0)
         n_w = 12.0
-        w = truncated_weight(g, n_w, 1.0)
+        w = weight_profile(np.abs(g.x), n_w, 1.0)
         sel = np.abs(g.x) <= n_w
         assert np.allclose(w[sel], np.sqrt(1 + g.x[sel] ** 2), rtol=1e-12)
 
     def test_monotone_with_unit_slope_bound(self):
         g = make_grid(4096, 400.0)
         for theta in (0.25, 0.5, 1.0):
-            w = truncated_weight(g, 10.0, theta)
+            w = weight_profile(np.abs(g.x), 10.0, theta)
             right = w[g.n // 2:]
             assert np.all(np.diff(right) >= -1e-14)
             assert np.all(np.diff(right) / g.dx <= 1.0 + 1e-10)
@@ -385,17 +389,12 @@ class TestTruncatedWeight:
         else:
             assert 0.0 <= below <= 2 * np.spacing(flat)
 
-    def test_flat_region_must_fit(self):
-        g = make_grid(512, 50.0)
-        with pytest.raises(ConfigurationError):
-            truncated_weight(g, 10.0, 0.5)
-
     def test_higher_derivatives_bounded_uniformly_in_n(self):
         # |d^l w| stays bounded by a fixed constant for l = 2, 3
         g = make_grid(8192, 800.0)
         caps = {2: 0.0, 3: 0.0}
         for n_w in (8.0, 16.0, 32.0, 64.0):
-            w = truncated_weight(g, n_w, 0.5)
+            w = weight_profile(np.abs(g.x), n_w, 0.5)
             d2 = np.gradient(np.gradient(w, g.dx), g.dx)
             d3 = np.gradient(d2, g.dx)
             caps[2] = max(caps[2], np.max(np.abs(d2)))
@@ -423,7 +422,7 @@ class TestOperatorIdentities:
         for beta in (theta + 0.1, 1.0, 2.0):
             sups = []
             for n_w in (8.0, 16.0, 32.0, 64.0):
-                w = Field(g, truncated_weight(g, n_w, theta))
+                w = Field(g, weight_profile(np.abs(g.x), n_w, theta))
                 sups.append(np.max(np.abs(frac_deriv(w, beta).samples)))
             assert max(sups) <= 3.0
             assert max(sups) <= 4.0 * min(sups) + 1e-6

@@ -8,12 +8,12 @@ import pytest
 
 from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      NumericError, ProbeParams, QuadSpec, SteinRequest, SteinTarget,
-                     commutator_probe, make_grid, nonmembership_scan,
-                     power_cutoff, propagator_stein_bound, sign_propagator,
-                     signed_power_cutoff, stein_derivative, stein_slope_fit,
-                     truncated_weight, weight_target)
+                     make_grid, nonmembership_scan, power_cutoff, propagator_stein_bound,
+                     sign_propagator, signed_power_cutoff, stein_derivative,
+                     stein_slope_fit, weight_target)
 from fkdvlab import stein
 from fkdvlab.solver import _random_band
+from fkdvlab.spectral import weight_profile
 from fkdvlab.stein import (_bessel_weighted, _probe_ratios, probe_ensemble,
                            propagator_target)
 
@@ -162,7 +162,7 @@ class TestSteinDerivative:
     def test_weight_target_is_the_truncated_weight(self, theta, n_w):
         g = make_grid(4096, 200.0)
         assert np.array_equal(weight_target(theta, n_w).func(g.x),
-                              truncated_weight(g, n_w, theta))
+                              weight_profile(np.abs(g.x), n_w, theta))
 
     @pytest.mark.parametrize("build,name", [
         (lambda: power_cutoff(math.inf), "beta"),
@@ -176,11 +176,8 @@ class TestSteinDerivative:
 
     @pytest.mark.parametrize("n_w", [0.0, -1.0, math.nan, math.inf])
     def test_weight_scale_checked_alike(self, n_w):
-        # the target and the grid weight share one check of N
-        g = make_grid(4096, 200.0)
-        for build in (lambda: weight_target(0.5, n_w), lambda: truncated_weight(g, n_w, 0.5)):
-            with pytest.raises(ConfigurationError, match="n_w must be positive and finite"):
-                build()
+        with pytest.raises(ConfigurationError, match="n_w must be positive and finite"):
+            weight_target(0.5, n_w)
 
 
 class TestSlopeFits:
@@ -343,18 +340,22 @@ def packet(grid, amp=1.0, kc=2.0, width=4.0):
 PROBE_KINDS = ["hilbert_frac", "frac_com", "triple", "projector", "hilbert_local"]
 
 
+def pair_ratio(kind, g, f, params):
+    """The probe ratio of one pair of fields, as a one-row block."""
+    return float(_probe_ratios(kind, g.grid, g.samples[None], f.samples[None], params)[0])
+
+
 class TestCommutatorProbes:
     def test_constant_g_gives_zero(self):
         g = make_grid(1024, 100.0)
         const = Field(g, np.ones(g.n))
         f = packet(g)
-        assert commutator_probe("hilbert_frac", const, f,
-                                ProbeParams(beta=0.5)) == 0.0
+        assert pair_ratio("hilbert_frac", const, f, ProbeParams(beta=0.5)) == 0.0
 
     def test_gaussian_pair_ratio_bounded(self):
         g = make_grid(1024, 100.0)
         gg = Field(g, np.exp(-g.x ** 2))
-        ratio = commutator_probe("hilbert_frac", gg, gg, ProbeParams(beta=0.5))
+        ratio = pair_ratio("hilbert_frac", gg, gg, ProbeParams(beta=0.5))
         assert 0.0 < ratio <= 10.0
 
     @pytest.mark.parametrize("kind,params,msg", [
@@ -368,13 +369,13 @@ class TestCommutatorProbes:
         g = make_grid(512, 50.0)
         f = packet(g)
         with pytest.raises(ConfigurationError, match=msg):
-            commutator_probe(kind, f, f, params)
+            pair_ratio(kind, f, f, params)
 
     def test_unknown_kind(self):
         g = make_grid(512, 50.0)
         f = packet(g)
         with pytest.raises(ConfigurationError):
-            commutator_probe("mystery", f, f, ProbeParams())
+            pair_ratio("mystery", f, f, ProbeParams())
 
     @pytest.mark.parametrize("n_pairs", [0, -3])
     def test_ensemble_needs_a_pair(self, n_pairs):
@@ -389,7 +390,7 @@ class TestCommutatorProbes:
 
         def band(seed):
             return InitialCondition("random_band", (seed, 0.5, 4.0, 1.0)).build(g)
-        ratios = [commutator_probe(kind, band(4 + 2 * j), band(5 + 2 * j), params)
+        ratios = [pair_ratio(kind, band(4 + 2 * j), band(5 + 2 * j), params)
                   for j in range(9)]
         assert mx == pytest.approx(max(ratios), rel=1e-13)
         assert med == pytest.approx(float(np.median(ratios)), rel=1e-13)
@@ -404,7 +405,7 @@ class TestCommutatorProbes:
 
         def band(seed):
             return Field(g, _random_band(g, [seed], *stein.PROBE_BAND, 1.0)[0])
-        ratios = [commutator_probe(kind, band(2 + 2 * j), band(3 + 2 * j), params)
+        ratios = [pair_ratio(kind, band(2 + 2 * j), band(3 + 2 * j), params)
                   for j in range(37)]
         assert mx == max(ratios)
         assert med == float(np.median(ratios))
@@ -439,13 +440,13 @@ class TestCommutatorProbes:
         with pytest.raises(DomainError, match="zero right-hand side"):
             _probe_ratios("hilbert_local", g, np.stack([f, nyq]), np.stack([f, f]), params)
         with pytest.raises(DomainError, match="zero right-hand side"):
-            commutator_probe("hilbert_local", Field(g, nyq), Field(g, f), params)
+            pair_ratio("hilbert_local", Field(g, nyq), Field(g, f), params)
 
     def test_overflow_raises_numeric_error(self):
         g = make_grid(512, 50.0)
         big = packet(g, amp=1e200)
         with np.errstate(all="ignore"), pytest.raises(NumericError):
-            commutator_probe("hilbert_frac", big, big, ProbeParams(beta=0.5))
+            pair_ratio("hilbert_frac", big, big, ProbeParams(beta=0.5))
 
     @pytest.mark.parametrize("kind", PROBE_KINDS)
     def test_ensemble_finite_and_resolution_stable(self, kind):
