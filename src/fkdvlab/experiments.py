@@ -89,7 +89,7 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
     The box moment can only track the line identity up to the moment
     carried by dispersive tails leaving the window; the irreducible gap
     is recorded in the notes.  A truncated solve never reaches t_final, so
-    its maximum deviation is NaN.
+    its maximum deviation is NaN and its slope note says where the fit stops.
     """
     if not (-1.0 < cfg.alpha < 1.0) or cfg.alpha == 0.0:
         raise DomainError(
@@ -106,6 +106,10 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
     dmean = max(abs(integrate(frac_deriv(traj.final, cfg.alpha))), 0.0)
     slope = np.polyfit([r.t for r in traj.diagnostics],
                        [r.moment_x for r in traj.diagnostics], 1)[0]
+    fit = f"fitted moment slope {slope:.8f} vs predicted {0.5 * l2sq:.8f}"
+    if traj.truncated:
+        fit += (f"; the fit stops at the truncation time t = {traj.times[-1]:g}, "
+                f"short of t_final = {cfg.t_final:g}")
     return ExperimentReport(
         "moment_law",
         {
@@ -113,7 +117,7 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
             "dispersive_mean": MetricEntry(dmean, 0.0, 1e-14),
         },
         notes=[
-            f"fitted moment slope {slope:.8f} vs predicted {0.5 * l2sq:.8f}",
+            fit,
             "dispersive_mean is zero by the zero-mode convention; "
             "its vanishing is a consistency note, not evidence",
         ], solves={"main": traj})

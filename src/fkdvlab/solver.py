@@ -5,18 +5,14 @@ The linear part is integrated exactly through its symbol
 mode keeps the real part, ``cos(t k |k|^alpha)``); the quadratic term is
 advanced with classical RK4 in the integrating-factor variable, which
 makes the stepper exact on the purely linear problem and globally fourth
-order otherwise.  The stages run on the modes kept in the square, 0..top
-(top = n/3 under the 2/3 rule, n/2 without it); the modes above top never
-enter it and advance by the propagator alone.
+order otherwise.
 
-Every state is checked for non-finite values and, in a nonlinear run,
-against the CFL bound.  Rows, checkpoints, the final state and every
-state of a linear run are checked exactly, from their own inverse
-transform.  Any other state is checked once the next step has run, from
-that step's stage-1 field, which holds the state's kept modes; max|u| is
-then bounded by ``max|u_kept| + (2 sum_{top<m<n/2} |u_m| + |u_{n/2}|) / n``.
-The bound is never below max|u|, so the check can stop a run earlier,
-never later; without dealiasing it is exact.
+The state holds the modes kept in the square, 0..top, and every mode
+above top is exactly zero: top = n/3 in a dealiased nonlinear run (the
+2/3 rule), n/2 otherwise.  A run starts from the kept modes of u0.  Each
+step ends with the new state's field, which the next step's stage 1
+reads; every state is checked from it, exactly, for non-finite values
+and, in a nonlinear run, against the CFL bound.
 
 A Picard iteration of the integral (Duhamel) form of the equation serves
 as an independent cross-validation oracle.
@@ -237,24 +233,13 @@ def _square_hat(u: np.ndarray, dfac: np.ndarray) -> np.ndarray:
     return dfac * np.fft.rfft(u * u)[: dfac.size]
 
 
-def _sup_bound(u_kept: np.ndarray, uh: np.ndarray, keep: int) -> float:
-    """Upper bound on max|irfft(uh)| from ``u_kept = irfft(uh[:keep])``.
-
-    Each mode keep <= m < n/2 adds at most 2|u_m|/n to a sample, and the
-    Nyquist mode |u_{n/2}|/n; with every mode kept the bound is exact.
-    """
-    hi = np.abs(uh[keep:])
-    tail = 2.0 * np.sum(hi[:-1]) + hi[-1] if hi.size else 0.0
-    return float(np.max(np.abs(u_kept)) + tail / u_kept.size)
-
-
 class _Stepper:
     """Integrating-factor RK4 on the real-FFT half spectrum.
 
-    Every table and stage buffer a step needs is built here, once per run.
-    The stages run on the modes kept in the square, 0..top; the modes
-    above top never enter it, so they advance by E2 alone.  The buffers
-    take the same products in the same order as the plain expressions
+    A state is the half spectrum with every mode above top exactly zero;
+    ``field`` holds the last state's samples.  Every table and stage
+    buffer a step needs is built here, once per run.  The buffers take
+    the same products in the same order as the plain expressions
     ``E * (uh + dt/2 k1)``, ``E uh + dt/2 k2``, ``E2 uh + dt E k3`` and
     ``E2 uh + dt/6 (E2 k1 + 2 E (k2 + k3) + k4)``, so with the same bits.
     """
@@ -264,17 +249,23 @@ class _Stepper:
         self.n = grid.n
         self.dt = dt
         self.nonlinear = nonlinear
-        self.dfac = _nonlinear_factor(grid, dealias)
+        self.dfac = _nonlinear_factor(grid, dealias and nonlinear)
         self.keep = self.dfac.size
-        E, self.E2_all = _propagators(grid, alpha, (0.5 * dt, dt))
-        self.E, self.E2 = E[: self.keep], self.E2_all[: self.keep]
+        self.E, self.E2 = _propagators(grid, alpha, (0.5 * dt, dt))[:, : self.keep]
         self.dtE, self.twoE = dt * self.E, 2.0 * self.E
-        self.field = np.empty(self.n)    # stage 1's field: the kept modes of the last input
+        self.field = np.empty(self.n)
         self._real = np.empty(self.n)
         self._half = np.empty(self.n // 2 + 1, dtype=complex)
         self._k = np.empty((4, self.keep), dtype=complex)
         self._a = np.empty(self.keep, dtype=complex)
         self._b = np.empty(self.keep, dtype=complex)
+
+    def start(self, samples: np.ndarray) -> np.ndarray:
+        """The state made of the kept modes of ``samples``; its field goes to ``field``."""
+        uh = np.fft.rfft(samples)
+        uh[self.keep:] = 0.0
+        np.fft.irfft(uh, self.n, out=self.field)
+        return uh
 
     def _square_kept(self, u: np.ndarray, out=None) -> np.ndarray:
         """``_square_hat(u, self.dfac)``, the square taken in the real buffer."""
@@ -287,34 +278,36 @@ class _Stepper:
         return self._square_kept(np.fft.irfft(uh[: self.keep], self.n, out=self._real), out)
 
     def step(self, uh: np.ndarray) -> np.ndarray:
-        out = self.E2_all * uh
-        if not self.nonlinear:
-            return out
-        h, E, keep = 0.5 * self.dt, self.E, self.keep
-        k1, k2, k3, k4 = self._k
-        a, b = self._a, self._b
-        uh, E2uh = uh[:keep], out[:keep]
-        # k1 from the input's field, which the state check reads afterwards
-        self._square_kept(np.fft.irfft(uh, self.n, out=self.field), k1)
-        # k2 = nhat(E (uh + h k1))
-        np.add(uh, np.multiply(h, k1, out=a), out=a)
-        self.nhat(np.multiply(E, a, out=a), k2)
-        # k3 = nhat(E uh + h k2)
-        np.add(np.multiply(E, uh, out=a), np.multiply(h, k2, out=b), out=a)
-        self.nhat(a, k3)
-        # k4 = nhat(E2 uh + (dt E) k3)
-        self.nhat(np.add(E2uh, np.multiply(self.dtE, k3, out=a), out=a), k4)
-        # E2 uh + dt/6 (E2 k1 + (2 E) (k2 + k3) + k4)
-        np.multiply(self.E2, k1, out=a)
-        np.add(a, np.multiply(self.twoE, np.add(k2, k3, out=b), out=b), out=a)
-        np.add(a, k4, out=a)
-        np.add(E2uh, np.multiply(self.dt / 6.0, a, out=a), out=E2uh)
+        """The state dt after ``uh``, whose field ``field`` holds; the new
+        state's field replaces it."""
+        out = np.zeros_like(uh)
+        uh = uh[: self.keep]
+        E2uh = np.multiply(self.E2, uh, out=out[: self.keep])
+        if self.nonlinear:
+            h, E = 0.5 * self.dt, self.E
+            k1, k2, k3, k4 = self._k
+            a, b = self._a, self._b
+            self._square_kept(self.field, k1)
+            # k2 = nhat(E (uh + h k1))
+            np.add(uh, np.multiply(h, k1, out=a), out=a)
+            self.nhat(np.multiply(E, a, out=a), k2)
+            # k3 = nhat(E uh + h k2)
+            np.add(np.multiply(E, uh, out=a), np.multiply(h, k2, out=b), out=a)
+            self.nhat(a, k3)
+            # k4 = nhat(E2 uh + (dt E) k3)
+            self.nhat(np.add(E2uh, np.multiply(self.dtE, k3, out=a), out=a), k4)
+            # E2 uh + dt/6 (E2 k1 + (2 E) (k2 + k3) + k4)
+            np.multiply(self.E2, k1, out=a)
+            np.add(a, np.multiply(self.twoE, np.add(k2, k3, out=b), out=b), out=a)
+            np.add(a, k4, out=a)
+            np.add(E2uh, np.multiply(self.dt / 6.0, a, out=a), out=E2uh)
+        np.fft.irfft(out, self.n, out=self.field)
         return out
 
 
 def _check_state(u_max: float, t: float, last_good: float, cfg: SimConfig, dx: float):
     """Stop on a non-finite state, or, in a nonlinear run, on dt above the CFL
-    bound; ``u_max`` is max|u| or a bound above it."""
+    bound; ``u_max`` is the state's max|u|."""
     if not math.isfinite(u_max):      # NaN or inf when any sample or mode is
         raise NumericError(f"state non-finite at t = {t:g}; last good t = {last_good:g}")
     if cfg.nonlinear:
@@ -344,10 +337,11 @@ def solve(cfg: SimConfig, u0: Optional[Field] = None,
 
     The run is on ``u0``'s grid, which must have the config's n and
     length; without ``u0`` it starts from ``cfg.ic`` on ``cfg.grid()``.
-    The run stops early (``truncated = True``) once the boundary tail
-    fraction exceeds ``cfg.tail_tol``; a NaN state raises NumericError
-    carrying the last good time.  Fixed cfg (seeds included) gives a
-    bit-identical trajectory.
+    In a dealiased nonlinear run the state at t = 0 is the projection of
+    ``u0`` onto the kept modes.  The run stops early (``truncated = True``)
+    once the boundary tail fraction exceeds ``cfg.tail_tol``; a NaN state
+    raises NumericError carrying the last good time.  Fixed cfg (seeds
+    included) gives a bit-identical trajectory.
     """
     if u0 is None:
         u0 = cfg.ic.build(cfg.grid())
@@ -356,6 +350,10 @@ def solve(cfg: SimConfig, u0: Optional[Field] = None,
         raise ConfigurationError(
             f"u0 lies on a grid of n = {grid.n}, length = {grid.length:g}; "
             f"the config has n = {cfg.n}, length = {cfg.length:g}")
+    stepper = _Stepper(grid, cfg.alpha, cfg.dt, cfg.dealias, cfg.nonlinear)
+    uh = stepper.start(u0.samples)
+    if stepper.keep < uh.size:          # the run advances the kept modes of u0
+        u0 = Field(grid, stepper.field.copy())
     if cfg.nonlinear:
         # the linear flow is integrated exactly and has no step restriction
         bound = cfl_bound(float(np.max(np.abs(u0.samples))), grid.dx)
@@ -367,9 +365,6 @@ def solve(cfg: SimConfig, u0: Optional[Field] = None,
     if tf0 > cfg.tail_tol:
         raise DomainError(
             f"initial tail fraction {tf0:.3e} already exceeds tail_tol {cfg.tail_tol:g}")
-
-    stepper = _Stepper(grid, cfg.alpha, cfg.dt, cfg.dealias, cfg.nonlinear)
-    uh = np.fft.rfft(u0.samples)
     n_steps = _step_count(cfg.t_final, cfg.dt, "t_final")
 
     times = [0.0]
@@ -377,43 +372,29 @@ def solve(cfg: SimConfig, u0: Optional[Field] = None,
     states = {0.0: u0}
     truncated = False
     reason = ""
-    last_good = 0.0
-    unchecked = False        # the current state awaits the next step's stage-1 check
 
-    # an inf state awaiting its stage-1 check meets 0 * inf in the next
-    # step's stages; _check_state stops the run, so numpy need not warn
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(1, n_steps + 1):
-            prev, uh = uh, stepper.step(uh)
-            if unchecked:
-                t_prev = (i - 1) * cfg.dt
-                _check_state(_sup_bound(stepper.field, prev, stepper.keep), t_prev,
-                             last_good, cfg, grid.dx)
-                last_good = t_prev
-            t = i * cfg.dt
-            emit = (i % cfg.diag_every == 0) or (i == n_steps)
-            checkpoint = cfg.store_every and (i % cfg.store_every == 0)
-            unchecked = cfg.nonlinear and not (emit or checkpoint)
-            if unchecked:
-                continue
-            u = np.fft.irfft(uh, grid.n)
-            _check_state(float(np.max(np.abs(u))), t, last_good, cfg, grid.dx)
-            last_good = t
-            if not (emit or checkpoint):
-                continue
-            fld = Field(grid, u)
-            if emit:
-                rec = diag.make_record(fld, t, cfg.alpha, cfg.weight_orders, uh, columns)
-                times.append(t)
-                records.append(rec)
-                if rec.tail_frac > cfg.tail_tol:
-                    truncated = True
-                    reason = (f"boundary tail fraction {rec.tail_frac:.3e} exceeded "
-                              f"tail_tol {cfg.tail_tol:g} at t = {t:g}")
-            if checkpoint or i == n_steps or truncated:
-                states[t] = fld
-            if truncated:
-                break
+    for i in range(1, n_steps + 1):
+        uh = stepper.step(uh)
+        t = i * cfg.dt
+        _check_state(float(np.max(np.abs(stepper.field))), t, (i - 1) * cfg.dt,
+                     cfg, grid.dx)
+        emit = (i % cfg.diag_every == 0) or (i == n_steps)
+        checkpoint = cfg.store_every and (i % cfg.store_every == 0)
+        if not (emit or checkpoint):
+            continue
+        fld = Field(grid, stepper.field.copy())
+        if emit:
+            rec = diag.make_record(fld, t, cfg.alpha, cfg.weight_orders, uh, columns)
+            times.append(t)
+            records.append(rec)
+            if rec.tail_frac > cfg.tail_tol:
+                truncated = True
+                reason = (f"boundary tail fraction {rec.tail_frac:.3e} exceeded "
+                          f"tail_tol {cfg.tail_tol:g} at t = {t:g}")
+        if checkpoint or i == n_steps or truncated:
+            states[t] = fld
+        if truncated:
+            break
 
     final = states[max(states)]
     return Trajectory(np.asarray(times), records, states, final, truncated, reason)

@@ -53,8 +53,9 @@ class Grid:
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 8:
             raise ConfigurationError(f"sample count must be even and >= 8, got {self.n}")
-        if not (self.length > 0):
-            raise ConfigurationError(f"box length must be positive, got {self.length}")
+        if not (0 < self.length < np.inf):
+            raise ConfigurationError(
+                f"box length must be positive and finite, got {self.length}")
         dx = self.length / self.n
         object.__setattr__(self, "x", -0.5 * self.length + dx * np.arange(self.n))
         object.__setattr__(self, "k", 2.0 * np.pi * np.fft.fftfreq(self.n, d=dx))

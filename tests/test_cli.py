@@ -477,11 +477,13 @@ ic = odd_gaussian(-4,1)
         ("--points", "1,inf"),
         ("--pairs", "0"),
         ("--pairs", "-3"),
+        ("--length", "inf"),
+        ("--length", "nan"),
     ])
     def test_bad_input_exits_one_with_error_line(self, tmp_path, capsys, flag, value):
         campaign = {"--t1": "two-time-bh", "--lambda": "symmetry",
                     "--box-list": "decay-threshold", "--r-probe": "decay-threshold"}
-        if flag == "--pairs":
+        if flag in ("--pairs", "--length"):
             argv = ["probe", flag, value]
         elif flag in ("--points", "--target"):
             opts = {"--b": "0.5", "--target": "sign_propagator", "--points": "1.0",
@@ -494,7 +496,7 @@ ic = odd_gaussian(-4,1)
         rc = main(["--out", str(tmp_path / "out")] + argv)
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
         assert flag[2:].replace("-", "_") in err
 
     @pytest.mark.parametrize("target,flag,value", [
@@ -577,11 +579,11 @@ ic = odd_gaussian(-4,1)
         assert len(lines) == 1
         assert lines[0].startswith(f"numeric error: CFL violated at t = {dt:g}: ")
 
-    @pytest.mark.parametrize("mode", [0, 512])
+    @pytest.mark.parametrize("mode", [0])
     def test_inf_state_between_rows_exits_one_quietly(self, tmp_path, capsys, recwarn,
                                                       monkeypatch, mode):
-        # the third state writes no row, so the fourth step's stages meet it
-        # (0 * inf) before its stage-1 field stops the run
+        # the third state writes no row; its field (inf and NaN samples) stops
+        # the run, and numpy warns of none of it
         step, calls = _Stepper.step, []
 
         def inf_on_third(self, uh):
@@ -589,6 +591,7 @@ ic = odd_gaussian(-4,1)
             out = step(self, uh)
             if len(calls) == 3:
                 out[mode] = np.inf
+                np.fft.irfft(out, self.n, out=self.field)
             return out
         monkeypatch.setattr(_Stepper, "step", inf_on_third)
         rc = main(["--out", str(tmp_path / "out"), "simulate",

@@ -84,6 +84,15 @@ class TestMomentLaw:
         assert math.isnan(rep.metrics["moment_max_deviation"].measured)
         assert not rep.passed
 
+    def test_truncated_slope_note_names_where_the_fit_stops(self):
+        cfg = cfg_for(0.5, n=1024, length=100.0, tail_tol=1e-15,
+                      ic=InitialCondition("odd_gaussian", (-1.0, 1.0)))
+        rep = run_moment_law(cfg)
+        assert rep.truncated and cfg.t_final == 1.0
+        assert rep.notes[0].startswith("fitted moment slope ")
+        assert rep.notes[0].endswith(
+            "; the fit stops at the truncation time t = 0.2, short of t_final = 1")
+
 
 class TestTStar:
     def test_reference_run(self):
