@@ -9,8 +9,8 @@ from .spectral import (CutoffSpec, Field, Grid, MultiplierSymbol, apply_multipli
                        line_spectrum, make_grid)
 from .solver import (InitialCondition, SimConfig, Trajectory, linear_propagator,
                      picard_oracle, solve)
-from .diagnostics import (DecayFit, DiagnosticsRecord, decay_fit, invariants,
-                          moment_first, spectral_jump, weighted_norm)
+from .diagnostics import (DecayFit, decay_fit, invariants, moment_first, spectral_jump,
+                          weighted_norm)
 from .stein import (GrowthTable, ProbeParams, QuadSpec, SlopeFit, SteinRequest,
                     SteinResult, SteinTarget, nonmembership_scan, power_cutoff,
                     propagator_stein_bound, propagator_target, sign_propagator,

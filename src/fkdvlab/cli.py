@@ -43,7 +43,7 @@ def fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if v is None or (isinstance(v, float) and math.isnan(v)):
+    if isinstance(v, float) and math.isnan(v):
         return "nan"
     return f"{float(v):.17g}"
 
@@ -200,17 +200,11 @@ def write_manifest(out_dir: Path, cfg: SimConfig, command: str,
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def diagnostics_csv(records, weight_orders) -> str:
-    cols = ["t", "i1", "i2", "i3", "moment_x", "max_u", "min_ux",
-            "tail_frac"] + [f"w_{w:g}" for w in weight_orders]
-    rows = [",".join(cols)]
-    for r in records:
-        base = [r.t, r.i1, r.i2,
-                r.i3 if r.i3 is not None else math.nan,
-                r.moment_x, r.max_u, r.min_ux, r.tail_frac]
-        base += [r.wnorms[w] for w in weight_orders]
-        rows.append(",".join(fmt(v) for v in base))
-    return "\n".join(rows) + "\n"
+def diagnostics_csv(times, rows: dict) -> str:
+    """The t column, then one column per entry of ``rows``, in its order."""
+    table = np.column_stack([times, *rows.values()]).tolist()
+    lines = [",".join(["t", *rows])] + [",".join(map(fmt, r)) for r in table]
+    return "\n".join(lines) + "\n"
 
 
 def field_csv(f: Field) -> str:
@@ -251,8 +245,7 @@ def cmd_simulate(args) -> int:
     cfg, _ = parse_config(args.config, _flag_overrides(args))
     start = time.time()
     traj = solve(cfg)
-    (out / "diagnostics.csv").write_text(
-        diagnostics_csv(traj.diagnostics, cfg.weight_orders))
+    (out / "diagnostics.csv").write_text(diagnostics_csv(traj.times, traj.rows))
     fields = out / "fields"
     fields.mkdir(exist_ok=True)
     for t, st in sorted(traj.states.items()):
@@ -261,7 +254,7 @@ def cmd_simulate(args) -> int:
                    "truncated" if traj.truncated else "completed")
     if traj.truncated:
         print(f"run truncated: {traj.truncation_reason}")
-    print(f"simulate: {len(traj.diagnostics)} diagnostics rows -> {out}")
+    print(f"simulate: {len(traj.times)} diagnostics rows -> {out}")
     return 0
 
 

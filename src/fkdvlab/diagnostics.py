@@ -8,14 +8,14 @@ is spectrally accurate for smooth periodic integrands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .spectral import (Field, Grid, derivative_symbol, frac_deriv_symbol, line_spectrum,
-                       multiplier_table, require_zero_mean)
+from .errors import ConfigurationError
+from .spectral import (Field, Grid, derivative_symbol, frac_deriv_symbol, is_zero_mean,
+                       line_spectrum, multiplier_table, require_zero_mean)
 
 #: fits are rejected above this (relative rms) log-log residual
 FIT_RESIDUAL_MAX = 0.05
@@ -23,46 +23,34 @@ FIT_RESIDUAL_MAX = 0.05
 FIT_RADII = 12
 
 
-@dataclass
-class DiagnosticsRecord:
-    t: float
-    i1: float
-    i2: float
-    i3: Optional[float]
-    i3_reason: str
-    moment_x: float
-    max_u: float
-    min_ux: float
-    tail_frac: float
-    wnorms: dict = field(default_factory=dict)
-
-
-#: the DiagnosticsRecord fields a caller can ask make_record for
+#: the row columns make_record computes, in diagnostics.csv order; "wnorms"
+#: stands for one w_<order> column per weight order
 COLUMNS = ("i1", "i2", "i3", "moment_x", "max_u", "min_ux", "tail_frac", "wnorms")
+
+
+def weight_column(r: float) -> str:
+    """The row column of the weighted norm of order r."""
+    return f"w_{r:g}"
 
 
 def invariants(f: Field, alpha: float, spectrum: Optional[np.ndarray] = None):
     """The three formally conserved functionals (i1, i2, i3).
 
     i3 needs D^(alpha/2); for alpha < 0 that operator lives on the
-    zero-mean class, so i3 is reported as None with a reason when the
-    mean is not negligible.  ``spectrum`` is the real-FFT half spectrum
-    of ``f`` when the caller already holds it; the D^(alpha/2) term is
-    summed from it by Parseval.
+    zero-mean class, so i3 is NaN when the mean is not negligible.
+    ``spectrum`` is the real-FFT half spectrum of ``f`` when the caller
+    already holds it; the D^(alpha/2) term is summed from it by Parseval.
     """
     dx = f.grid.dx
     u = f.samples
     u2 = u * u
     i1 = float(np.sum(u) * dx)
     i2 = float(np.sum(u2) * dx)
-    try:
-        if alpha < 0:
-            require_zero_mean(f, f"negative-order derivative (s={alpha / 2.0:g})")
-    except DomainError as exc:
-        return i1, i2, None, str(exc)
+    if alpha < 0 and not is_zero_mean(i1, math.sqrt(i2)):
+        return i1, i2, math.nan
     uh = np.fft.rfft(u) if spectrum is None else spectrum
     half_sq = np.sum(_parseval_weights(f.grid, alpha) * (uh.real ** 2 + uh.imag ** 2))
-    return i1, i2, float(half_sq - np.sum(u2 * u) * dx / 3.0), ""
+    return i1, i2, float(half_sq - np.sum(u2 * u) * dx / 3.0)
 
 
 def _parseval_weights(grid: Grid, alpha: float) -> np.ndarray:
@@ -205,17 +193,16 @@ def spectral_jump(f: Field) -> complex:
     return complex((4.0 * c[1] - c[2]) / (2.0 * f.grid.k[1]))
 
 
-def make_record(f: Field, t: float, alpha: float, weight_orders=(),
-                spectrum: Optional[np.ndarray] = None,
-                columns=COLUMNS) -> DiagnosticsRecord:
-    """Assemble the per-time diagnostics row.
+def make_record(f: Field, alpha: float, weight_orders=(),
+                spectrum: Optional[np.ndarray] = None, columns=COLUMNS) -> dict:
+    """The diagnostics row of ``f``: column name -> value, in ``COLUMNS`` order.
 
-    ``columns`` names the fields of ``COLUMNS`` the caller reads; the
-    others are not computed: numbers read NaN, ``i3`` is None with a
-    reason and ``wnorms`` is empty.  ``tail_frac`` is always computed,
-    since the solver's tail guard reads it.  ``spectrum`` is the real-FFT
-    half spectrum of ``f`` when the caller (the time stepper) already
-    holds it; otherwise it is computed here if a column needs it.
+    ``columns`` names the columns of ``COLUMNS`` the caller reads; the row
+    holds those alone, with "wnorms" expanded to one ``weight_column``
+    entry per weight order, plus ``tail_frac``, which the solver's tail
+    guard reads.  ``spectrum`` is the real-FFT half spectrum of ``f`` when
+    the caller (the time stepper) already holds it; otherwise it is
+    computed here if a column needs it.
     """
     read = set(columns)
     unknown = read.difference(COLUMNS)
@@ -223,28 +210,21 @@ def make_record(f: Field, t: float, alpha: float, weight_orders=(),
         raise ConfigurationError(
             f"unknown diagnostics column(s) {', '.join(sorted(unknown))}; "
             f"choose from {', '.join(COLUMNS)}")
-    nan = math.nan
     if spectrum is None and "min_ux" in read:
         spectrum = np.fft.rfft(f.samples)
-    i1 = i2 = nan
-    i3, reason = None, "i3 not computed: the caller does not read it"
+    row = {}
     if read & {"i1", "i2", "i3"}:          # one call gives all three
-        j1, j2, j3, why = invariants(f, alpha, spectrum)
-        i1 = j1 if "i1" in read else nan
-        i2 = j2 if "i2" in read else nan
-        if "i3" in read:
-            i3, reason = j3, why
-    min_ux = nan
+        row.update((key, value) for key, value in
+                   zip(("i1", "i2", "i3"), invariants(f, alpha, spectrum)) if key in read)
+    if "moment_x" in read:
+        row["moment_x"] = moment_first(f)
+    if "max_u" in read:
+        row["max_u"] = float(np.max(f.samples))
     if "min_ux" in read:
         ux = np.fft.irfft(multiplier_table(derivative_symbol(), f.grid) * spectrum,
                           f.grid.n)
-        min_ux = float(np.min(ux))
-    return DiagnosticsRecord(
-        t=t, i1=i1, i2=i2, i3=i3, i3_reason=reason,
-        moment_x=moment_first(f) if "moment_x" in read else nan,
-        max_u=float(np.max(f.samples)) if "max_u" in read else nan,
-        min_ux=min_ux,
-        tail_frac=tail_fraction(f.samples, f.grid),
-        wnorms=({r: weighted_norm(f, r) for r in weight_orders}
-                if "wnorms" in read else {}),
-    )
+        row["min_ux"] = float(np.min(ux))
+    row["tail_frac"] = tail_fraction(f.samples, f.grid)
+    if "wnorms" in read:
+        row.update((weight_column(r), weighted_norm(f, r)) for r in weight_orders)
+    return row

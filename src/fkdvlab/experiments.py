@@ -98,14 +98,13 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
     u0 = cfg.ic.build(cfg.grid())
     require_zero_mean(u0, "moment law", _MEAN_TOL)
     traj = solve(cfg, u0, columns=("moment_x",))
-    m0 = traj.diagnostics[0].moment_x
+    ms = traj.rows["moment_x"]
     l2sq = diag.invariants(u0, cfg.alpha)[1]
-    devs = [abs(r.moment_x - (m0 + 0.5 * l2sq * r.t)) for r in traj.diagnostics]
-    max_dev = math.nan if traj.truncated else max(devs)
+    max_dev = (math.nan if traj.truncated
+               else float(np.max(np.abs(ms - (ms[0] + 0.5 * l2sq * traj.times)))))
     # integral of D^alpha u vanishes identically under the zero-mode convention
     dmean = max(abs(integrate(frac_deriv(traj.final, cfg.alpha))), 0.0)
-    slope = np.polyfit([r.t for r in traj.diagnostics],
-                       [r.moment_x for r in traj.diagnostics], 1)[0]
+    slope = np.polyfit(traj.times, ms, 1)[0]
     fit = f"fitted moment slope {slope:.8f} vs predicted {0.5 * l2sq:.8f}"
     if traj.truncated:
         fit += (f"; the fit stops at the truncation time t = {traj.times[-1]:g}, "
@@ -153,8 +152,7 @@ def run_tstar(cfg: SimConfig) -> ExperimentReport:
     dt_eff = t_star / n_steps
     run_cfg = replace(cfg, dt=dt_eff, t_final=t_star, diag_every=2)
     traj = solve(run_cfg, u0, columns=("moment_x",))
-    ts = np.array([r.t for r in traj.diagnostics])
-    ms = np.array([r.moment_x for r in traj.diagnostics])
+    ts, ms = traj.times, traj.rows["moment_x"]
     residual = (math.nan if traj.truncated
                 else abs(_cumulative_simpson(ms, 2.0 * dt_eff)[-1]) / (abs(m0) * t_star))
     # moment zero crossing, expected at t*/2
@@ -455,9 +453,9 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
 # wave breaking
 
 
-def _grad_sup_series(traj: Trajectory):
-    return np.array([r.t for r in traj.diagnostics]), \
-        np.array([max(-r.min_ux, 0.0) for r in traj.diagnostics])
+def _grad_sup(traj: Trajectory) -> np.ndarray:
+    """The gradient sup max(-min u_x, 0) of each row."""
+    return np.maximum(-traj.rows["min_ux"], 0.0)
 
 
 def _onset_time(ts, gs, threshold):
@@ -486,19 +484,17 @@ def run_wave_breaking(cfg: SimConfig) -> ExperimentReport:
     u0 = cfg.ic.build(cfg.grid())
     require_zero_mean(u0, "wave-breaking run", _MEAN_TOL)
     traj = solve(cfg, u0, columns=("min_ux",))
-    ts, gs = _grad_sup_series(traj)
+    gs = _grad_sup(traj)
     g0 = gs[0]
-    onset = _onset_time(ts, gs, 10.0 * g0)
+    onset = _onset_time(traj.times, gs, 10.0 * g0)
     notes = []
     if traj.truncated and math.isnan(onset):
         notes.append("INCONCLUSIVE: tail contamination before gradient growth")
     half = replace(cfg, dt=0.5 * cfg.dt, diag_every=2 * cfg.diag_every)
     traj_h = solve(half, u0, columns=("min_ux",))
-    ts_h, gs_h = _grad_sup_series(traj_h)
-    onset_h = _onset_time(ts_h, gs_h, 10.0 * g0)
+    onset_h = _onset_time(traj_h.times, _grad_sup(traj_h), 10.0 * g0)
     control = solve(replace(cfg, alpha=0.5), u0, columns=("min_ux",))
-    _, gs_c = _grad_sup_series(control)
-    growth_c = float(np.max(gs_c) / g0)
+    growth_c = float(np.max(_grad_sup(control)) / g0)
 
     detected = not math.isnan(onset)
     metrics = {

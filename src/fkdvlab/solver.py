@@ -31,7 +31,7 @@ from . import diagnostics as diag
 from .errors import (ConfigurationError, DomainError, NumericError,
                      OracleDivergenceError, StepError)
 from .spectral import (Field, Grid, derivative_symbol, dispersion_symbol,
-                       make_grid, multiplier_table)
+                       make_grid, multiplier_table, random_band)
 
 CFL_CONSTANT = 0.5
 #: Simpson intervals in tau of the Picard oracle's source integral (an even count)
@@ -83,32 +83,13 @@ class InitialCondition:
             u = amp * np.sin(kc * x) * np.exp(-((x / sigma) ** 2))
         elif fam == "random_band":
             seed, k_lo, k_hi, amp = self.params
-            u = _random_band(grid, [int(seed)], k_lo, k_hi, amp)[0]
+            u = random_band(grid, [int(seed)], k_lo, k_hi, amp)[0]
         else:
             (path,) = self.params
             u = _load_field_samples(path, grid)
         if self.zero_mean_projected:
             u = u - np.mean(u)
         return Field(grid, u)
-
-
-def _random_band(grid: Grid, seeds, k_lo: float, k_hi: float, amp: float) -> np.ndarray:
-    """Band-limited fields with seeded random phases, one row of the
-    ``(len(seeds), n)`` result per seed, each scaled to ||u||_2 = amp."""
-    k = grid.k[: grid.n // 2 + 1]        # the Nyquist wavenumber is negative here
-    band = (k >= k_lo) & (k <= k_hi) & (k > 0)
-    idx = np.nonzero(band)[0]
-    coeff = np.zeros((len(seeds), k.size), dtype=complex)
-    for row, seed in zip(coeff, seeds):
-        rng = np.random.default_rng(seed)
-        row[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-    u = np.fft.irfft(coeff, grid.n, axis=-1)
-    norm = np.sqrt(np.sum(u ** 2, axis=-1) * grid.dx)
-    if np.any(norm == 0):
-        raise ConfigurationError(
-            f"random_band({seeds[int(np.argmin(norm))]}, {k_lo}, {k_hi}) "
-            f"contains no grid modes")
-    return u * (amp / norm)[:, None]
 
 
 def _load_field_samples(path: str, grid: Grid) -> np.ndarray:
@@ -168,6 +149,10 @@ class SimConfig:
             raise ConfigurationError(f"store_every must be >= 0, got {self.store_every}")
         if math.isnan(self.tail_tol):
             raise ConfigurationError("tail_tol must be a number, got nan")
+        names = [diag.weight_column(r) for r in self.weight_orders]
+        if len(set(names)) < len(names):
+            raise ConfigurationError(
+                f"weight_orders name a diagnostics column twice: {', '.join(names)}")
 
     def grid(self) -> Grid:
         return make_grid(self.n, self.length)
@@ -177,7 +162,8 @@ class SimConfig:
 class Trajectory:
     """A solve's diagnostics rows and stored states.
 
-    ``times`` and ``diagnostics`` hold one entry per row.  ``states`` maps
+    ``times`` holds the row times and ``rows`` one array per column of
+    ``diag.make_record``'s row, with one entry per row.  ``states`` maps
     a time to its Field: t = 0, every checkpoint, and the last state the
     run reached, which is the end of the run or, when the tail guard
     truncated it, the row that tripped the guard.  ``final`` is that last
@@ -185,7 +171,7 @@ class Trajectory:
     """
 
     times: np.ndarray
-    diagnostics: list
+    rows: dict
     states: dict
     final: Field
     truncated: bool = False
@@ -305,11 +291,14 @@ class _Stepper:
         return out
 
 
-def _check_state(u_max: float, t: float, last_good: float, cfg: SimConfig, dx: float):
-    """Stop on a non-finite state, or, in a nonlinear run, on dt above the CFL
-    bound; ``u_max`` is the state's max|u|."""
+def _check_state(u_max: float, i: int, cfg: SimConfig, dx: float):
+    """Stop on a non-finite state i steps in, or, in a nonlinear run, on dt
+    above the CFL bound; ``u_max`` is the state's max|u|.  The state at
+    i = 0 is a Field, whose samples are finite."""
+    t = i * cfg.dt
     if not math.isfinite(u_max):      # NaN or inf when any sample or mode is
-        raise NumericError(f"state non-finite at t = {t:g}; last good t = {last_good:g}")
+        raise NumericError(
+            f"state non-finite at t = {t:g}; last good t = {(i - 1) * cfg.dt:g}")
     if cfg.nonlinear:
         bound = cfl_bound(u_max, dx)
         if cfg.dt > bound * (1.0 + 1e-12):
@@ -332,8 +321,9 @@ def solve(cfg: SimConfig, u0: Optional[Field] = None,
           columns=diag.COLUMNS) -> Trajectory:
     """Integrate to t_final, emitting diagnostics every diag_every steps.
 
-    ``columns`` names the row fields the caller reads, as
-    ``diag.make_record`` takes them; the tail fraction is always computed.
+    ``columns`` names the row columns the caller reads, as
+    ``diag.make_record`` takes them; ``Trajectory.rows`` holds those and
+    the tail fraction, which is always computed.
 
     The run is on ``u0``'s grid, which must have the config's n and
     length; without ``u0`` it starts from ``cfg.ic`` on ``cfg.grid()``.
@@ -354,21 +344,15 @@ def solve(cfg: SimConfig, u0: Optional[Field] = None,
     uh = stepper.start(u0.samples)
     if stepper.keep < uh.size:          # the run advances the kept modes of u0
         u0 = Field(grid, stepper.field.copy())
-    if cfg.nonlinear:
-        # the linear flow is integrated exactly and has no step restriction
-        bound = cfl_bound(float(np.max(np.abs(u0.samples))), grid.dx)
-        if cfg.dt > bound * (1.0 + 1e-12):
-            raise StepError(
-                f"dt = {cfg.dt:g} exceeds the initial advective bound {bound:g}",
-                suggested_dt=bound)
-    tf0 = diag.tail_fraction(u0.samples, grid)
-    if tf0 > cfg.tail_tol:
-        raise DomainError(
-            f"initial tail fraction {tf0:.3e} already exceeds tail_tol {cfg.tail_tol:g}")
+    _check_state(float(np.max(np.abs(u0.samples))), 0, cfg, grid.dx)
+    row = diag.make_record(u0, cfg.alpha, cfg.weight_orders, uh, columns)
+    if row["tail_frac"] > cfg.tail_tol:
+        raise DomainError(f"initial tail fraction {row['tail_frac']:.3e} already "
+                          f"exceeds tail_tol {cfg.tail_tol:g}")
     n_steps = _step_count(cfg.t_final, cfg.dt, "t_final")
 
     times = [0.0]
-    records = [diag.make_record(u0, 0.0, cfg.alpha, cfg.weight_orders, uh, columns)]
+    rows = {key: [value] for key, value in row.items()}
     states = {0.0: u0}
     truncated = False
     reason = ""
@@ -376,20 +360,21 @@ def solve(cfg: SimConfig, u0: Optional[Field] = None,
     for i in range(1, n_steps + 1):
         uh = stepper.step(uh)
         t = i * cfg.dt
-        _check_state(float(np.max(np.abs(stepper.field))), t, (i - 1) * cfg.dt,
-                     cfg, grid.dx)
+        _check_state(float(np.max(np.abs(stepper.field))), i, cfg, grid.dx)
         emit = (i % cfg.diag_every == 0) or (i == n_steps)
         checkpoint = cfg.store_every and (i % cfg.store_every == 0)
         if not (emit or checkpoint):
             continue
         fld = Field(grid, stepper.field.copy())
         if emit:
-            rec = diag.make_record(fld, t, cfg.alpha, cfg.weight_orders, uh, columns)
+            row = diag.make_record(fld, cfg.alpha, cfg.weight_orders, uh, columns)
             times.append(t)
-            records.append(rec)
-            if rec.tail_frac > cfg.tail_tol:
+            for key, value in row.items():
+                rows[key].append(value)
+            tail_frac = row["tail_frac"]
+            if tail_frac > cfg.tail_tol:
                 truncated = True
-                reason = (f"boundary tail fraction {rec.tail_frac:.3e} exceeded "
+                reason = (f"boundary tail fraction {tail_frac:.3e} exceeded "
                           f"tail_tol {cfg.tail_tol:g} at t = {t:g}")
         if checkpoint or i == n_steps or truncated:
             states[t] = fld
@@ -397,7 +382,8 @@ def solve(cfg: SimConfig, u0: Optional[Field] = None,
             break
 
     final = states[max(states)]
-    return Trajectory(np.asarray(times), records, states, final, truncated, reason)
+    return Trajectory(np.asarray(times), {k: np.asarray(v) for k, v in rows.items()},
+                      states, final, truncated, reason)
 
 
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:

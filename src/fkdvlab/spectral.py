@@ -331,3 +331,23 @@ def weight_profile(ax: np.ndarray, n_w: float, theta: float) -> np.ndarray:
     sharp = 8.0 * (2.0 * n_w) ** (2.0 - 2.0 * theta)
     lo = np.minimum(inner, outer)
     return lo - np.log(np.exp(-sharp * (inner - lo)) + np.exp(-sharp * (outer - lo))) / sharp
+
+
+def random_band(grid: Grid, seeds, k_lo: float, k_hi: float,
+                amp: float) -> np.ndarray:
+    """Band-limited fields with seeded random phases, one row of the
+    ``(len(seeds), n)`` result per seed, each scaled to ||u||_2 = amp."""
+    k = grid.k[: grid.n // 2 + 1]        # the Nyquist wavenumber is negative here
+    band = (k >= k_lo) & (k <= k_hi) & (k > 0)
+    idx = np.nonzero(band)[0]
+    coeff = np.zeros((len(seeds), k.size), dtype=complex)
+    for row, seed in zip(coeff, seeds):
+        rng = np.random.default_rng(seed)
+        row[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+    u = np.fft.irfft(coeff, grid.n, axis=-1)
+    norm = np.sqrt(np.sum(u ** 2, axis=-1) * grid.dx)
+    if np.any(norm == 0):
+        raise ConfigurationError(
+            f"random_band({seeds[int(np.argmin(norm))]}, {k_lo}, {k_hi}) "
+            f"contains no grid modes")
+    return u * (amp / norm)[:, None]

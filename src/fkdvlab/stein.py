@@ -29,9 +29,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .solver import _random_band
 from .spectral import (CutoffSpec, apply_to_samples, derivative_symbol, flat_top_bump,
-                       frac_deriv_symbol, hilbert_symbol, lowpass_symbol, weight_profile)
+                       frac_deriv_symbol, hilbert_symbol, lowpass_symbol, random_band,
+                       weight_profile)
 
 #: radius of the excluded inner ball about eta, relative to max(|eta|, INNER_FLOOR)
 INNER_RADIUS = 1e-8
@@ -656,8 +656,8 @@ def probe_ensemble(kind: str, grid, params: ProbeParams, n_pairs: int = 50,
 
     def block(start):
         seeds = range(seed + 2 * start, seed + 2 * min(start + rows, n_pairs), 2)
-        g = _random_band(grid, seeds, *PROBE_BAND, 1.0)
-        f = _random_band(grid, [s + 1 for s in seeds], *PROBE_BAND, 1.0)
+        g = random_band(grid, seeds, *PROBE_BAND, 1.0)
+        f = random_band(grid, [s + 1 for s in seeds], *PROBE_BAND, 1.0)
         return _probe_ratios(kind, grid, g, f, params)
 
     ratios = np.concatenate([block(start) for start in range(0, n_pairs, rows)])

@@ -167,8 +167,8 @@ class TestFormatting:
         from fkdvlab.diagnostics import make_record
         g = make_grid(512, 50.0)
         f = InitialCondition("gaussian", (0.2, 1.0, 0.0), True).build(g)
-        rec = make_record(f, 0.0, 0.5, weight_orders=())
-        text = diagnostics_csv([rec], ())
+        rec = make_record(f, 0.5, weight_orders=())
+        text = diagnostics_csv([0.0], {k: [v] for k, v in rec.items()})
         header = text.splitlines()[0].split(",")
         assert header == ["t", "i1", "i2", "i3", "moment_x", "max_u",
                           "min_ux", "tail_frac"]
@@ -178,8 +178,8 @@ class TestFormatting:
         from fkdvlab.diagnostics import make_record
         g = make_grid(512, 50.0)
         f = InitialCondition("gaussian", (0.2, 1.0, 0.0), True).build(g)
-        rec = make_record(f, 0.0, 0.5, weight_orders=(1.0, 2.0))
-        header = diagnostics_csv([rec], (1.0, 2.0)).splitlines()[0]
+        rec = make_record(f, 0.5, weight_orders=(1.0, 2.0))
+        header = diagnostics_csv([0.0], {k: [v] for k, v in rec.items()}).splitlines()[0]
         assert header.endswith("tail_frac,w_1,w_2")
 
 
@@ -468,6 +468,8 @@ ic = odd_gaussian(-4,1)
         ("--box-list", "200,abc"),
         ("--r-probe", "x"),
         ("--weight-orders", "1,abc"),
+        ("--weight-orders", "1,1"),
+        ("--weight-orders", "2,2.0000001"),
         ("--seed", "abc"),
         ("--points", "0.5,abc"),
         ("--target", "nope"),

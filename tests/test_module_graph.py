@@ -52,6 +52,68 @@ def test_detector_sees_relative_absolute_and_nested_imports(tmp_path):
     assert function_local_imports(sample) == {"sample.py:4", "sample.py:7", "sample.py:10"}
 
 
+def layout_order(readme: Path) -> list:
+    """The modules of the README's Layout table, top row first."""
+    return re.findall(r"^\| `fkdvlab\.(\w+)` \|", readme.read_text(), flags=re.M)
+
+
+def fkdvlab_imports(path: Path) -> set:
+    """The package modules ``path`` imports; "" stands for the package root."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not _is_fkdvlab_import(node):
+            continue
+        if isinstance(node, ast.Import):
+            out |= {a.name.partition(".")[2].partition(".")[0] for a in node.names}
+            continue
+        module = node.module or ""
+        if not node.level:
+            module = module.partition(".")[2]
+        if module:
+            out.add(module.partition(".")[0])
+        else:                          # from . import name: a module or a root name
+            out |= {a.name if (path.parent / f"{a.name}.py").exists() else ""
+                    for a in node.names}
+    return out
+
+
+def layer_violations(src: Path, order: list) -> list:
+    """``module -> imported`` for every import of a package module that does
+    not sit above the importer in ``order``; errors and the root are free."""
+    rank = {m: i for i, m in enumerate(order)}
+    return [f"{m} -> {dep}" for m in order
+            for dep in sorted(fkdvlab_imports(src / f"{m}.py") - {"", "errors"})
+            if rank.get(dep, len(order)) >= rank[m]]
+
+
+def test_each_module_imports_only_modules_above_it_in_the_layout():
+    order = layout_order(Path(__file__).resolve().parents[1] / "README.md")
+    assert sorted(order) == sorted(p.stem for p in SRC.glob("*.py")
+                                   if p.stem not in ("__init__", "errors"))
+    assert layer_violations(SRC, order) == []
+
+
+def test_stein_imports_no_solver():
+    # stein draws its probe fields with spectral.random_band
+    assert "solver" not in fkdvlab_imports(SRC / "stein.py")
+
+
+def test_layer_detector_sees_downward_imports(tmp_path):
+    (tmp_path / "README.md").write_text(
+        "| module | contents |\n|---|---|\n"
+        "| `fkdvlab.low` | base |\n| `fkdvlab.mid` | |\n| `fkdvlab.top` | |\n")
+    (tmp_path / "errors.py").write_text("")
+    (tmp_path / "low.py").write_text("from . import __version__\nfrom .errors import E\n"
+                                     "from .top import f\n")
+    (tmp_path / "mid.py").write_text("from . import low, __version__\nimport fkdvlab.mid\n")
+    (tmp_path / "top.py").write_text("from fkdvlab.low import g\nfrom fkdvlab import mid\n")
+    order = layout_order(tmp_path / "README.md")
+    assert order == ["low", "mid", "top"]
+    assert fkdvlab_imports(tmp_path / "low.py") == {"", "errors", "top"}
+    assert fkdvlab_imports(tmp_path / "top.py") == {"low", "mid"}
+    assert layer_violations(tmp_path, order) == ["low -> top", "mid -> mid"]
+
+
 def _is_dataclass_decorator(node) -> bool:
     target = node.func if isinstance(node, ast.Call) else node
     return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"

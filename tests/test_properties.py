@@ -13,6 +13,7 @@ from fkdvlab import (ConfigurationError, CutoffSpec, Field, InitialCondition,
                      MultiplierSymbol, SimConfig, apply_multiplier, linear_propagator,
                      make_grid)
 from fkdvlab.cli import _KEYS, parse_config, write_manifest
+from fkdvlab.diagnostics import weight_column
 from fkdvlab.solver import _Stepper
 from fkdvlab.spectral import (derivative_symbol, dispersion_symbol, frac_deriv_symbol,
                               hilbert_symbol, lowpass_symbol)
@@ -96,7 +97,8 @@ def sim_configs(draw):
         diag_every=draw(st.integers(1, 10 ** 6).filter(lambda k: k != 100)),
         ic=ic,
         tail_tol=draw(finite.filter(lambda v: v != 1e-8)),
-        weight_orders=tuple(draw(st.lists(finite, min_size=1, max_size=4))),
+        weight_orders=tuple(draw(st.lists(finite, min_size=1, max_size=4,
+                                          unique_by=weight_column))),
         nonlinear=False,
         store_every=draw(st.integers(1, 10 ** 6)),
         extended=True)

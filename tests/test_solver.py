@@ -11,7 +11,8 @@ from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      make_grid, picard_oracle, solve)
 from fkdvlab.diagnostics import COLUMNS
 from fkdvlab.errors import OracleDivergenceError
-from fkdvlab.solver import _cumulative_simpson, _random_band, _Stepper, cfl_bound
+from fkdvlab.solver import _cumulative_simpson, _Stepper, cfl_bound
+from fkdvlab.spectral import random_band
 
 
 def small_cfg(**kw):
@@ -123,7 +124,7 @@ class TestInitialConditions:
             return u * (1.3 / np.sqrt(np.sum(u ** 2) * g.dx))
 
         seeds = [3, 4, 11, 1000]
-        batch = _random_band(g, seeds, 0.5, 4.0, 1.3)
+        batch = random_band(g, seeds, 0.5, 4.0, 1.3)
         assert batch.shape == (len(seeds), g.n)
         for row, seed in zip(batch, seeds):
             built = InitialCondition("random_band", (seed, 0.5, 4.0, 1.3)).build(g)
@@ -133,7 +134,7 @@ class TestInitialConditions:
     def test_random_band_without_grid_modes_rejected(self):
         g = make_grid(512, 50.0)
         with pytest.raises(ConfigurationError, match="no grid modes"):
-            _random_band(g, [1, 2], 100.0, 200.0, 1.0)
+            random_band(g, [1, 2], 100.0, 200.0, 1.0)
 
     def test_unknown_family(self):
         g = make_grid(512, 50.0)
@@ -261,7 +262,8 @@ class TestStepper:
         cfg = small_cfg(dt=0.5, t_final=0.5)
         g = cfg.grid()
         f = InitialCondition("gaussian", (5.0, 1.0, 0.0)).build(g)
-        with pytest.raises(StepError) as exc:
+        # the state at t = 0 goes through the check every step's state does
+        with pytest.raises(StepError, match="^CFL violated at t = 0: dt = 0.5 > ") as exc:
             solve(cfg, f)
         assert exc.value.suggested_dt is not None
         u_max = float(np.max(np.abs(f.samples)))
@@ -461,8 +463,7 @@ def test_solver_bits_pinned(name):
     cfg = SimConfig(dt=0.01, t_final=0.1, n=32, length=10.0, diag_every=4, tail_tol=1.0,
                     ic=InitialCondition("odd_gaussian", (-1.0, 1.0)), **kw)
     tr = solve(cfg)
-    got = [(r.t, r.i1, r.i2, r.i3, r.moment_x, r.max_u, r.min_ux, r.tail_frac)
-           for r in tr.diagnostics]
+    got = list(zip(tr.times.tolist(), *(tr.rows[c].tolist() for c in COLUMNS[:-1])))
     assert got == rows
     assert tr.final.samples.tolist() == final
 
@@ -487,21 +488,21 @@ class TestSolve:
     def test_zero_data(self):
         cfg = small_cfg(ic=InitialCondition("gaussian", (0.0, 1.0, 0.0)))
         traj = solve(cfg)
-        assert all(r.i1 == 0.0 and r.i2 == 0.0 for r in traj.diagnostics)
+        assert np.all(traj.rows["i1"] == 0.0) and np.all(traj.rows["i2"] == 0.0)
         assert np.all(traj.final.samples == 0.0)
 
     def test_l2_conservation(self):
         cfg = small_cfg(alpha=0.5, t_final=0.5,
                         ic=InitialCondition("gaussian", (0.2, 1.0, 0.0), True))
         traj = solve(cfg)
-        i2 = [r.i2 for r in traj.diagnostics]
+        i2 = traj.rows["i2"]
         assert abs(i2[-1] - i2[0]) / i2[0] <= 1e-8
 
     def test_mean_conserved_exactly(self):
         cfg = small_cfg(alpha=-0.5, t_final=0.2,
                         ic=InitialCondition("odd_gaussian", (1.0, 1.0)))
         traj = solve(cfg)
-        assert all(abs(r.i1) <= 1e-13 for r in traj.diagnostics)
+        assert np.all(np.abs(traj.rows["i1"]) <= 1e-13)
 
     def test_deterministic_rerun(self):
         cfg = small_cfg(tail_tol=1.0,
@@ -509,7 +510,7 @@ class TestSolve:
         a = solve(cfg)
         b = solve(cfg)
         assert np.array_equal(a.final.samples, b.final.samples)
-        assert [r.i2 for r in a.diagnostics] == [r.i2 for r in b.diagnostics]
+        assert np.array_equal(a.rows["i2"], b.rows["i2"])
 
     def test_linear_path_independent_of_diag_cadence(self):
         cfg = small_cfg(nonlinear=False,
@@ -606,11 +607,12 @@ class TestColumns:
         kw, columns = CAMPAIGN_COLUMNS[name]
         cfg = small_cfg(n=512, length=50.0, t_final=0.1, tail_tol=1e-6, **kw)
         full, lean = solve(cfg), solve(cfg, columns=columns)
-        assert len(lean.diagnostics) == len(full.diagnostics) > 2
-        for a, b in zip(lean.diagnostics, full.diagnostics):
-            for col in ("t", "tail_frac") + columns:
-                assert getattr(a, col) == getattr(b, col)
-            assert math.isnan(a.i2) and a.i3 is None
+        assert np.array_equal(lean.times, full.times) and len(lean.times) > 2
+        assert list(lean.rows) == [c for c in COLUMNS if c in columns + ("tail_frac",)]
+        for col in lean.rows:
+            assert np.array_equal(lean.rows[col], full.rows[col])
+        with pytest.raises(KeyError):
+            lean.rows["i2"]
         assert np.array_equal(lean.final.samples, full.final.samples)
 
     def test_unknown_column_rejected(self):

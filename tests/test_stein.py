@@ -12,8 +12,7 @@ from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      sign_propagator, signed_power_cutoff, stein_derivative,
                      stein_slope_fit, weight_target)
 from fkdvlab import stein
-from fkdvlab.solver import _random_band
-from fkdvlab.spectral import weight_profile
+from fkdvlab.spectral import random_band, weight_profile
 from fkdvlab.stein import (_bessel_weighted, _probe_ratios, probe_ensemble,
                            propagator_target)
 
@@ -404,7 +403,7 @@ class TestCommutatorProbes:
         mx, med = probe_ensemble(kind, g, params, n_pairs=37, seed=2)
 
         def band(seed):
-            return Field(g, _random_band(g, [seed], *stein.PROBE_BAND, 1.0)[0])
+            return Field(g, random_band(g, [seed], *stein.PROBE_BAND, 1.0)[0])
         ratios = [pair_ratio(kind, band(2 + 2 * j), band(3 + 2 * j), params)
                   for j in range(37)]
         assert mx == max(ratios)
