@@ -182,6 +182,20 @@ def _argmin_bounded(fun, lo: float, hi: float) -> float:
     return float(0.5 * (a + b))
 
 
+def line_fit(x, y) -> tuple:
+    """(slope, intercept) of the least-squares line through the points (x, y),
+    from sums about the means; NaN for both when x holds a single value."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xm, ym = np.mean(x), np.mean(y)
+    dx = x - xm
+    sxx = float(np.sum(dx * dx))
+    if sxx == 0.0:
+        return math.nan, math.nan
+    slope = float(np.sum(dx * (y - ym))) / sxx
+    return slope, float(ym - slope * xm)
+
+
 def spectral_jump(f: Field) -> complex:
     """One-sided difference quotient m_plus of u_hat at 0+, by the 3-point
     formula (4 u_hat(k1) - u_hat(2 k1)) / (2 k1), whose error is O(k1^2).

@@ -73,6 +73,22 @@ class ExperimentReport:
 _MEAN_TOL = 1e-10                # relative mean tolerance of campaign data
 
 
+def _mean_free(u0: Field, campaign: str) -> bool:
+    """Whether ``u0`` has zero mean; if so, the mean must vanish structurally
+    (odd or derivative-form data).  The zero-mean projection of data with a
+    mean leaves a uniform shelf over the whole box, which is rejected: its
+    weighted content grows with the box and x u0 is a box-sized sawtooth."""
+    if not is_zero_mean(integrate(u0), l2_norm(u0), _MEAN_TOL):
+        return False
+    shelf = float(np.median(u0.samples[diag.outer_region(u0.grid)]))
+    if abs(shelf) > 1e-12 * float(np.max(np.abs(u0.samples))):
+        raise ConfigurationError(
+            f"zero-mean {campaign} need structurally mean-free data "
+            "(odd or derivative-form); projection leaves a uniform shelf "
+            f"of size {shelf:.3e}")
+    return True
+
+
 def _rel_err(u: np.ndarray, ref: np.ndarray) -> float:
     scale = np.linalg.norm(ref)
     return float(np.linalg.norm(u - ref) / scale) if scale > 0 else math.nan
@@ -104,7 +120,7 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
                else float(np.max(np.abs(ms - (ms[0] + 0.5 * l2sq * traj.times)))))
     # integral of D^alpha u vanishes identically under the zero-mode convention
     dmean = max(abs(integrate(frac_deriv(traj.final, cfg.alpha))), 0.0)
-    slope = np.polyfit(traj.times, ms, 1)[0]
+    slope = diag.line_fit(traj.times, ms)[0]
     fit = f"fitted moment slope {slope:.8f} vs predicted {0.5 * l2sq:.8f}"
     if traj.truncated:
         fit += (f"; the fit stops at the truncation time t = {traj.times[-1]:g}, "
@@ -286,18 +302,7 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
     L_list = sorted(L_list)
     t = cfg.t_final
     alpha = cfg.alpha
-    probe0 = cfg.ic.build(cfg.grid())
-    zero_mean = is_zero_mean(integrate(probe0), l2_norm(probe0), _MEAN_TOL)
-    if zero_mean:
-        # zero-mean projection of non-decaying-mean data leaves a uniform
-        # shelf whose weighted content grows with the box; the mean must
-        # vanish structurally (odd or derivative-form data)
-        shelf = float(np.median(probe0.samples[diag.outer_region(probe0.grid)]))
-        if abs(shelf) > 1e-12 * float(np.max(np.abs(probe0.samples))):
-            raise ConfigurationError(
-                "zero-mean decay scans need structurally mean-free data "
-                "(odd or derivative-form); projection leaves a uniform shelf "
-                f"of size {shelf:.3e}")
+    zero_mean = _mean_free(cfg.ic.build(cfg.grid()), "decay scans")
     r_crit = 1.5 + alpha
     ps = []                     # fitted tail exponent per box
     wnorms = {r: [] for r in set(list(r_probe) + [r_crit, r_crit - 0.25])}
@@ -393,6 +398,8 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     (a) lam^alpha u(lam x, lam^(1+alpha) t) solves the equation when u
     does; (b) the free flow commutes with x + (1+alpha) t D^alpha;
     (c) [x, d/dx D^alpha] f = -(1+alpha) D^alpha f.
+    Zero-mean data whose projection left a shelf is rejected, as x u then
+    carries a box-sized sawtooth.
     """
     if not (-1.0 < cfg.alpha < 1.0) or cfg.alpha == 0.0:
         raise ConfigurationError("symmetry checks need -1 < alpha < 1, alpha != 0")
@@ -400,13 +407,13 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
         raise ConfigurationError(f"lambda must lie in [1/2, 2], got {lam}")
     grid = cfg.grid()
     alpha = cfg.alpha
+    ic2 = _scaled_ic(cfg.ic, lam, alpha)      # analytic, so decaying, data only
     u0 = cfg.ic.build(grid)
-    if alpha < 0:
+    if not _mean_free(u0, "symmetry checks") and alpha < 0:
         # negative-order derivatives below act on the zero-mean class only
         require_zero_mean(u0, "symmetry checks", _MEAN_TOL)
 
     # (a) two solver runs compared through the scaling map
-    ic2 = _scaled_ic(cfg.ic, lam, alpha)
     u0_scaled = ic2.build(grid)
     if diag.tail_fraction(u0_scaled.samples, grid) > cfg.tail_tol:
         raise ConfigurationError("rescaled data does not fit the box")

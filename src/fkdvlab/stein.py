@@ -21,13 +21,13 @@ bound and the non-membership scans read values alone and skip it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .diagnostics import line_fit
 from .errors import ConfigurationError, DomainError, NumericError
 from .spectral import (CutoffSpec, apply_to_samples, derivative_symbol, flat_top_bump,
                        frac_deriv_symbol, hilbert_symbol, lowpass_symbol, random_band,
@@ -41,7 +41,9 @@ SCAN_POINTS = 48
 #: wavenumber band (k_lo, k_hi) of the probe ensembles' unit-norm random fields
 PROBE_BAND = (0.5, 4.0)
 #: bytes of one (rows, n) float sample array in a probe ensemble's row block
-_PROBE_BLOCK_BYTES = 256 * 1024
+_PROBE_BLOCK_BYTES = 128 * 1024
+#: quadrature panels whose nodes one block of :func:`_quad_sq` evaluates
+_QUAD_BLOCK_PANELS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +214,21 @@ class SteinResult:
     error_estimates: np.ndarray
 
 
-@functools.cache
-def _gauss_legendre() -> tuple:
-    """The 16-point Gauss-Legendre rule (nodes, weights) on [-1, 1], built
-    on first use: importing the package loads no ``numpy.polynomial``."""
-    return np.polynomial.legendre.leggauss(16)
+# The 16-point Gauss-Legendre rule (nodes, weights) on [-1, 1], written out
+# with the bits of numpy.polynomial.legendre.leggauss(16)
+_GAUSS_LEGENDRE = (
+    np.array([-0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+              -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+              -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+              0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+              0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+              0.9894009349916499]),
+    np.array([0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+              0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+              0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+              0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+              0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+              0.027152459411754176]))
 
 
 def _quad_sq(target: SteinTarget, eta: float, fe: complex, b: float, delta: float,
@@ -238,11 +250,18 @@ def _quad_sq(target: SteinTarget, eta: float, fe: complex, b: float, delta: floa
     keep = ~((a >= eta - 1.0000001 * delta) & (c <= eta + 1.0000001 * delta))
     a, c = a[keep], c[keep]
     mid, half = 0.5 * (a + c), 0.5 * (c - a)
-    nodes, weights = _gauss_legendre()
-    y = mid[:, None] + half[:, None] * nodes[None, :]
-    w = half[:, None] * weights[None, :]
-    vals = np.abs(fe - target.func(y)) ** 2 / np.abs(eta - y) ** (1.0 + 2.0 * b)
-    return float(np.sum(vals * w))
+    nodes, weights = _GAUSS_LEGENDRE
+    # integrand times weight per node, filled _QUAD_BLOCK_PANELS panels at a
+    # time; one sum over the whole table is the reduction, and so gives the
+    # bits, of a single-array evaluation
+    terms = np.empty((mid.size, nodes.size))
+    for s in range(0, mid.size, _QUAD_BLOCK_PANELS):
+        blk = slice(s, s + _QUAD_BLOCK_PANELS)
+        h = half[blk, None]
+        y = mid[blk, None] + h * nodes
+        vals = np.abs(fe - target.func(y)) ** 2 / np.abs(eta - y) ** (1.0 + 2.0 * b)
+        np.multiply(vals, h * weights, out=terms[blk])
+    return float(np.sum(terms))
 
 
 def _tail_sq(target: SteinTarget, eta: float, fe: complex, b: float, y_max: float):
@@ -368,16 +387,16 @@ def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
     if log_branch:
         # squared values against -log eta must be an increasing line
         sq = values ** 2
-        A = np.vstack([-np.log(np.abs(pts)), np.ones_like(pts)]).T
-        coef, *_ = np.linalg.lstsq(A, sq, rcond=None)
-        pred = A @ coef
+        neglog = -np.log(np.abs(pts))
+        slope, intercept = line_fit(neglog, sq)
+        pred = slope * neglog + intercept
         ss = float(np.sum((sq - sq.mean()) ** 2)) or 1.0
         r2 = 1.0 - float(np.sum((sq - pred) ** 2)) / ss
-        detected = bool(coef[0] > 0 and r2 > 0.99)
+        detected = bool(slope > 0 and r2 > 0.99)
         return SlopeFit(math.nan, math.nan, detected, 1.0 - r2, detected)
 
     logx, logy = np.log(np.abs(pts)), np.log(values)
-    slope, intercept = np.polyfit(logx, logy, 1)
+    slope, intercept = line_fit(logx, logy)
     pred = slope * logx + intercept
     scale = float(np.std(logy)) or 1.0
     residual = float(np.sqrt(np.mean((logy - pred) ** 2))) / scale
@@ -518,13 +537,11 @@ def nonmembership_scan(alpha: float, t: float, s_order: float,
         m = etas >= e * 0.9999
         q2[i] = np.trapezoid(dens[m], etas[m])
     lo = np.log(eps[0] / eps)
-    A = np.vstack([lo, np.ones_like(lo)]).T
-    coef, *_ = np.linalg.lstsq(A, q2 - q2[0], rcond=None)
-    pred = A @ coef
+    c, intercept = line_fit(lo, q2 - q2[0])
+    pred = c * lo + intercept
     span = q2[-1] - q2[0]
     residual = float(np.sqrt(np.mean((q2 - q2[0] - pred) ** 2)) / abs(span)) \
         if span != 0 else math.inf
-    c = float(coef[0])
     divergent = bool(c > 0 and residual <= 0.10)
     return GrowthTable(c, residual, divergent)
 

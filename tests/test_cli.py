@@ -255,6 +255,16 @@ ic = sine_packet(0.1,2,4)
         assert "scaling_residual" in report
         assert (out / "manifest.txt").read_text().count("pass") >= 1
 
+    def test_experiment_symmetry_rejects_projected_shelf(self, tmp_path, capsys):
+        # the zero-mean projection of a Gaussian leaves a uniform shelf, so x u
+        # is a box-sized sawtooth and every residual would fail by far
+        rc = main(["--out", str(tmp_path / "out"), "experiment", "symmetry",
+                   "--alpha", "0.5", "--n", "1024", "--length", "200", "--dt", "1e-3",
+                   "--t-final", "0.5", "--ic", "gaussian(0.2,1,0)", "--zero-mean", "true"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "shelf" in err[0]
+
     def test_stein_command(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["--out", str(out), "stein", "--b", "0.5",
@@ -656,11 +666,13 @@ EVERY_COMMAND = {
 
 
 def test_every_command_runs_without_scipy(tmp_path):
-    # scipy is a test dependency only: with it unimportable every command
-    # writes what it writes with scipy at hand
+    # scipy is a test dependency only, and the quadrature rule is a table of
+    # literals: with scipy and numpy.polynomial unimportable every command
+    # writes what it writes with both at hand
     code = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
+        "sys.modules['numpy.polynomial'] = None\n"
         "import fkdvlab.cli\n"
         f"runs = {EVERY_COMMAND!r}\n"
         "out = {}\n"

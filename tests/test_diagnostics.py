@@ -7,7 +7,8 @@ import scipy.fft
 from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      decay_fit, invariants, l2_norm, make_grid, moment_first,
                      spectral_jump, weighted_norm)
-from fkdvlab.diagnostics import COLUMNS, make_record, outer_region, tail_fraction
+from fkdvlab.diagnostics import (COLUMNS, line_fit, make_record, outer_region,
+                                 tail_fraction)
 from fkdvlab.solver import _Stepper
 from fkdvlab.spectral import (apply_multiplier, derivative_symbol, frac_deriv,
                               hilbert_symbol, weight_profile)
@@ -145,6 +146,28 @@ class TestDecayFit:
         f = Field(g, np.exp(-g.x ** 2))
         with pytest.raises(Exception):
             decay_fit(f, (50.0, 90.0))   # beyond 0.35 L
+
+
+class TestLineFit:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_polyfit_on_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-3.0, 5.0, 9 + seed)
+        y = rng.normal(size=x.size) + 0.7 * x - 2.0
+        got = line_fit(x, y)
+        want = np.polyfit(x, y, 1)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_recovers_an_exact_line(self):
+        x = np.log(np.geomspace(1e-5, 1e-3, 7))
+        slope, intercept = line_fit(x, -0.3 * x + 1.25)
+        np.testing.assert_allclose([slope, intercept], np.polyfit(x, -0.3 * x + 1.25, 1),
+                                   rtol=1e-12, atol=0)
+        assert slope == pytest.approx(-0.3, rel=1e-12)
+        assert intercept == pytest.approx(1.25, rel=1e-12)
+
+    def test_single_abscissa_gives_nan(self):
+        assert all(math.isnan(v) for v in line_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
 
 
 class TestSpectralJump:

@@ -249,15 +249,33 @@ def test_detector_finds_an_export_nothing_names(tmp_path):
     assert unnamed_exports(init, [ops, user], [readme]) == ["recursive", "traced", "unused"]
 
 
+def _fresh_stdout(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout.strip()
+
+
 def test_import_loads_no_numpy_polynomial_or_random():
     """Importing the package and its CLI leaves numpy's polynomial and random
-    modules unloaded; the quadrature rule and the random fields load them
-    on first use."""
+    modules unloaded; the random fields load numpy.random on first use."""
     code = ("import sys, fkdvlab, fkdvlab.cli; "
             "print(sorted(m for m in ('numpy.polynomial', 'numpy.random') "
             "if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    assert _fresh_stdout(code) == "[]"
+
+
+def test_stein_fits_load_no_numpy_polynomial():
+    """The slope fit, the non-membership scan and the propagator bound run on
+    the literal Gauss-Legendre table and the closed-form line fit, so they
+    leave numpy's polynomial module unloaded."""
+    code = ("import sys, numpy as np\n"
+            "from fkdvlab import stein\n"
+            "q = stein.QuadSpec(n_panels=128, y_max=50.0)\n"
+            "stein.stein_slope_fit(stein.SteinRequest(\n"
+            "    0.5, stein.power_cutoff(0.2), np.geomspace(1e-5, 1e-3, 6), q), 'small_eta')\n"
+            "stein.nonmembership_scan(-0.7, 1.0, 0.8, (1e-2, 1e-3, 1e-4), q)\n"
+            "stein.propagator_stein_bound(0.5, 0.5, [1.0], [1.0], q)\n"
+            "print('numpy.polynomial' in sys.modules)")
+    assert _fresh_stdout(code) == "False"

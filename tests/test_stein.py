@@ -76,10 +76,28 @@ class TestSteinDerivative:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_quadrature_rule_is_leggauss_16(self):
-        nodes, weights = stein._gauss_legendre()
+        nodes, weights = stein._GAUSS_LEGENDRE
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
         assert nodes.tobytes() == ref_nodes.tobytes()
         assert weights.tobytes() == ref_weights.tobytes()
+
+    def test_quadrature_memory_does_not_grow_with_panels(self):
+        # the nodes go through the integrand in blocks of panels, so beyond the
+        # (panels, 16) table of weighted terms the working set is one block's;
+        # a single-array evaluation traced ~4x the peak at 4x the panels
+        peaks = []
+        for n_panels in (2048, 8192):
+            req = SteinRequest(0.5, propagator_target(0.5, 1.0), np.array([1.0]),
+                               QuadSpec(n_panels=n_panels))
+            stein._stein_values(req)            # first-use work is not traced
+            tracemalloc.start()
+            try:
+                stein._stein_values(req)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - 16 * 8 * n_panels)
+        assert peaks[1] < 2 * peaks[0]
 
     def test_jump_point_rejected(self):
         target = sign_propagator(1.0)
