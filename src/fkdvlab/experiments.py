@@ -24,7 +24,7 @@ from .solver import (InitialCondition, SimConfig, Trajectory, _cumulative_simpso
                      _step_count, linear_propagator, picard_oracle, solve)
 from .spectral import (Field, apply_multiplier, coordinate_multiply,
                        dispersion_symbol, frac_deriv, integrate, is_zero_mean,
-                       l2_norm, line_spectrum, require_zero_mean)
+                       l2_norm, line_spectrum)
 
 
 @dataclass
@@ -73,20 +73,31 @@ class ExperimentReport:
 _MEAN_TOL = 1e-10                # relative mean tolerance of campaign data
 
 
-def _mean_free(u0: Field, campaign: str) -> bool:
-    """Whether ``u0`` has zero mean; if so, the mean must vanish structurally
-    (odd or derivative-form data).  The zero-mean projection of data with a
-    mean leaves a uniform shelf over the whole box, which is rejected: its
-    weighted content grows with the box and x u0 is a box-sized sawtooth."""
-    if not is_zero_mean(integrate(u0), l2_norm(u0), _MEAN_TOL):
+def _mean_free(u0: Field, campaign: str, required: bool = False) -> bool:
+    """Whether ``u0`` has zero mean: the campaigns' one data guard.  Data with
+    a mean raises DomainError when ``required``; zero-mean data must decay to
+    0 at the box edge, as a shelf's weighted content grows with the box and
+    its x u0 is a box-sized sawtooth."""
+    mean = integrate(u0)
+    if not is_zero_mean(mean, l2_norm(u0), _MEAN_TOL):
+        if required:
+            raise DomainError(f"{campaign} needs zero mean; u_hat(0) = {mean:.3e} "
+                              f"exceeds {_MEAN_TOL:g} * ||u||")
         return False
-    shelf = float(np.median(u0.samples[diag.outer_region(u0.grid)]))
+    shelf = float(np.mean(u0.samples[diag.outer_region(u0.grid)]))
     if abs(shelf) > 1e-12 * float(np.max(np.abs(u0.samples))):
         raise ConfigurationError(
-            f"zero-mean {campaign} need structurally mean-free data "
-            "(odd or derivative-form); projection leaves a uniform shelf "
-            f"of size {shelf:.3e}")
+            f"{campaign}: zero-mean data must decay to 0 at the box edge, but the "
+            f"outer 10% of the box sits on a shelf at u = {shelf:.3e}")
     return True
+
+
+def _scaled_cfg(cfg: SimConfig, L: float) -> SimConfig:
+    """``cfg`` on a box of length L at the same resolution n / L."""
+    factor = L / cfg.length
+    n = int(round(cfg.n * factor))
+    n += n % 2
+    return replace(cfg, n=n, length=L)
 
 
 def _rel_err(u: np.ndarray, ref: np.ndarray) -> float:
@@ -112,7 +123,7 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
             "the moment production law holds for -1 < alpha < 1, alpha != 0; "
             f"got alpha = {cfg.alpha}")
     u0 = cfg.ic.build(cfg.grid())
-    require_zero_mean(u0, "moment law", _MEAN_TOL)
+    _mean_free(u0, "moment law", required=True)
     traj = solve(cfg, u0, columns=("moment_x",))
     ms = traj.rows["moment_x"]
     l2sq = diag.invariants(u0, cfg.alpha)[1]
@@ -151,7 +162,7 @@ def run_tstar(cfg: SimConfig) -> ExperimentReport:
     solve never reaches t*, so its residual is NaN.
     """
     u0 = cfg.ic.build(cfg.grid())
-    require_zero_mean(u0, "sharp-time run", _MEAN_TOL)
+    _mean_free(u0, "sharp-time run", required=True)
     m0 = diag.moment_first(u0)
     l2sq = diag.invariants(u0, cfg.alpha)[1]
     t_star = -4.0 * m0 / l2sq
@@ -201,11 +212,8 @@ def _states_at(cfg: SimConfig, u0: Field, times: Sequence[float]) -> tuple:
                       t_final=max(times), diag_every=max(cadence, 1))
     traj = solve(run_cfg, u0, columns=())
     end = traj.times[-1] if traj.truncated else math.inf
-    out = {}
-    for t in times:
-        key = min(traj.states, key=lambda s: abs(s - t))
-        if abs(key - t) <= 0.5 * cfg.dt and key < end:
-            out[t] = traj.states[key]
+    # solve keys the state of step i by i * dt
+    out = {t: traj.states[i * cfg.dt] for t, i in zip(times, idx) if i * cfg.dt < end}
     return out, traj
 
 
@@ -228,9 +236,9 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
     runs = {}
     times = sorted({t for t in (t1, t2) if t > 0})
     for scale in (1, 2):
-        sc_cfg = replace(cfg, n=cfg.n * scale, length=cfg.length * scale)
+        sc_cfg = _scaled_cfg(cfg, cfg.length * scale)
         u0 = cfg.ic.build(sc_cfg.grid())
-        require_zero_mean(u0, "two-time identity run", _MEAN_TOL)
+        _mean_free(u0, "two-time identity run", required=True)
         states, runs[f"L={sc_cfg.length:g}"] = _states_at(sc_cfg, u0, times)
         at = {0.0: u0, **states}             # keyed by 0, t1 and t2
         jumps[scale] = {t: diag.spectral_jump(f) for t, f in at.items()}
@@ -277,13 +285,6 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
 
 # ---------------------------------------------------------------------------
 # decay thresholds
-
-
-def _scaled_cfg(cfg: SimConfig, L: float) -> SimConfig:
-    factor = L / cfg.length
-    n = int(round(cfg.n * factor))
-    n += n % 2
-    return replace(cfg, n=n, length=L)
 
 
 def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
@@ -398,8 +399,8 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     (a) lam^alpha u(lam x, lam^(1+alpha) t) solves the equation when u
     does; (b) the free flow commutes with x + (1+alpha) t D^alpha;
     (c) [x, d/dx D^alpha] f = -(1+alpha) D^alpha f.
-    Zero-mean data whose projection left a shelf is rejected, as x u then
-    carries a box-sized sawtooth.
+    Zero-mean data that does not decay to 0 at the box edge is rejected,
+    as x u then carries a box-sized sawtooth.
     """
     if not (-1.0 < cfg.alpha < 1.0) or cfg.alpha == 0.0:
         raise ConfigurationError("symmetry checks need -1 < alpha < 1, alpha != 0")
@@ -409,9 +410,8 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     alpha = cfg.alpha
     ic2 = _scaled_ic(cfg.ic, lam, alpha)      # analytic, so decaying, data only
     u0 = cfg.ic.build(grid)
-    if not _mean_free(u0, "symmetry checks") and alpha < 0:
-        # negative-order derivatives below act on the zero-mean class only
-        require_zero_mean(u0, "symmetry checks", _MEAN_TOL)
+    # negative-order derivatives below act on the zero-mean class only
+    _mean_free(u0, "symmetry checks", required=alpha < 0)
 
     # (a) two solver runs compared through the scaling map
     u0_scaled = ic2.build(grid)
@@ -489,7 +489,7 @@ def run_wave_breaking(cfg: SimConfig) -> ExperimentReport:
         raise ConfigurationError(
             f"breaking range is -1 <= alpha < -1/3, got {cfg.alpha}")
     u0 = cfg.ic.build(cfg.grid())
-    require_zero_mean(u0, "wave-breaking run", _MEAN_TOL)
+    _mean_free(u0, "wave-breaking run", required=True)
     traj = solve(cfg, u0, columns=("min_ux",))
     gs = _grad_sup(traj)
     g0 = gs[0]

@@ -127,16 +127,22 @@ def integrate(f: Field) -> float:
     return float(np.sum(f.samples) * f.grid.dx)
 
 
+def l2_rows(samples: np.ndarray, dx: float) -> np.ndarray:
+    """L2 norm of each row along the last axis of (..., n) samples, nodes dx apart."""
+    return np.sqrt(np.sum(samples ** 2, axis=-1) * dx)
+
+
 def l2_norm(f: Field) -> float:
-    return float(np.sqrt(np.sum(f.samples ** 2) * f.grid.dx))
+    return float(l2_rows(f.samples, f.grid.dx))
 
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
     """Fourier multiplier m(k) with an explicit zero-mode convention.
 
-    ``evaluator`` must be finite for every nonzero grid wavenumber; the
-    value at k = 0 is never inferred from it.
+    ``evaluator`` must be finite for every nonzero grid wavenumber.  It is
+    called on those only: mode 0 (k = 0) always takes ``zero_mode_value``,
+    so an evaluator singular at k = 0 needs no mask.
     """
 
     name: str
@@ -144,12 +150,10 @@ class MultiplierSymbol:
     zero_mode_value: complex = 0.0
 
     def on_grid(self, grid: Grid) -> np.ndarray:
-        k = grid.k
-        vals = np.asarray(self.evaluator(k), dtype=complex)
-        if vals.shape != k.shape:
-            vals = np.broadcast_to(vals, k.shape).astype(complex)
-        vals = vals.copy()
+        k = grid.k                          # k[0] = 0 is the only zero wavenumber
+        vals = np.empty(k.shape, dtype=complex)
         vals[0] = complex(self.zero_mode_value)
+        vals[1:] = self.evaluator(k[1:])
         if not np.all(np.isfinite(vals)):
             bad = k[~np.isfinite(vals)][:3]
             raise NumericError(f"symbol '{self.name}' non-finite at wavenumbers {bad}")
@@ -208,12 +212,8 @@ def apply_multiplier(f: Field, sym: MultiplierSymbol) -> Field:
 @functools.lru_cache
 def frac_deriv_symbol(s: float) -> MultiplierSymbol:
     """|k|^s with zero mode mapped to 0 for s != 0 and to 1 for s = 0."""
-    def ev(k):
-        out = np.zeros(k.shape, dtype=complex)
-        nz = k != 0
-        out[nz] = np.abs(k[nz]) ** s
-        return out
-    return MultiplierSymbol(f"|k|^{s:g}", ev, 1.0 if s == 0 else 0.0)
+    return MultiplierSymbol(f"|k|^{s:g}", lambda k: np.abs(k) ** s,
+                            1.0 if s == 0 else 0.0)
 
 
 @functools.lru_cache
@@ -225,12 +225,8 @@ def hilbert_symbol() -> MultiplierSymbol:
 @functools.lru_cache
 def dispersion_symbol(alpha: float) -> MultiplierSymbol:
     """i k |k|^alpha, the generator of the linear flow; zero mode 0."""
-    def ev(k):
-        out = np.zeros(k.shape, dtype=complex)
-        nz = k != 0
-        out[nz] = 1j * k[nz] * np.abs(k[nz]) ** alpha
-        return out
-    return MultiplierSymbol(f"i*k|k|^{alpha:g}", ev, 0.0)
+    return MultiplierSymbol(f"i*k|k|^{alpha:g}",
+                            lambda k: 1j * k * np.abs(k) ** alpha, 0.0)
 
 
 @functools.lru_cache
@@ -345,7 +341,7 @@ def random_band(grid: Grid, seeds, k_lo: float, k_hi: float,
         rng = np.random.default_rng(seed)
         row[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
     u = np.fft.irfft(coeff, grid.n, axis=-1)
-    norm = np.sqrt(np.sum(u ** 2, axis=-1) * grid.dx)
+    norm = l2_rows(u, grid.dx)
     if np.any(norm == 0):
         raise ConfigurationError(
             f"random_band({seeds[int(np.argmin(norm))]}, {k_lo}, {k_hi}) "

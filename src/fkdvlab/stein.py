@@ -30,8 +30,8 @@ import numpy as np
 from .diagnostics import line_fit
 from .errors import ConfigurationError, DomainError, NumericError
 from .spectral import (CutoffSpec, apply_to_samples, derivative_symbol, flat_top_bump,
-                       frac_deriv_symbol, hilbert_symbol, lowpass_symbol, random_band,
-                       weight_profile)
+                       frac_deriv_symbol, hilbert_symbol, l2_rows, lowpass_symbol,
+                       random_band, weight_profile)
 
 #: radius of the excluded inner ball about eta, relative to max(|eta|, INNER_FLOOR)
 INNER_RADIUS = 1e-8
@@ -571,10 +571,6 @@ class ProbeParams:
     m: int = 0
 
 
-def _l2_rows(u: np.ndarray, dx: float) -> np.ndarray:
-    return np.sqrt(np.sum(u ** 2, axis=-1) * dx)
-
-
 def _sup_rows(u: np.ndarray) -> np.ndarray:
     return np.max(np.abs(u), axis=-1)
 
@@ -608,13 +604,13 @@ def _probe_ratios(kind: str, grid, g: np.ndarray, f: np.ndarray,
         if not (params.beta > 0):
             raise ConfigurationError("hilbert_frac requires beta > 0")
         dbf = D(f, params.beta)
-        lhs = _l2_rows(H(g * dbf) - g * H(dbf), dx)
-        rhs = _sup_rows(D(g, params.beta)) * _l2_rows(f, dx)
+        lhs = l2_rows(H(g * dbf) - g * H(dbf), dx)
+        rhs = _sup_rows(D(g, params.beta)) * l2_rows(f, dx)
     elif kind == "frac_com":
         if not (0 < params.beta <= 1):
             raise ConfigurationError("frac_com requires 0 < beta <= 1")
-        lhs = _l2_rows(D(f * g, params.beta) - f * D(g, params.beta), dx)
-        rhs = _l2_rows(D(f, params.beta), dx) * _sup_rows(g)
+        lhs = l2_rows(D(f * g, params.beta) - f * D(g, params.beta), dx)
+        rhs = l2_rows(D(f, params.beta), dx) * _sup_rows(g)
     elif kind == "triple":
         if not (0 <= params.beta < 1):
             raise ConfigurationError("triple requires 0 <= beta < 1")
@@ -622,8 +618,8 @@ def _probe_ratios(kind: str, grid, g: np.ndarray, f: np.ndarray,
             raise ConfigurationError("triple requires 0 < gamma <= 1 - beta")
         rest = D(g, 1.0 - params.beta - params.gamma)
         inner = D(f * rest, params.gamma) - f * D(rest, params.gamma)
-        lhs = _l2_rows(D(inner, params.beta), dx)
-        rhs = _sup_rows(DX(f, 1)) * _l2_rows(g, dx)
+        lhs = l2_rows(D(inner, params.beta), dx)
+        rhs = _sup_rows(DX(f, 1)) * l2_rows(g, dx)
     elif kind == "projector":
         if not (params.beta >= 0):
             raise ConfigurationError("projector requires beta >= 0")
@@ -634,17 +630,17 @@ def _probe_ratios(kind: str, grid, g: np.ndarray, f: np.ndarray,
             return apply_to_samples(h, low, grid)
         rest = D(g, params.gamma)
         inner = P(f * rest) - f * P(rest)
-        lhs = _l2_rows(D(inner, params.beta), dx)
+        lhs = l2_rows(D(inner, params.beta), dx)
         rhs = (_sup_rows(D(f, params.beta + params.gamma))
-               + _sup_rows(DX(f, 1))) * _l2_rows(g, dx)
+               + _sup_rows(DX(f, 1))) * l2_rows(g, dx)
     else:  # hilbert_local
         if params.l < 0 or params.m < 0 or params.l + params.m < 1:
             raise ConfigurationError(
                 "hilbert_local requires integer l, m >= 0 with l + m >= 1")
         dmf = DX(f, params.m)
         inner = H(g * dmf) - g * H(dmf)
-        lhs = _l2_rows(DX(inner, params.l), dx)
-        rhs = _sup_rows(DX(g, params.l + params.m)) * _l2_rows(f, dx)
+        lhs = l2_rows(DX(inner, params.l), dx)
+        rhs = _sup_rows(DX(g, params.l + params.m)) * l2_rows(f, dx)
 
     degenerate = (lhs != 0.0) & (rhs == 0.0)
     if np.any(degenerate):

@@ -255,15 +255,33 @@ ic = sine_packet(0.1,2,4)
         assert "scaling_residual" in report
         assert (out / "manifest.txt").read_text().count("pass") >= 1
 
-    def test_experiment_symmetry_rejects_projected_shelf(self, tmp_path, capsys):
+    @pytest.mark.parametrize("campaign, alpha", [
+        ("symmetry", "0.5"), ("moment-law", "0.5"), ("tstar", "0.5"),
+        ("two-time-bh", "-1"), ("breaking", "-1")])
+    def test_mean_free_campaigns_reject_projected_shelf(self, tmp_path, capsys,
+                                                        campaign, alpha):
         # the zero-mean projection of a Gaussian leaves a uniform shelf, so x u
-        # is a box-sized sawtooth and every residual would fail by far
-        rc = main(["--out", str(tmp_path / "out"), "experiment", "symmetry",
-                   "--alpha", "0.5", "--n", "1024", "--length", "200", "--dt", "1e-3",
-                   "--t-final", "0.5", "--ic", "gaussian(0.2,1,0)", "--zero-mean", "true"])
+        # is a box-sized sawtooth and every metric would fail by far; the guard
+        # rejects it before any solve or t* check reads it
+        rc = main(["--out", str(tmp_path / "out"), "experiment", campaign,
+                   "--alpha", alpha, "--n", "1024", "--length", "100", "--dt", "1e-3",
+                   "--t-final", "1", "--ic", "gaussian(0.2,1,0)", "--zero-mean", "true"])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "shelf" in err[0]
+
+    def test_decay_threshold_rejects_box_filling_data(self, tmp_path, capsys):
+        # random_band has no zero mode, so it is mean-free without any projection;
+        # the error names the campaign and the shelf level, not a projection
+        rc = main(["--out", str(tmp_path / "out"), "experiment", "decay-threshold",
+                   "--alpha", "0.5", "--n", "1024", "--length", "100", "--dt", "1e-3",
+                   "--t-final", "1", "--ic", "random_band(1,0.5,2,0.1)",
+                   "--box-list", "100,200"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: decay scans: ")
+        assert "must decay to 0 at the box edge" in err[0]
+        assert "shelf at u = " in err[0] and "projection" not in err[0]
 
     def test_stein_command(self, tmp_path):
         out = tmp_path / "out"

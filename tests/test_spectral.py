@@ -14,7 +14,7 @@ from fkdvlab.errors import NumericError
 from fkdvlab.experiments import _evaluate_at
 from fkdvlab.solver import InitialCondition
 from fkdvlab.spectral import (derivative_symbol, dispersion_symbol, frac_deriv_symbol,
-                              hilbert_symbol, is_zero_mean, lowpass_symbol,
+                              hilbert_symbol, is_zero_mean, l2_rows, lowpass_symbol,
                               multiplier_table, weight_profile)
 
 
@@ -142,6 +142,14 @@ class TestApplyMultiplier:
             with pytest.raises(NumericError):
                 apply_multiplier(f, bad)
 
+    def test_evaluator_never_sees_k_zero(self):
+        # a symbol singular at k = 0 builds unmasked: mode 0 is zero_mode_value
+        g = trig_grid()
+        sym = MultiplierSymbol("|k|^-0.5", lambda k: np.abs(k) ** -0.5, 0.25)
+        table = multiplier_table(sym, g)
+        assert table[0] == 0.25
+        assert np.array_equal(table[1:-1], np.abs(g.k[1:g.n // 2]) ** -0.5)
+
     def test_composition(self):
         g = make_grid(512, 50.0)
         f = seeded_field(g, 7)
@@ -151,6 +159,13 @@ class TestApplyMultiplier:
         prod = MultiplierSymbol("prod", lambda k: m1.evaluator(k) * m2.evaluator(k), 0.0)
         b = apply_multiplier(f, prod)
         assert np.allclose(a.samples, b.samples, atol=1e-13 * l2_norm(f))
+
+
+def test_l2_rows_is_l2_norm_per_row():
+    # one L2 formula: a batch of rows reads each row's l2_norm bit for bit
+    g = make_grid(512, 50.0)
+    rows = np.stack([seeded_field(g, seed).samples * (seed + 1) for seed in range(3)])
+    assert np.array_equal(l2_rows(rows, g.dx), [l2_norm(Field(g, u)) for u in rows])
 
 
 def bessel(s):
