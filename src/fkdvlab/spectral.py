@@ -149,8 +149,11 @@ class MultiplierSymbol:
     evaluator: Callable[[np.ndarray], np.ndarray]
     zero_mode_value: complex = 0.0
 
-    def on_grid(self, grid: Grid) -> np.ndarray:
-        k = grid.k                          # k[0] = 0 is the only zero wavenumber
+    def on_grid(self, grid: Grid, *, half: bool = False) -> np.ndarray:
+        """Values on every grid wavenumber, or with ``half`` on the real-FFT
+        half spectrum, modes 0..n/2 (the Nyquist wavenumber negative, as in
+        ``grid.k``)."""
+        k = grid.k[: grid.n // 2 + 1] if half else grid.k   # k[0] = 0 is the only zero
         vals = np.empty(k.shape, dtype=complex)
         vals[0] = complex(self.zero_mode_value)
         vals[1:] = self.evaluator(k[1:])

@@ -684,13 +684,15 @@ EVERY_COMMAND = {
 
 
 def test_every_command_runs_without_scipy(tmp_path):
-    # scipy is a test dependency only, and the quadrature rule is a table of
-    # literals: with scipy and numpy.polynomial unimportable every command
-    # writes what it writes with both at hand
+    # scipy is a test dependency only, the quadrature rule is a table of
+    # literals, and the edge merge and probe median sort without numpy.ma:
+    # with scipy, numpy.polynomial and numpy.ma unimportable every command
+    # writes what it writes with all three at hand
     code = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
         "sys.modules['numpy.polynomial'] = None\n"
+        "sys.modules['numpy.ma'] = None\n"
         "import fkdvlab.cli\n"
         f"runs = {EVERY_COMMAND!r}\n"
         "out = {}\n"

@@ -1,5 +1,6 @@
 """Property tests: the spectral discretisation and the solver's linear and
-quadratic parts on random band-limited fields, and the config text."""
+quadratic parts on random band-limited fields, the Stein quadrature's edge
+merge, and the config text."""
 
 import tempfile
 from pathlib import Path
@@ -17,6 +18,7 @@ from fkdvlab.diagnostics import weight_column
 from fkdvlab.solver import _Stepper
 from fkdvlab.spectral import (derivative_symbol, dispersion_symbol, frac_deriv_symbol,
                               hilbert_symbol, lowpass_symbol)
+from fkdvlab.stein import _sorted_distinct
 
 
 def bessel(s):
@@ -74,6 +76,29 @@ def test_composition_is_product(f, m1, m2):
     a = apply_multiplier(apply_multiplier(f, m1), m2).samples
     b = apply_multiplier(f, prod).samples
     assert np.max(np.abs(a - b)) <= 1e-12 * spectral_scale(f, m1, m2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([8, 10, 64, 126, 1024]), length=st.floats(1.0, 1e4), sym=symbols)
+def test_half_spectrum_symbol_is_the_full_one_cut(n, length, sym):
+    grid = make_grid(n, length)
+    half = sym.on_grid(grid, half=True)
+    assert half.tobytes() == sym.on_grid(grid)[: n // 2 + 1].tobytes()
+
+
+y_max = 50.0
+# the values the panel edges repeat: both zeros, the +-y_max ends, and
+# geomspace-like neighbours one ulp apart
+edge_values = st.one_of(
+    st.sampled_from([0.0, -0.0, y_max, -y_max, 1e-13, -1e-13, 1.0, np.nextafter(1.0, 2.0)]),
+    st.floats(-y_max, y_max))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges=st.lists(edge_values, min_size=1, max_size=300))
+def test_edge_merge_is_np_unique(edges):
+    x = np.array(edges)
+    assert _sorted_distinct(x).tobytes() == np.unique(x).tobytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

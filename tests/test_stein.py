@@ -81,6 +81,26 @@ class TestSteinDerivative:
         assert nodes.tobytes() == ref_nodes.tobytes()
         assert weights.tobytes() == ref_weights.tobytes()
 
+    @pytest.mark.parametrize("req", [
+        SteinRequest(0.5, sign_propagator(1.0), np.array([1e-3, 0.5, 2.0])),
+        SteinRequest(0.5, power_cutoff(0.2), np.geomspace(1e-5, 1e-3, 3)),
+        SteinRequest(0.8, _bessel_weighted(-0.7, 1.0, "propagator"),
+                     np.array([1e-5, 0.5]), SCAN_QUAD),
+        SteinRequest(0.5, SteinTarget("sign", lambda y: np.sign(y) + 0j,
+                                      breakpoints=(-50.0, -0.0, 0.0, 50.0),
+                                      tail_limits=(1.0, -1.0),
+                                      holder=lambda eta: (math.inf, 0.0)),
+                     np.array([0.5, -49.0]), QuadSpec(y_max=50.0)),
+    ], ids=["sign_propagator", "power_cutoff", "scan_propagator", "breaks_at_zeros_and_ends"])
+    def test_edge_merge_gives_the_np_unique_values(self, monkeypatch, req):
+        # the panel edges hold both ends +-y_max and the repeated breakpoint
+        # panels; merged by np.unique the values keep every bit
+        res = stein_derivative(req)
+        monkeypatch.setattr(stein, "_sorted_distinct", np.unique)
+        ref = stein_derivative(req)
+        assert res.values.tobytes() == ref.values.tobytes()
+        assert res.error_estimates.tobytes() == ref.error_estimates.tobytes()
+
     def test_quadrature_memory_does_not_grow_with_panels(self):
         # the nodes go through the integrand in blocks of panels, so beyond the
         # (panels, 16) table of weighted terms the working set is one block's;
@@ -362,6 +382,20 @@ def pair_ratio(kind, g, f, params):
     return float(_probe_ratios(kind, g.grid, g.samples[None], f.samples[None], params)[0])
 
 
+def assert_ensemble_is_per_pair_max_and_median(kind, g, n_pairs, seed):
+    """probe_ensemble's max and median equal, bit for bit, those of the ratios
+    of its pairs probed one at a time."""
+    params = ProbeParams(beta=0.5, gamma=0.25, l=1, m=0)
+    mx, med = probe_ensemble(kind, g, params, n_pairs=n_pairs, seed=seed)
+
+    def band(s):
+        return Field(g, random_band(g, [s], *stein.PROBE_BAND, 1.0)[0])
+    ratios = [pair_ratio(kind, band(seed + 2 * j), band(seed + 1 + 2 * j), params)
+              for j in range(n_pairs)]
+    assert mx == max(ratios)
+    assert med == float(np.median(ratios))
+
+
 class TestCommutatorProbes:
     def test_constant_g_gives_zero(self):
         g = make_grid(1024, 100.0)
@@ -415,17 +449,15 @@ class TestCommutatorProbes:
     @pytest.mark.parametrize("kind", PROBE_KINDS)
     def test_ensemble_blocks_match_per_pair_probes_exactly(self, kind):
         # 37 pairs at n = 2048 run as blocks of 16, 16 and 5 rows
-        params = ProbeParams(beta=0.5, gamma=0.25, l=1, m=0)
         g = make_grid(2048, 100.0)
         assert 37 % (stein._PROBE_BLOCK_BYTES // (8 * g.n)) != 0
-        mx, med = probe_ensemble(kind, g, params, n_pairs=37, seed=2)
+        assert_ensemble_is_per_pair_max_and_median(kind, g, n_pairs=37, seed=2)
 
-        def band(seed):
-            return Field(g, random_band(g, [seed], *stein.PROBE_BAND, 1.0)[0])
-        ratios = [pair_ratio(kind, band(2 + 2 * j), band(3 + 2 * j), params)
-                  for j in range(37)]
-        assert mx == max(ratios)
-        assert med == float(np.median(ratios))
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    def test_even_pair_count_median_exact(self, kind):
+        # the benchmark's 50 pairs: the median is the mean of the middle two
+        assert_ensemble_is_per_pair_max_and_median(kind, make_grid(1024, 100.0),
+                                                   n_pairs=50, seed=1)
 
     def test_ensemble_memory_does_not_grow_with_pairs(self):
         # one (rows, n) block at a time; holding all 64 pairs at once traced ~15 MiB
