@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DomainError, NumericError,
                      OracleDivergenceError, StepError)
-from .spectral import (CutoffSpec, Field, Grid, MultiplierSymbol, apply_multiplier,
+from .spectral import (Field, Grid, MultiplierSymbol, apply_multiplier,
                        coordinate_multiply, frac_deriv, integrate, l2_norm,
                        line_spectrum, make_grid)
 from .solver import (InitialCondition, SimConfig, Trajectory, linear_propagator,

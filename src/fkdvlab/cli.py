@@ -342,8 +342,17 @@ def cmd_probe(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigurationError, so a
+    bad command line exits 1 with one ``error:`` line like any bad input;
+    2 stays the metric-failure code."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="fkdvlab",
         description="pseudo-spectral laboratory for weakly dispersive "
                     "perturbations of the inviscid Burgers equation")
@@ -395,9 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigurationError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)

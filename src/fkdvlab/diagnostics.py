@@ -56,17 +56,13 @@ def invariants(f: Field, alpha: float, spectrum: Optional[np.ndarray] = None):
 def _parseval_weights(grid: Grid, alpha: float) -> np.ndarray:
     """Parseval weights for ||D^(alpha/2) u||^2 on the half grid.
 
-    Built once per grid and alpha.  Modes 1..n/2-1 stand for a pair and
-    weigh 2; modes 0 and n/2 weigh 1; dx/n turns the sum into the
-    rectangle-rule integral.
+    Modes 1..n/2-1 stand for a pair and weigh 2; modes 0 and n/2 weigh 1;
+    dx/n turns the sum into the rectangle-rule integral.
     """
-    def build():
-        w = np.full(grid.n // 2 + 1, 2.0 * grid.dx / grid.n)
-        w[[0, -1]] *= 0.5
-        w *= np.abs(multiplier_table(frac_deriv_symbol(alpha / 2.0), grid)) ** 2
-        w.setflags(write=False)
-        return w
-    return grid.table(("parseval", alpha), build)
+    w = np.full(grid.n // 2 + 1, 2.0 * grid.dx / grid.n)
+    w[[0, -1]] *= 0.5
+    w *= np.abs(multiplier_table(frac_deriv_symbol(alpha / 2.0), grid)) ** 2
+    return w
 
 
 def moment_first(f: Field) -> float:
@@ -89,13 +85,8 @@ def tail_mass(f: Field, radius: float) -> float:
 
 
 def outer_region(grid: Grid) -> np.ndarray:
-    """Mask of the nodes in the outer 10 percent of the box, |x| > 0.45 L;
-    built once per grid."""
-    def build():
-        mask = np.abs(grid.x) > 0.45 * grid.length
-        mask.setflags(write=False)
-        return mask
-    return grid.table("outer", build)
+    """Mask of the nodes in the outer 10 percent of the box, |x| > 0.45 L."""
+    return np.abs(grid.x) > 0.45 * grid.length
 
 
 def tail_fraction(samples: np.ndarray, grid: Grid) -> float:

@@ -24,7 +24,7 @@ from .solver import (InitialCondition, SimConfig, Trajectory, _cumulative_simpso
                      _step_count, linear_propagator, picard_oracle, solve)
 from .spectral import (Field, apply_multiplier, coordinate_multiply,
                        dispersion_symbol, frac_deriv, integrate, is_zero_mean,
-                       l2_norm, line_spectrum)
+                       l2_norm, line_spectrum, require_zero_mean)
 
 
 @dataclass
@@ -78,11 +78,9 @@ def _mean_free(u0: Field, campaign: str, required: bool = False) -> bool:
     a mean raises DomainError when ``required``; zero-mean data must decay to
     0 at the box edge, as a shelf's weighted content grows with the box and
     its x u0 is a box-sized sawtooth."""
-    mean = integrate(u0)
-    if not is_zero_mean(mean, l2_norm(u0), _MEAN_TOL):
-        if required:
-            raise DomainError(f"{campaign} needs zero mean; u_hat(0) = {mean:.3e} "
-                              f"exceeds {_MEAN_TOL:g} * ||u||")
+    if required:
+        require_zero_mean(u0, campaign, _MEAN_TOL)
+    elif not is_zero_mean(integrate(u0), l2_norm(u0), _MEAN_TOL):
         return False
     shelf = float(np.mean(u0.samples[diag.outer_region(u0.grid)]))
     if abs(shelf) > 1e-12 * float(np.max(np.abs(u0.samples))):
@@ -305,7 +303,7 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
     alpha = cfg.alpha
     zero_mean = _mean_free(cfg.ic.build(cfg.grid()), "decay scans")
     r_crit = 1.5 + alpha
-    ps = []                     # fitted tail exponent per box
+    fits = []                   # tail decay fit per box
     wnorms = {r: [] for r in set(list(r_probe) + [r_crit, r_crit - 0.25])}
     for L in L_list:
         sc = _scaled_cfg(cfg, L)
@@ -318,11 +316,17 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
             window = (0.015 * L, 0.035 * L)
         else:
             window = (0.04 * L, 0.12 * L)
-        ps.append(diag.decay_fit(u_t, window).fitted_p)
+        fits.append(diag.decay_fit(u_t, window))
         for r in wnorms:
             wnorms[r].append(diag.weighted_norm(u_t, r))
-    # bias from the periodized tail shrinks like 1/L; extrapolate when monotone
-    if all(np.isfinite(ps)) and (np.all(np.diff(ps) <= 0) or np.all(np.diff(ps) >= 0)):
+    ps = [fit.fitted_p for fit in fits]
+    rejected = [(L, fit.residual) for L, fit in zip(L_list, fits) if not fit.accepted]
+    # a rejected fit's exponent is no measurement, whatever the extrapolation
+    # from it reads; the bias from the periodized tail shrinks like 1/L, so
+    # accepted exponents are extrapolated when monotone
+    if rejected:
+        p = math.nan
+    elif np.all(np.diff(ps) <= 0) or np.all(np.diff(ps) >= 0):
         p = 2.0 * ps[-1] - ps[-2]
     else:
         p = ps[-1]
@@ -355,6 +359,9 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
         f"subcritical norms {_table(g_below, 6)}",
     ] + [f"w_{r:g} across boxes: {np.round(wnorms[r], 6).tolist()}"
          for r in sorted(r_probe)]
+    if rejected:
+        notes.append("tail_exponent is NaN: decay fit rejected at " + ", ".join(
+            f"L = {L:g} (residual {res:.4f})" for L, res in rejected))
     if cfg.nonlinear:
         notes.append("nonlinear = true is not applied: decay-threshold "
                      "evolves the free (linear) flow")

@@ -199,7 +199,7 @@ def _propagators(grid: Grid, alpha: float, times) -> np.ndarray:
     """exp(t i k |k|^alpha) on the half grid, one row per time in ``times``."""
     # not multiplier_table: its Nyquist entry is the generator's real part, 0,
     # where the propagator needs the exponential's real part, cos(t k|k|^alpha)
-    gen = dispersion_symbol(alpha).on_grid(grid, half=True)
+    gen = dispersion_symbol(alpha).on_grid(grid)
     vals = np.exp(np.multiply.outer(times, gen))
     vals[..., -1] = vals[..., -1].real                 # unpaired mode stays real
     return vals

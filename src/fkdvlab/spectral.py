@@ -46,7 +46,6 @@ class Grid:
     length: float
     x: np.ndarray = field(repr=False, compare=False, default=None)
     k: np.ndarray = field(repr=False, compare=False, default=None)
-    _tables: dict = field(repr=False, compare=False, init=False, default_factory=dict)
     _multipliers: weakref.WeakKeyDictionary = field(
         repr=False, compare=False, init=False, default_factory=weakref.WeakKeyDictionary)
 
@@ -65,16 +64,6 @@ class Grid:
     @property
     def dx(self) -> float:
         return self.length / self.n
-
-    def table(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """``build()``, evaluated once per grid and key and kept with the grid.
-
-        For derived arrays that many calls on one grid need; the arrays
-        built must not be written to afterwards.
-        """
-        if key not in self._tables:
-            self._tables[key] = build()
-        return self._tables[key]
 
 
 def make_grid(n: int, length: float) -> Grid:
@@ -149,11 +138,10 @@ class MultiplierSymbol:
     evaluator: Callable[[np.ndarray], np.ndarray]
     zero_mode_value: complex = 0.0
 
-    def on_grid(self, grid: Grid, *, half: bool = False) -> np.ndarray:
-        """Values on every grid wavenumber, or with ``half`` on the real-FFT
-        half spectrum, modes 0..n/2 (the Nyquist wavenumber negative, as in
-        ``grid.k``)."""
-        k = grid.k[: grid.n // 2 + 1] if half else grid.k   # k[0] = 0 is the only zero
+    def on_grid(self, grid: Grid) -> np.ndarray:
+        """Values on the real-FFT half spectrum, modes 0..n/2 (the Nyquist
+        wavenumber negative, as in ``grid.k``)."""
+        k = grid.k[: grid.n // 2 + 1]           # k[0] = 0 is the only zero
         vals = np.empty(k.shape, dtype=complex)
         vals[0] = complex(self.zero_mode_value)
         vals[1:] = self.evaluator(k[1:])
@@ -163,29 +151,26 @@ class MultiplierSymbol:
         return vals
 
 
-def _is_hermitian(vals: np.ndarray, grid: Grid) -> bool:
-    # paired modes m and -m; the Nyquist mode has no partner
-    n = grid.n
-    v_pos = vals[1:n // 2]
-    v_neg = vals[-1:n // 2:-1]
-    scale = np.max(np.abs(vals)) or 1.0
-    return bool(np.all(np.abs(v_neg - np.conj(v_pos)) <= 1e-12 * scale))
-
-
 def multiplier_table(sym: MultiplierSymbol, grid: Grid) -> np.ndarray:
     """Half-grid values of a Hermitian symbol, built and checked once per (symbol, grid).
 
     The table lives as long as both the grid and the symbol: the grid
     holds it weakly keyed by the symbol.  A symbol that fails the check
     raises DomainError on every call; nothing is kept for it.
+
+    The check evaluates the partners -k of modes 1..n/2-1, the full grid's
+    negative wavenumbers; the Nyquist mode has no partner.  Its tolerance
+    scales with the half table alone, which on_grid has found finite, so a
+    partner value that is not finite fails the check.
     """
     table = grid._multipliers.get(sym)
     if table is None:
-        vals = sym.on_grid(grid)
-        if not _is_hermitian(vals, grid):
+        table = sym.on_grid(grid)
+        partners = sym.evaluator(-grid.k[1 : grid.n // 2])
+        scale = np.max(np.abs(table)) or 1.0
+        if not np.all(np.abs(partners - np.conj(table[1:-1])) <= 1e-12 * scale):
             raise DomainError(
                 f"symbol '{sym.name}' is not Hermitian-symmetric; real output undefined")
-        table = vals[: grid.n // 2 + 1].copy()      # modes 0..n/2
         table[-1] = table[-1].real                  # the unpaired Nyquist entry made real
         table.setflags(write=False)
         grid._multipliers[sym] = table
@@ -256,21 +241,12 @@ def flat_top_bump(xi: np.ndarray, a: float) -> np.ndarray:
     return 1.0 - smoothstep((np.abs(xi) - a) / a)
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Low-pass cutoff: profile is 1 on |k| <= a and 0 on |k| >= 2a."""
-
-    a: float
-
-    def __post_init__(self):
-        if not (self.a > 0):
-            raise ConfigurationError(f"cutoff scale must be positive, got {self.a}")
-
-
 @functools.lru_cache
-def lowpass_symbol(cut: CutoffSpec) -> MultiplierSymbol:
-    return MultiplierSymbol(f"lowpass(a={cut.a:g})",
-                            lambda k: flat_top_bump(k, cut.a) + 0j, 1.0)
+def lowpass_symbol(a: float) -> MultiplierSymbol:
+    """Low-pass cutoff: 1 on |k| <= a and 0 on |k| >= 2a."""
+    if not (a > 0):
+        raise ConfigurationError(f"cutoff scale must be positive, got {a}")
+    return MultiplierSymbol(f"lowpass(a={a:g})", lambda k: flat_top_bump(k, a) + 0j, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from .diagnostics import line_fit
 from .errors import ConfigurationError, DomainError, NumericError
-from .spectral import (CutoffSpec, apply_to_samples, derivative_symbol, flat_top_bump,
+from .spectral import (apply_to_samples, derivative_symbol, flat_top_bump,
                        frac_deriv_symbol, hilbert_symbol, l2_rows, lowpass_symbol,
                        random_band, weight_profile)
 
@@ -636,7 +636,7 @@ def _probe_ratios(kind: str, grid, g: np.ndarray, f: np.ndarray,
             raise ConfigurationError("projector requires beta >= 0")
         if not (params.gamma > 0):
             raise ConfigurationError("projector requires gamma > 0")
-        low = lowpass_symbol(CutoffSpec(1.0))
+        low = lowpass_symbol(1.0)
         def P(h):
             return apply_to_samples(h, low, grid)
         rest = D(g, params.gamma)

@@ -562,6 +562,28 @@ ic = odd_gaussian(-4,1)
         assert err.startswith("error: weight order") and err.count("\n") == 1
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["stein", "--b", "abc", "--target", "weight", "--points", "1"],
+        ["probe", "--n", "abc"],
+        ["experiment", "nope"],
+        ["simulate", "--bogus", "1"],
+        ["stein", "--b", "0.5", "--target", "weight"],
+    ], ids=["stein-b-not-a-number", "probe-n-not-a-number", "unknown-experiment",
+            "unknown-flag", "stein-without-points"])
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv):
+        # 2 is the metric-failure code, so a mistyped command line must not exit 2
+        rc = main(["--out", str(tmp_path / "out"), *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: fkdvlab") and captured.err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["stein", "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fkdvlab stein")
+
     def test_two_time_off_the_step_grid_exits_one(self, tmp_path, capsys):
         # with dt = 0.01 the state at t1 = 0.333 does not exist; 0.33 does
         argv = ["experiment", "two-time-bh", "--alpha", "-1", "--n", "1024",

@@ -227,9 +227,22 @@ class TestTwoTimeBH:
 
 class TestDecayThreshold:
     def test_positive_dispersion(self):
+        # at L = 100 the fit is rejected (residual 0.0527), so boxes 200 and 400
         cfg = cfg_for(0.5, ic=InitialCondition("gaussian", (1.0, 1.0, 0.0)))
-        rep = run_decay_threshold(cfg, [], [100.0, 200.0])
+        rep = run_decay_threshold(cfg, [], [200.0, 400.0])
         assert rep.metrics["tail_exponent"].measured == pytest.approx(2.5, abs=0.15)
+        assert not any("rejected" in n for n in rep.notes)
+
+    def test_rejected_fits_give_nan(self):
+        # both fits are rejected; extrapolating their exponents 3.694 and
+        # 2.980 would land on the expected 2.25 by chance
+        cfg = cfg_for(0.25, n=1024, length=100.0, t_final=4.0,
+                      ic=InitialCondition("gaussian", (1.0, 3.0, 0.0)))
+        rep = run_decay_threshold(cfg, [], [100.0, 200.0])
+        assert math.isnan(rep.metrics["tail_exponent"].measured)
+        assert not rep.metrics["tail_exponent"].passed
+        assert ("tail_exponent is NaN: decay fit rejected at L = 100 (residual 0.1443), "
+                "L = 200 (residual 0.0970)") in rep.notes
 
     def test_zero_mean_lifts_threshold(self):
         cfg = cfg_for(0.5, ic=InitialCondition("odd_gaussian", (1.0, 1.0)))

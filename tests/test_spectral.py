@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fkdvlab
-from fkdvlab import (ConfigurationError, CutoffSpec, DomainError, Field,
+from fkdvlab import (ConfigurationError, DomainError, Field,
                      MultiplierSymbol, apply_multiplier, coordinate_multiply,
                      frac_deriv, integrate, l2_norm, line_spectrum, make_grid)
 from fkdvlab.errors import NumericError
@@ -177,13 +177,22 @@ CONSTRUCTED_SYMBOLS = [
     frac_deriv_symbol(0.0), frac_deriv_symbol(0.5),
     frac_deriv_symbol(-0.5), frac_deriv_symbol(1.7), hilbert_symbol(),
     bessel(-1.0), bessel(2.0), dispersion_symbol(0.5),
-    dispersion_symbol(-1.0), derivative_symbol(), lowpass_symbol(CutoffSpec(1.0)),
+    dispersion_symbol(-1.0), derivative_symbol(), lowpass_symbol(1.0),
 ]
+
+
+def full_symbol(sym, grid):
+    """``sym`` on every grid wavenumber from its evaluator, mode 0 its
+    zero_mode_value: a reference that does not go through on_grid."""
+    vals = np.empty(grid.n, dtype=complex)
+    vals[0] = sym.zero_mode_value
+    vals[1:] = sym.evaluator(grid.k[1:])
+    return vals
 
 
 def complex_reference(u, sym, grid):
     """The full-spectrum complex-FFT product, Nyquist entry made real."""
-    vals = sym.on_grid(grid)
+    vals = full_symbol(sym, grid)
     vals[grid.n // 2] = vals[grid.n // 2].real
     return np.fft.ifft(vals * np.fft.fft(u)).real
 
@@ -217,6 +226,18 @@ class TestCachedHalfSpectrumMultiplier:
             with pytest.raises(DomainError, match="Hermitian"):
                 apply_multiplier(f, bad)
 
+    @pytest.mark.parametrize("sign,error", [(-1.0, DomainError), (1.0, NumericError)])
+    def test_non_finite_values_raise_every_call(self, sign, error):
+        # infinite at the partner wavenumbers -14..-1 only, which the table
+        # check evaluates, or at 1..14 on the half spectrum itself
+        g = make_grid(64, 10.0)
+        f = Field(g, np.sin(2 * np.pi * g.x / g.length))
+        bad = MultiplierSymbol("inf", lambda k: np.where((sign * k > 1) & (sign * k < 15),
+                                                         np.inf, 1.0), 1.0)
+        for _ in range(3):
+            with pytest.raises(error):
+                apply_multiplier(f, bad)
+
     def test_table_built_once_per_grid(self, monkeypatch):
         calls = []
         on_grid = MultiplierSymbol.on_grid
@@ -237,7 +258,7 @@ class TestCachedHalfSpectrumMultiplier:
 
     def test_constructors_share_instances(self):
         assert frac_deriv_symbol(0.25) is frac_deriv_symbol(0.25)
-        assert lowpass_symbol(CutoffSpec(2.0)) is lowpass_symbol(CutoffSpec(2.0))
+        assert lowpass_symbol(2.0) is lowpass_symbol(2.0)
 
     def test_ad_hoc_symbols_do_not_accumulate(self):
         g = trig_grid(64)
@@ -319,22 +340,27 @@ class TestHilbert:
 
 
 class TestProjector:
+    @pytest.mark.parametrize("a", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_scale(self, a):
+        with pytest.raises(ConfigurationError, match="cutoff scale must be positive"):
+            lowpass_symbol(a)
+
     def test_passes_low_mode(self):
         g = trig_grid()
         f = Field(g, np.sin(g.x))
-        out = apply_multiplier(f, lowpass_symbol(CutoffSpec(4.0)))
+        out = apply_multiplier(f, lowpass_symbol(4.0))
         assert np.allclose(out.samples, f.samples, atol=1e-13)
 
     def test_kills_high_mode(self):
         g = trig_grid(128)
         f = Field(g, np.sin(10 * g.x))
-        out = apply_multiplier(f, lowpass_symbol(CutoffSpec(4.0)))
+        out = apply_multiplier(f, lowpass_symbol(4.0))
         assert np.max(np.abs(out.samples)) <= 1e-13
 
     def test_linearity(self):
         g = make_grid(512, 50.0)
         f, h = seeded_field(g, 1), seeded_field(g, 2)
-        low = lowpass_symbol(CutoffSpec(2.0))
+        low = lowpass_symbol(2.0)
         lhs = apply_multiplier(Field(g, f.samples + h.samples), low)
         rhs = apply_multiplier(f, low).samples + apply_multiplier(h, low).samples
         assert np.allclose(lhs.samples, rhs, atol=1e-13)
