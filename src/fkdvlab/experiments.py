@@ -73,21 +73,16 @@ class ExperimentReport:
 _MEAN_TOL = 1e-10                # relative mean tolerance of campaign data
 
 
-def _mean_free(u0: Field, campaign: str, required: bool = False) -> bool:
-    """Whether ``u0`` has zero mean: the campaigns' one data guard.  Data with
-    a mean raises DomainError when ``required``; zero-mean data must decay to
-    0 at the box edge, as a shelf's weighted content grows with the box and
-    its x u0 is a box-sized sawtooth."""
-    if required:
-        require_zero_mean(u0, campaign, _MEAN_TOL)
-    elif not is_zero_mean(integrate(u0), l2_norm(u0), _MEAN_TOL):
-        return False
+def _mean_free(u0: Field, campaign: str):
+    """The campaigns' one data guard: ``u0`` must have zero mean (DomainError
+    otherwise) and decay to 0 at the box edge, as a shelf's weighted content
+    grows with the box and its x u0 is a box-sized sawtooth."""
+    require_zero_mean(u0, campaign, _MEAN_TOL)
     shelf = float(np.mean(u0.samples[diag.outer_region(u0.grid)]))
     if abs(shelf) > 1e-12 * float(np.max(np.abs(u0.samples))):
         raise ConfigurationError(
             f"{campaign}: zero-mean data must decay to 0 at the box edge, but the "
             f"outer 10% of the box sits on a shelf at u = {shelf:.3e}")
-    return True
 
 
 def _scaled_cfg(cfg: SimConfig, L: float) -> SimConfig:
@@ -121,7 +116,7 @@ def run_moment_law(cfg: SimConfig) -> ExperimentReport:
             "the moment production law holds for -1 < alpha < 1, alpha != 0; "
             f"got alpha = {cfg.alpha}")
     u0 = cfg.ic.build(cfg.grid())
-    _mean_free(u0, "moment law", required=True)
+    _mean_free(u0, "moment law")
     traj = solve(cfg, u0, columns=("moment_x",))
     ms = traj.rows["moment_x"]
     l2sq = diag.invariants(u0, cfg.alpha)[1]
@@ -160,7 +155,7 @@ def run_tstar(cfg: SimConfig) -> ExperimentReport:
     solve never reaches t*, so its residual is NaN.
     """
     u0 = cfg.ic.build(cfg.grid())
-    _mean_free(u0, "sharp-time run", required=True)
+    _mean_free(u0, "sharp-time run")
     m0 = diag.moment_first(u0)
     l2sq = diag.invariants(u0, cfg.alpha)[1]
     t_star = -4.0 * m0 / l2sq
@@ -180,18 +175,12 @@ def run_tstar(cfg: SimConfig) -> ExperimentReport:
     ts, ms = traj.times, traj.rows["moment_x"]
     residual = (math.nan if traj.truncated
                 else abs(_cumulative_simpson(ms, 2.0 * dt_eff)[-1]) / (abs(m0) * t_star))
-    # moment zero crossing, expected at t*/2
-    sign_change = np.nonzero(np.diff(np.sign(ms)))[0]
-    if sign_change.size:
-        j = sign_change[0]
-        zc = ts[j] + (ts[j + 1] - ts[j]) * (-ms[j]) / (ms[j + 1] - ms[j])
-    else:
-        zc = math.nan
+    zc = _crossing_time(ts, ms, 0.0)     # the moment rises through 0 at t*/2
     return ExperimentReport(
         "tstar",
         {
             "integral_residual": MetricEntry(residual, 0.0, 1e-4),
-            "zero_crossing": MetricEntry(float(zc), 0.5 * t_star, 1e-3),
+            "zero_crossing": MetricEntry(zc, 0.5 * t_star, 1e-3),
         },
         [f"t* = {t_star:.17g}", f"moment0 = {m0:.17g}", f"l2sq = {l2sq:.17g}"],
         solves={"main": traj})
@@ -199,20 +188,6 @@ def run_tstar(cfg: SimConfig) -> ExperimentReport:
 
 # ---------------------------------------------------------------------------
 # constant-frequency (alpha = -1) jump evolution
-
-
-def _states_at(cfg: SimConfig, u0: Field, times: Sequence[float]) -> tuple:
-    """({time: state}, trajectory) of one solve through ``times``.  A time
-    that a truncated solve did not reach before the guard tripped is left out."""
-    idx = [_step_count(t, cfg.dt, "time") for t in times]
-    cadence = math.gcd(*idx) if idx else 1
-    run_cfg = replace(cfg, store_every=max(cadence, 1),
-                      t_final=max(times), diag_every=max(cadence, 1))
-    traj = solve(run_cfg, u0, columns=())
-    end = traj.times[-1] if traj.truncated else math.inf
-    # solve keys the state of step i by i * dt
-    out = {t: traj.states[i * cfg.dt] for t, i in zip(times, idx) if i * cfg.dt < end}
-    return out, traj
 
 
 def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
@@ -230,15 +205,23 @@ def run_two_time_bh(cfg: SimConfig, t1: float, t2: float) -> ExperimentReport:
         raise ConfigurationError("two-time identity run requires alpha = -1")
     if not (0 <= t1 < t2 <= cfg.t_final):
         raise ConfigurationError(f"need 0 <= t1 < t2 <= t_final, got {t1}, {t2}")
+    steps = {t: _step_count(t, cfg.dt, "time") for t in (t1, t2)}
+    s1, s2 = steps[t1], steps[t2]
     jumps = {}
     runs = {}
-    times = sorted({t for t in (t1, t2) if t > 0})
     for scale in (1, 2):
         sc_cfg = _scaled_cfg(cfg, cfg.length * scale)
         u0 = cfg.ic.build(sc_cfg.grid())
-        _mean_free(u0, "two-time identity run", required=True)
-        states, runs[f"L={sc_cfg.length:g}"] = _states_at(sc_cfg, u0, times)
-        at = {0.0: u0, **states}             # keyed by 0, t1 and t2
+        _mean_free(u0, "two-time identity run")
+        # states stored at t1 and the end t2, rows (so the guard) at both
+        traj = solve(replace(sc_cfg, t_final=t2, store_every=s1 or s2,
+                             diag_every=math.gcd(s1, s2)), u0, columns=())
+        runs[f"L={sc_cfg.length:g}"] = traj
+        # solve keys the state of step s by s * dt; a time a truncated solve
+        # did not pass before the guard tripped is left out
+        end = traj.times[-1] if traj.truncated else math.inf
+        at = {0.0: u0, **{t: traj.states[s * cfg.dt] for t, s in steps.items()
+                          if t > 0 and s * cfg.dt < end}}
         jumps[scale] = {t: diag.spectral_jump(f) for t, f in at.items()}
         if scale == 1:
             i2 = diag.invariants(u0, cfg.alpha)[1]
@@ -296,12 +279,18 @@ def run_decay_threshold(cfg: SimConfig, r_probe: Sequence[float],
     a quarter below it converges.  The nonlinear term is never applied;
     a config with ``nonlinear`` set gets a note saying so.
     """
-    if len(L_list) < 2:
-        raise ConfigurationError("need at least two box sizes")
+    if (len(L_list) < 2 or len(set(L_list)) < len(L_list)
+            or not all(0.0 < L < math.inf for L in L_list)):
+        raise ConfigurationError(
+            "box_list needs at least two distinct positive finite box sizes, "
+            f"got {list(L_list)}")
     L_list = sorted(L_list)
     t = cfg.t_final
     alpha = cfg.alpha
-    zero_mean = _mean_free(cfg.ic.build(cfg.grid()), "decay scans")
+    u0 = cfg.ic.build(cfg.grid())
+    zero_mean = is_zero_mean(integrate(u0), l2_norm(u0), _MEAN_TOL)
+    if zero_mean:
+        _mean_free(u0, "decay scans")
     r_crit = 1.5 + alpha
     fits = []                   # tail decay fit per box
     wnorms = {r: [] for r in set(list(r_probe) + [r_crit, r_crit - 0.25])}
@@ -406,8 +395,9 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     (a) lam^alpha u(lam x, lam^(1+alpha) t) solves the equation when u
     does; (b) the free flow commutes with x + (1+alpha) t D^alpha;
     (c) [x, d/dx D^alpha] f = -(1+alpha) D^alpha f.
-    Zero-mean data that does not decay to 0 at the box edge is rejected,
-    as x u then carries a box-sized sawtooth.
+    The data must have zero mean and decay to 0 at the box edge: D^alpha
+    of data with a mean decays like |x|^-(1+alpha), so x D^alpha u reaches
+    the box edge, and a shelf makes x u a box-sized sawtooth.
     """
     if not (-1.0 < cfg.alpha < 1.0) or cfg.alpha == 0.0:
         raise ConfigurationError("symmetry checks need -1 < alpha < 1, alpha != 0")
@@ -417,8 +407,7 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     alpha = cfg.alpha
     ic2 = _scaled_ic(cfg.ic, lam, alpha)      # analytic, so decaying, data only
     u0 = cfg.ic.build(grid)
-    # negative-order derivatives below act on the zero-mean class only
-    _mean_free(u0, "symmetry checks", required=alpha < 0)
+    _mean_free(u0, "symmetry checks")
 
     # (a) two solver runs compared through the scaling map
     u0_scaled = ic2.build(grid)
@@ -440,18 +429,17 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     #     x e^{tL} u0 + (1+alpha) t D^alpha e^{tL} u0 = e^{tL} (x u0)
     t = cfg.t_final
     vt = linear_propagator(u0, t, alpha)
-    lhs = coordinate_multiply(vt) + (1.0 + alpha) * t * frac_deriv(vt, alpha)
+    lhs = (coordinate_multiply(vt).samples
+           + (1.0 + alpha) * t * frac_deriv(vt, alpha).samples)
     rhs = linear_propagator(coordinate_multiply(u0), t, alpha)
-    comm_res = _rel_err(lhs.samples, rhs.samples)
+    comm_res = _rel_err(lhs, rhs.samples)
 
     # (c) coordinate commutator with the dispersion generator
     gen = dispersion_symbol(alpha)
-    a_term = coordinate_multiply(apply_multiplier(u0, gen))
-    b_term = apply_multiplier(coordinate_multiply(u0), gen)
-    c_term = (1.0 + alpha) * frac_deriv(u0, alpha)
-    num = np.linalg.norm(a_term.samples - b_term.samples + c_term.samples)
-    den = np.linalg.norm(c_term.samples)
-    ident_res = float(num / den) if den > 0 else 0.0
+    a_term = coordinate_multiply(apply_multiplier(u0, gen)).samples
+    b_term = apply_multiplier(coordinate_multiply(u0), gen).samples
+    c_term = (1.0 + alpha) * frac_deriv(u0, alpha).samples
+    ident_res = _rel_err(a_term - b_term, -c_term)
 
     return ExperimentReport(
         "symmetry_checks",
@@ -472,15 +460,17 @@ def _grad_sup(traj: Trajectory) -> np.ndarray:
     return np.maximum(-traj.rows["min_ux"], 0.0)
 
 
-def _onset_time(ts, gs, threshold):
-    above = np.nonzero(gs >= threshold)[0]
+def _crossing_time(ts, ys, level) -> float:
+    """The first time the rows ``ys`` at times ``ts`` reach ``level`` from
+    below, linear between rows: ts[0] when the first row is already at or
+    above it, NaN when no row reaches it."""
+    above = np.nonzero(ys >= level)[0]
     if not above.size:
         return math.nan
     j = above[0]
     if j == 0:
         return float(ts[0])
-    # linear crossing between diagnostics rows
-    frac = (threshold - gs[j - 1]) / (gs[j] - gs[j - 1])
+    frac = (level - ys[j - 1]) / (ys[j] - ys[j - 1])
     return float(ts[j - 1] + frac * (ts[j] - ts[j - 1]))
 
 
@@ -496,17 +486,17 @@ def run_wave_breaking(cfg: SimConfig) -> ExperimentReport:
         raise ConfigurationError(
             f"breaking range is -1 <= alpha < -1/3, got {cfg.alpha}")
     u0 = cfg.ic.build(cfg.grid())
-    _mean_free(u0, "wave-breaking run", required=True)
+    _mean_free(u0, "wave-breaking run")
     traj = solve(cfg, u0, columns=("min_ux",))
     gs = _grad_sup(traj)
     g0 = gs[0]
-    onset = _onset_time(traj.times, gs, 10.0 * g0)
+    onset = _crossing_time(traj.times, gs, 10.0 * g0)
     notes = []
     if traj.truncated and math.isnan(onset):
         notes.append("INCONCLUSIVE: tail contamination before gradient growth")
     half = replace(cfg, dt=0.5 * cfg.dt, diag_every=2 * cfg.diag_every)
     traj_h = solve(half, u0, columns=("min_ux",))
-    onset_h = _onset_time(traj_h.times, _grad_sup(traj_h), 10.0 * g0)
+    onset_h = _crossing_time(traj_h.times, _grad_sup(traj_h), 10.0 * g0)
     control = solve(replace(cfg, alpha=0.5), u0, columns=("min_ux",))
     growth_c = float(np.max(_grad_sup(control)) / g0)
 

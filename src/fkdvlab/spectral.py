@@ -88,17 +88,6 @@ class Field:
         object.__setattr__(self, "samples", arr)
         arr.setflags(write=False)
 
-    def __add__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.samples + other.samples)
-
-    def __sub__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.samples - other.samples)
-
-    def __mul__(self, c: float) -> "Field":
-        return Field(self.grid, self.samples * c)
-
-    __rmul__ = __mul__
-
 
 def line_spectrum(f: Field) -> np.ndarray:
     """Modes m = 0..n/2 of the line transform of a real field.

@@ -270,6 +270,16 @@ ic = sine_packet(0.1,2,4)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "shelf" in err[0]
 
+    def test_symmetry_rejects_data_with_a_mean(self, tmp_path, capsys):
+        # D^alpha of data with a mean decays like |x|^-(1+alpha), so x D^alpha u
+        # reaches the box edge; the commutator residuals would read ~1e-2
+        rc = main(["--out", str(tmp_path / "out"), "experiment", "symmetry",
+                   "--alpha", "0.5", "--n", "1024", "--length", "100", "--dt", "1e-3",
+                   "--t-final", "0.1", "--lambda", "2", "--ic", "gaussian(0.1,1,0)"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: symmetry checks needs zero mean")
+
     def test_decay_threshold_rejects_box_filling_data(self, tmp_path, capsys):
         # random_band has no zero mode, so it is mean-free without any projection;
         # the error names the campaign and the shelf level, not a projection
@@ -494,6 +504,9 @@ ic = odd_gaussian(-4,1)
         ("--t1", "abc"),
         ("--lambda", "abc"),
         ("--box-list", "200,abc"),
+        ("--box-list", "200,nan"),
+        ("--box-list", "200,inf"),
+        ("--box-list", "200,200"),
         ("--r-probe", "x"),
         ("--weight-orders", "1,abc"),
         ("--weight-orders", "1,1"),

@@ -7,7 +7,7 @@ from fkdvlab import (ConfigurationError, DomainError, InitialCondition,
                      MetricEntry, SimConfig, make_grid, run_convergence,
                      run_decay_threshold, run_moment_law, run_symmetry_checks,
                      run_tstar, run_two_time_bh, run_wave_breaking, solve)
-from fkdvlab.experiments import _scaled_ic
+from fkdvlab.experiments import _crossing_time, _scaled_ic
 from fkdvlab.solver import _cumulative_simpson
 
 
@@ -198,6 +198,28 @@ class TestTwoTimeBH:
         rep = run_two_time_bh(cfg, 0.33, 1.0)
         assert rep.metrics["jump_law_rel_error_t2"].measured <= 1e-5
 
+    def test_solves_keep_the_states_at_t1_multiples_and_t2(self, monkeypatch):
+        # step counts 33 and 100 are coprime, so rows fall every step, but a
+        # solve keeps 5 states, not 101; the metrics keep their bits
+        trajs = []
+
+        def spy(*args, **kw):
+            trajs.append(solve(*args, **kw))
+            return trajs[-1]
+
+        monkeypatch.setattr("fkdvlab.experiments.solve", spy)
+        cfg = SimConfig(alpha=-1.0, n=1024, length=100.0, dt=0.01, t_final=1.0,
+                        ic=InitialCondition("odd_gaussian", (0.5, 1.0)))
+        rep = run_two_time_bh(cfg, 0.33, 1.0)
+        assert len(trajs) == 2
+        for traj in trajs:
+            assert sorted(traj.states) == pytest.approx([0.0, 0.33, 0.66, 0.99, 1.0])
+        assert {k: m.measured for k, m in rep.metrics.items()} == {
+            "jump_law_rel_error_t1": 1.7784174306666224e-07,
+            "jump_law_rel_error_t2": 1.4354354317297508e-06,
+            "identity_residual_vs_prediction": 0.5534747809768119,
+        }
+
     def test_truncated_solves_leave_the_metrics_nan(self):
         # the L = 100 and L = 200 solves stop at t = 0.09 and 0.25, before t1
         run, kw, _ = TRUNCATING["two-time-bh"]
@@ -290,15 +312,21 @@ class TestSymmetry:
             run_symmetry_checks(cfg, 3.0)
 
     def test_truncated_solve_leaves_scaling_residual_nan(self):
-        # the tail guard stops the original solve at t = 0.4, before the
+        # the tail guard stops the original solve at t = 0.9, before the
         # time that matches the rescaled solve's horizon
-        cfg = cfg_for(0.5, n=512, length=12.0, t_final=0.5, tail_tol=1e-6,
-                      ic=InitialCondition("sine_packet", (0.1, 2.0, 2.0)))
-        rep = run_symmetry_checks(cfg, 1.5)
+        run, kw, _ = TRUNCATING["symmetry"]
+        rep = run(cfg_for(**kw))
         assert rep.truncated
         assert math.isnan(rep.metrics["scaling_residual"].measured)
         assert not rep.metrics["scaling_residual"].passed
         assert any(n.startswith("TRUNCATED: original solve: ") for n in rep.notes)
+
+    def test_zero_reference_reads_nan(self):
+        # all-zero data leaves the commutator no scale to be small against
+        cfg = cfg_for(0.5, t_final=0.2, n=1024, length=100.0,
+                      ic=InitialCondition("gaussian", (0.0, 1.0, 0.0)))
+        metric = run_symmetry_checks(cfg, 2.0).metrics["coordinate_commutator_residual"]
+        assert math.isnan(metric.measured) and not metric.passed
 
     def test_random_band_not_scalable(self):
         cfg = cfg_for(0.5, tail_tol=1.0,
@@ -342,6 +370,17 @@ class TestBreaking:
         assert max(gs) / gs[0] <= 1.5
 
 
+@pytest.mark.parametrize("ys,expected", [
+    ([-2.0, 0.0, 1.0], 1.0),          # an exact-zero row is the crossing
+    ([0.0, 1.0, 2.0], 0.5),           # so is the first row at the level
+    ([-1.0, 3.0, 5.0], 0.625),        # linear between rows
+    ([-3.0, -2.0, -1.0], math.nan),   # never reached
+])
+def test_crossing_time(ys, expected):
+    got = _crossing_time(np.array([0.5, 1.0, 1.5]), np.array(ys), 0.0)
+    assert got == pytest.approx(expected, nan_ok=True)
+
+
 # campaign -> (runner, config, labels of the solves the tail guard truncates)
 TRUNCATING = {
     "moment-law": (run_moment_law, dict(
@@ -357,8 +396,8 @@ TRUNCATING = {
         alpha=-1.0, dt=2e-3, t_final=3.0, diag_every=25, tail_tol=1e-5,
         ic=InitialCondition("odd_gaussian", (-3.0, 1.0))), {"dt", "dt/2"}),
     "symmetry": (lambda cfg: run_symmetry_checks(cfg, 1.5), dict(
-        alpha=0.5, n=512, length=12.0, t_final=0.5, tail_tol=1e-6,
-        ic=InitialCondition("sine_packet", (0.1, 2.0, 2.0))), {"original"}),
+        alpha=0.5, n=512, length=12.0, t_final=1.0, tail_tol=1e-6,
+        ic=InitialCondition("sine_packet", (0.1, 4.0, 1.0))), {"original"}),
     "convergence": (run_convergence, dict(
         alpha=-0.5, n=1024, length=100.0, dt=0.01,
         ic=InitialCondition("gaussian", (0.1, 1.0, 0.0), True)),
