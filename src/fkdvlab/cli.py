@@ -120,8 +120,12 @@ def _parse_value(key: str, raw: str, kind: str):
 
 def read_keyvalues(path) -> dict:
     """Flat key=value map; [section] headers and comments are skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigurationError(f"config file '{path}' cannot be read: {e}") from None
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         s = line.strip()
         if not s or s.startswith("#") or (s.startswith("[") and s.endswith("]")):
             continue

@@ -188,14 +188,16 @@ def line_fit(x, y) -> tuple:
 
 
 def spectral_jump(f: Field) -> complex:
-    """One-sided difference quotient m_plus of u_hat at 0+, by the 3-point
-    formula (4 u_hat(k1) - u_hat(2 k1)) / (2 k1), whose error is O(k1^2).
+    """One-sided difference quotient m_plus of u_hat at 0+ over modes 1..4,
+    (4 c1 - 3 c2 + (4/3) c3 - c4/4) / k1: exact on one-sided polynomials of
+    degree <= 4 with no constant term, so its error is O(k1^4).
 
     For real fields the quotient at 0- is -conj(m_plus).
     """
     require_zero_mean(f, "jump estimator")
     c = line_spectrum(f)
-    return complex((4.0 * c[1] - c[2]) / (2.0 * f.grid.k[1]))
+    return complex((4.0 * c[1] - 3.0 * c[2] + 4.0 / 3.0 * c[3] - 0.25 * c[4])
+                   / f.grid.k[1])
 
 
 def make_record(f: Field, alpha: float, weight_orders=(),

@@ -143,6 +143,9 @@ class SimConfig:
             value = getattr(self, name)
             if not (0 < value < math.inf):
                 raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ConfigurationError(
+                f"t_final / dt overflows: t_final = {self.t_final:g}, dt = {self.dt:g}")
         if self.diag_every < 1:
             raise ConfigurationError(f"diag_every must be >= 1, got {self.diag_every}")
         if self.store_every < 0:

@@ -158,7 +158,7 @@ def test_criterion_4_jump_evolution():
     resid = rep.metrics["identity_residual_vs_prediction"]
     ok = err <= 1e-3 and lin_err <= 1e-6 and resid.passed
     report("04-jump-evolution", ok,
-           f"sourced-rotation error {err:.2e} (<=1e-3 after box extrapolation), "
+           f"sourced-rotation error {err:.2e} (<=1e-3, one box, order-4 quotient), "
            f"pure rotation {lin_err:.2e} (<=1e-6), two-time identity residual "
            f"{resid.measured:.4f} vs predicted {resid.expected:.4f}")
     assert err <= 1e-3

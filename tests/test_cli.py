@@ -629,6 +629,32 @@ ic = odd_gaussian(-4,1)
         assert name in lines[0]
         assert not recwarn.list         # a warning prints on stderr outside pytest
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf-8"])
+    def test_unreadable_config_file_exits_one_naming_it(self, tmp_path, capsys, case):
+        path = tmp_path / "run.cfg"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf-8":
+            path.write_bytes("alpha = 0.5  # \xe9\n".encode("latin-1"))
+        rc = main(["--out", str(tmp_path / "out"), "simulate", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha", "0.5", "--dt", "1e-300", "--t-final", "1e10",
+         "--n", "64", "--length", "20"],
+        ["experiment", "tstar", "--alpha", "0.5", "--n", "256", "--length", "40",
+         "--ic", "odd_gaussian(-4,1)", "--t-final", "3", "--dt", "1e-310"],
+    ], ids=["simulate", "tstar"])
+    def test_step_count_overflow_exits_one(self, tmp_path, capsys, argv):
+        rc = main(["--out", str(tmp_path / "out"), *argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "t_final / dt overflows" in err
+
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5])
     def test_cfl_violation_mid_run_exits_one(self, tmp_path, capsys, alpha):
         # dt sits exactly on the initial advective bound, which the first

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      decay_fit, invariants, l2_norm, make_grid, moment_first,
@@ -201,10 +203,10 @@ class TestSpectralJump:
         with pytest.raises(DomainError, match="jump estimator needs zero mean"):
             spectral_jump(f)
 
-    def test_three_point_matches_derivative(self):
-        # mean-free data with a curved transform near 0: the 3-point quotient
-        # meets the exact derivative -i sqrt(pi)/2 to O(k1^2), so doubling
-        # the box (halving k1) cuts its error about fourfold
+    def test_order_four_quotient_matches_derivative(self):
+        # mean-free data with a curved transform near 0: the order-4 quotient
+        # meets the exact derivative -i sqrt(pi)/2 to O(k1^4), so doubling
+        # the box (halving k1) cuts its error about sixteenfold (17.97 here)
         errs = []
         for n, L in ((4096, 200.0), (8192, 400.0)):
             g = make_grid(n, L)
@@ -212,7 +214,21 @@ class TestSpectralJump:
             target = -1j * np.sqrt(np.pi) / 2    # the second term carries no moment
             errs.append(abs(spectral_jump(Field(g, u)) - target) / abs(target))
             assert errs[-1] <= g.k[1] ** 2
-        assert errs[0] / errs[1] >= 3.5
+        assert errs[0] / errs[1] >= 14
+
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.floats(20.0, 400.0),
+           a1=st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+           rest=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3, max_size=3))
+    def test_exact_on_quartic_spectra(self, length, a1, rest):
+        # line spectrum sum_p a_p k_m^p at modes 1..4, zero elsewhere
+        g = make_grid(64, length)
+        m = np.arange(1, 5)
+        half = np.zeros(g.n // 2 + 1, dtype=complex)
+        half[m] = sum(a * g.k[m] ** p for p, a in enumerate([a1, *rest], 1))
+        half[m] *= (-1.0) ** m / g.dx          # line_spectrum's scale and phase
+        f = Field(g, scipy.fft.irfft(half, g.n))
+        assert spectral_jump(f) == pytest.approx(a1, rel=1e-10)
 
 
 class TestRecord:

@@ -190,17 +190,17 @@ class TestTwoTimeBH:
         assert abs(rep.metrics["identity_residual_vs_prediction"].measured) > 0.01
         assert rep.metrics["identity_residual_vs_prediction"].passed
 
-    def test_extrapolation_cancels_the_quadratic_bias(self):
-        # the three-point jump's bias is O(k1^2), so the boxes combine as
-        # (4 J(2L) - J(L)) / 3; the O(k1) weights 2 J(2L) - J(L) read 1.27e-4 here
+    def test_order_four_quotient_reaches_the_bound_in_one_box(self):
+        # the order-4 jump quotient's bias is O(k1^4); the 3-point quotient,
+        # O(k1^2), reads 8.6e-5 and 2.6e-4 at t1 and t2 in this box
         cfg = SimConfig(alpha=-1.0, n=1024, length=100.0, dt=0.01, t_final=1.0,
                         ic=InitialCondition("odd_gaussian", (0.5, 1.0)))
         rep = run_two_time_bh(cfg, 0.33, 1.0)
         assert rep.metrics["jump_law_rel_error_t2"].measured <= 1e-5
 
     def test_solves_keep_the_states_at_t1_multiples_and_t2(self, monkeypatch):
-        # step counts 33 and 100 are coprime, so rows fall every step, but a
-        # solve keeps 5 states, not 101; the metrics keep their bits
+        # step counts 33 and 100 are coprime; the one solve writes its rows
+        # and keeps its states at multiples of t1 and at t2, 5 of each
         trajs = []
 
         def spy(*args, **kw):
@@ -211,17 +211,18 @@ class TestTwoTimeBH:
         cfg = SimConfig(alpha=-1.0, n=1024, length=100.0, dt=0.01, t_final=1.0,
                         ic=InitialCondition("odd_gaussian", (0.5, 1.0)))
         rep = run_two_time_bh(cfg, 0.33, 1.0)
-        assert len(trajs) == 2
-        for traj in trajs:
-            assert sorted(traj.states) == pytest.approx([0.0, 0.33, 0.66, 0.99, 1.0])
+        (traj,) = trajs
+        assert traj.times == pytest.approx([0.0, 0.33, 0.66, 0.99, 1.0])
+        assert sorted(traj.states) == pytest.approx([0.0, 0.33, 0.66, 0.99, 1.0])
         assert {k: m.measured for k, m in rep.metrics.items()} == {
-            "jump_law_rel_error_t1": 1.7784174306666224e-07,
-            "jump_law_rel_error_t2": 1.4354354317297508e-06,
-            "identity_residual_vs_prediction": 0.5534747809768119,
+            "jump_law_rel_error_t1": 4.256249772500304e-07,
+            "jump_law_rel_error_t2": 1.245664677672072e-06,
+            "identity_residual_vs_prediction": 0.5536137218171777,
         }
 
     def test_truncated_solves_leave_the_metrics_nan(self):
-        # the L = 100 and L = 200 solves stop at t = 0.09 and 0.25, before t1
+        # the tail passes tail_tol at t = 0.09; the first row after t = 0,
+        # at t1, trips the guard, so neither t1 nor t2 is read
         run, kw, _ = TRUNCATING["two-time-bh"]
         rep = run(cfg_for(**kw))
         assert rep.truncated
@@ -388,7 +389,7 @@ TRUNCATING = {
         ic=InitialCondition("odd_gaussian", (-4.0, 1.0))), {"main"}),
     "two-time-bh": (lambda cfg: run_two_time_bh(cfg, 0.33, 1.0), dict(
         alpha=-1.0, n=1024, length=100.0, dt=0.01, tail_tol=1e-12,
-        ic=InitialCondition("odd_gaussian", (0.5, 1.0))), {"L=100", "L=200"}),
+        ic=InitialCondition("odd_gaussian", (0.5, 1.0))), {"main"}),
     "tstar": (run_tstar, dict(
         alpha=0.5, n=1024, length=100.0, t_final=3.0, tail_tol=1e-12,
         ic=InitialCondition("odd_gaussian", (-4.0, 1.0))), {"main"}),
