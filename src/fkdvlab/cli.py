@@ -2,8 +2,8 @@
 
 Config files are plain text ``key = value`` lines, optionally grouped
 under ``[section]`` headers (headers are cosmetic).  Every key must be
-known; command-line flags override file values.  Numbers are written
-with 17 significant digits so a round trip through text is exact.
+known to the command; command-line flags override file values.  Numbers
+are written with 17 significant digits so a round trip through text is exact.
 """
 
 from __future__ import annotations
@@ -93,18 +93,24 @@ _TYPES = {
     "InitialCondition": (_parse_ic, _ic_to_str, "family(args)"),
 }
 
-# key -> (value type, default); MISSING marks a required key.  The [config]
+# key -> (value type, default); MISSING marks a required key.  The config
 # keys are SimConfig's fields plus zero_mean.  The CLI's default initial
 # condition keeps its mean, unlike SimConfig's own default.
 _CONFIG_KEYS = {f.name: (f.type, f.default) for f in fields(SimConfig)}
 _CONFIG_KEYS["ic"] = ("InitialCondition", InitialCondition("gaussian", (0.2, 1.0, 0.0)))
 _CONFIG_KEYS["zero_mean"] = ("bool", False)
-_EXPERIMENT_KEYS = {
-    "t1": ("float", 0.5), "t2": ("float", 1.0), "lambda": ("float", 2.0),
-    "box_list": ("tuple", (200.0, 400.0, 800.0)), "r_probe": ("tuple", ()),
+
+# campaign name -> (runner, its own keys as above).  The runner is called as
+# runner(cfg, *values), so the keys follow the order of its arguments.
+_EXPERIMENTS = {
+    "moment-law": (exp.run_moment_law, {}),
+    "tstar": (exp.run_tstar, {}),
+    "two-time-bh": (exp.run_two_time_bh, {"t1": ("float", 0.5), "t2": ("float", 1.0)}),
+    "decay-threshold": (exp.run_decay_threshold, {
+        "r_probe": ("tuple", ()), "box_list": ("tuple", (200.0, 400.0, 800.0))}),
+    "symmetry": (exp.run_symmetry_checks, {"lambda": ("float", 2.0)}),
+    "breaking": (exp.run_wave_breaking, {}),
 }
-_KEYS = {**_CONFIG_KEYS, "seed": ("int", None), **_EXPERIMENT_KEYS}
-_KNOWN_KEYS = set(_KEYS) | _MANIFEST_KEYS
 
 
 def _parse_value(key: str, raw: str, kind: str):
@@ -139,35 +145,32 @@ def read_keyvalues(path) -> dict:
     return out
 
 
-def parse_config(path=None, overrides=None):
-    """Build a validated SimConfig plus the experiment extras.
+def parse_config(path=None, overrides=None, campaign_keys=None):
+    """Build a validated SimConfig plus the values of ``campaign_keys``.
 
-    Unknown keys are errors; flags (``overrides``) win over the file, and
-    absent keys take their defaults.
-    """
+    Keys that are not config, campaign or manifest keys are errors; flags
+    (``overrides``) win over the file; absent keys take their defaults."""
+    keys = {**_CONFIG_KEYS, **(campaign_keys or {})}
     kv = read_keyvalues(path) if path else {}
     kv.update((k, v) for k, v in (overrides or {}).items() if v is not None)
-    unknown = set(kv) - _KNOWN_KEYS
+    unknown = set(kv) - set(keys) - _MANIFEST_KEYS
     if unknown:
         raise ConfigurationError(
             f"unknown configuration key(s): {', '.join(sorted(unknown))}")
 
     def get(key):
-        kind, default = _KEYS[key]
+        kind, default = keys[key]
         if key in kv:
             return _parse_value(key, kv[key], kind)
         if default is MISSING:
             raise ConfigurationError(f"missing required key '{key}'")
         return default
 
-    values = {key: get(key) for key in _KEYS}
+    values = {key: get(key) for key in keys}
+    extras = {key: values.pop(key) for key in campaign_keys or ()}
     ic = values.pop("ic")
     if values.pop("zero_mean"):
         ic = replace(ic, zero_mean_projected=True)
-    seed = values.pop("seed")
-    if seed is not None and ic.family == "random_band":
-        ic = replace(ic, params=(seed,) + ic.params[1:])
-    extras = {key: values.pop(key) for key in _EXPERIMENT_KEYS}
     try:
         cfg = SimConfig(ic=ic, **values)
     except ConfigurationError as e:
@@ -175,19 +178,21 @@ def parse_config(path=None, overrides=None):
     return cfg, extras
 
 
-def config_lines(cfg: SimConfig) -> list:
-    lines = ["[config]"]
-    for key, (kind, _) in _CONFIG_KEYS.items():
-        value = cfg.ic.zero_mean_projected if key == "zero_mean" else getattr(cfg, key)
-        lines.append(f"{key} = {_TYPES[kind][1](value)}")
-    return lines
+def config_lines(cfg: SimConfig, campaign_keys=None, extras=None) -> list:
+    """The [config] lines: the config keys of ``cfg``, then the campaign's ``extras``."""
+    values = {key: getattr(cfg, key) for key in _CONFIG_KEYS if key != "zero_mean"}
+    values.update(zero_mean=cfg.ic.zero_mean_projected, **(extras or {}))
+    return ["[config]"] + [f"{key} = {_TYPES[kind][1](values[key])}" for key, (kind, _)
+                           in {**_CONFIG_KEYS, **(campaign_keys or {})}.items()]
 
 
 def write_manifest(out_dir: Path, cfg: SimConfig, command: str,
-                   start: float, end: float, truncated: bool, status: str):
+                   start: float, end: float, truncated: bool, status: str,
+                   campaign_keys=None, extras=None):
+    """manifest.txt: the ``[config]`` that reruns the command, then ``[run]``."""
     grid = cfg.grid()
     seed = cfg.ic.params[0] if cfg.ic.family == "random_band" else 0
-    lines = config_lines(cfg) + [
+    lines = config_lines(cfg, campaign_keys, extras) + [
         "",
         "[run]",
         f"schema_version = {SCHEMA_VERSION}",
@@ -239,21 +244,24 @@ def _prepare_out(args) -> Path:
     return out
 
 
-def _flag_overrides(args) -> dict:
-    return {key: getattr(args, key) for key in _KEYS
-            if getattr(args, key, None) is not None}
+def _config(args, campaign_keys=None):
+    """parse_config over ``--config`` and the flags of the command's keys."""
+    flags = {key: getattr(args, key) for key in [*_CONFIG_KEYS, *(campaign_keys or ())]}
+    return parse_config(args.config, flags, campaign_keys)
 
 
 def cmd_simulate(args) -> int:
     out = _prepare_out(args)
-    cfg, _ = parse_config(args.config, _flag_overrides(args))
+    cfg, _ = _config(args)
     start = time.time()
     traj = solve(cfg)
     (out / "diagnostics.csv").write_text(diagnostics_csv(traj.times, traj.rows))
     fields = out / "fields"
     fields.mkdir(exist_ok=True)
+    # states sit at multiples of dt, which names at 10^-digits <= dt / 2 keep apart
+    digits = max(6, math.ceil(-math.log10(cfg.dt / 2)))
     for t, st in sorted(traj.states.items()):
-        (fields / f"state_t{t:.6f}.csv").write_text(field_csv(st))
+        (fields / f"state_t{t:.{digits}f}.csv").write_text(field_csv(st))
     write_manifest(out, cfg, "simulate", start, time.time(), traj.truncated,
                    "truncated" if traj.truncated else "completed")
     if traj.truncated:
@@ -262,16 +270,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _conclude(args, command: str, run) -> int:
-    """Run ``run(cfg, extras)``, write report.csv and the manifest, print the
-    verdicts and notes; exit code 0 when every metric passes, 2 otherwise."""
+def _conclude(args, command: str, runner, campaign_keys: dict) -> int:
+    """Run ``runner`` (by name on the experiments module, so a wrapper there
+    sees the call) on the config and the values of ``campaign_keys``, write
+    report.csv and the manifest, print the verdicts and notes; exit 0 when
+    every metric passes, 2 otherwise."""
     out = _prepare_out(args)
-    cfg, extras = parse_config(args.config, _flag_overrides(args))
+    cfg, extras = _config(args, campaign_keys)
     start = time.time()
-    report = run(cfg, extras)
+    report = getattr(exp, runner.__name__)(cfg, *extras.values())
     (out / "report.csv").write_text(report_csv(report))
-    write_manifest(out, cfg, command, start, time.time(),
-                   report.truncated, "pass" if report.passed else "metric-failure")
+    write_manifest(out, cfg, command, start, time.time(), report.truncated,
+                   "pass" if report.passed else "metric-failure", campaign_keys, extras)
     for key, m in report.metrics.items():
         flag = "PASS" if m.passed else "FAIL"
         print(f"[{flag}] {report.name}/{key}: measured {fmt(m.measured)} "
@@ -281,25 +291,12 @@ def _conclude(args, command: str, run) -> int:
     return 0 if report.passed else 2
 
 
-# campaign name -> runner(cfg, extras); each runner looks its campaign up
-# on the experiments module when it runs
-_EXPERIMENTS = {
-    "moment-law": lambda cfg, x: exp.run_moment_law(cfg),
-    "tstar": lambda cfg, x: exp.run_tstar(cfg),
-    "two-time-bh": lambda cfg, x: exp.run_two_time_bh(cfg, x["t1"], x["t2"]),
-    "decay-threshold": lambda cfg, x: exp.run_decay_threshold(
-        cfg, x["r_probe"], x["box_list"]),
-    "symmetry": lambda cfg, x: exp.run_symmetry_checks(cfg, x["lambda"]),
-    "breaking": lambda cfg, x: exp.run_wave_breaking(cfg),
-}
-
-
 def cmd_experiment(args) -> int:
-    return _conclude(args, f"experiment {args.name}", _EXPERIMENTS[args.name])
+    return _conclude(args, f"experiment {args.name}", *_EXPERIMENTS[args.name])
 
 
 def cmd_convergence(args) -> int:
-    return _conclude(args, "convergence", lambda cfg, x: exp.run_convergence(cfg))
+    return _conclude(args, "convergence", exp.run_convergence, {})
 
 
 # --target -> builder(args)
@@ -363,19 +360,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default $FKDV_OUT or ./runs)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_cfg_flags(sp, experiment=False):
-        sp.add_argument("--config", help="key=value config file")
-        for key in _KEYS:
-            if experiment or key not in _EXPERIMENT_KEYS:
-                sp.add_argument("--" + key.replace("_", "-"), dest=key)
+    def add_key_flags(sp, keys):
+        for key in keys:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key)
 
-    sp = sub.add_parser("simulate", help="integrate and write diagnostics")
-    add_cfg_flags(sp)
+    config = _Parser(add_help=False)    # the config flags; parents= shares them
+    config.add_argument("--config", help="key=value config file")
+    add_key_flags(config, _CONFIG_KEYS)
+
+    sp = sub.add_parser("simulate", parents=[config],
+                        help="integrate and write diagnostics")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("experiment", help="run a named campaign")
-    sp.add_argument("name", choices=_EXPERIMENTS)
-    add_cfg_flags(sp, experiment=True)
+    campaigns = sp.add_subparsers(dest="name", required=True)
+    for name, (_, campaign_keys) in _EXPERIMENTS.items():
+        add_key_flags(campaigns.add_parser(name, parents=[config]), campaign_keys)
     sp.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("stein", help="evaluate the square-function derivative")
@@ -401,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_probe)
 
-    sp = sub.add_parser("convergence", help="step-order and oracle cross-check")
-    add_cfg_flags(sp)
+    sp = sub.add_parser("convergence", parents=[config],
+                        help="step-order and oracle cross-check")
     sp.set_defaults(func=cmd_convergence)
     return p
 
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigurationError, DomainError) as e:
+    except (ConfigurationError, DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (NumericError, StepError, OracleDivergenceError) as e:

@@ -74,9 +74,13 @@ _MEAN_TOL = 1e-10                # relative mean tolerance of campaign data
 
 
 def _mean_free(u0: Field, campaign: str):
-    """The campaigns' one data guard: ``u0`` must have zero mean (DomainError
-    otherwise) and decay to 0 at the box edge, as a shelf's weighted content
-    grows with the box and its x u0 is a box-sized sawtooth."""
+    """The campaigns' one data guard: ``u0`` must be nonzero, as no metric
+    has a scale on all-zero data, have zero mean (DomainError otherwise) and
+    decay to 0 at the box edge, as a shelf's weighted content grows with the
+    box and its x u0 is a box-sized sawtooth."""
+    if not np.any(u0.samples):
+        raise ConfigurationError(
+            f"{campaign}: u0 is zero everywhere, so no metric has a scale")
     require_zero_mean(u0, campaign, _MEAN_TOL)
     shelf = float(np.mean(u0.samples[diag.outer_region(u0.grid)]))
     if abs(shelf) > 1e-12 * float(np.max(np.abs(u0.samples))):

@@ -72,8 +72,13 @@ class TestParseConfig:
         assert cfg.n == 1024
         assert cfg.ic.family == "gaussian"
         assert cfg.ic.params == (0.2, 1.0, 0.0)
-        assert extras == {"t1": 0.5, "t2": 1.0, "lambda": 2.0,
-                          "box_list": (200.0, 400.0, 800.0), "r_probe": ()}
+        assert extras == {}
+
+    def test_campaign_keys_take_their_defaults_in_runner_order(self, tmp_path):
+        _, extras = parse_config(write_cfg(tmp_path, MINIMAL), None,
+                                 cli._EXPERIMENTS["decay-threshold"][1])
+        assert list(extras.items()) == [("r_probe", ()),
+                                        ("box_list", (200.0, 400.0, 800.0))]
 
     def test_alpha_zero_rejected(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL.replace("alpha = 0.5", "alpha = 0"))
@@ -110,13 +115,6 @@ class TestParseConfig:
         cfg, _ = parse_config(path)
         assert cfg.weight_orders == (1.0, 2.0)
 
-    def test_seed_override_for_random_band(self, tmp_path):
-        path = write_cfg(tmp_path,
-                         MINIMAL.replace("ic = gaussian(0.2,1,0)",
-                                         "ic = random_band(1,0.5,4,1)"))
-        cfg, _ = parse_config(path, {"seed": "99"})
-        assert cfg.ic.params[0] == 99
-
     def test_sections_are_cosmetic(self, tmp_path):
         sectioned = "[model]\n" + MINIMAL + "[numerics]\ndealias = false\n"
         cfg, _ = parse_config(write_cfg(tmp_path, sectioned))
@@ -145,6 +143,58 @@ class TestParseConfig:
         assert cfg.ic == InitialCondition("gaussian", (0.2, 1.0, 0.0))
         assert cfg.ic.zero_mean_projected is False
         assert SimConfig(alpha=0.5, dt=1e-3, t_final=1.0).ic.zero_mean_projected
+
+
+# (campaign, key) for every campaign and every key of another campaign: 25 pairs
+FOREIGN_KEYS = [(name, key) for name, (_, own) in cli._EXPERIMENTS.items()
+                for other, (_, keys) in cli._EXPERIMENTS.items() if other != name
+                for key in keys if key not in own]
+
+
+class TestCampaignKeys:
+    @pytest.mark.parametrize("campaign,key", FOREIGN_KEYS)
+    @pytest.mark.parametrize("given_as", ["flag", "file"])
+    def test_key_of_another_campaign_exits_one(self, tmp_path, capsys, campaign, key,
+                                               given_as):
+        # before, every campaign took every campaign's keys and dropped them
+        base = ["--alpha", "-1", "--n", "64", "--length", "10", "--dt", "1e-3",
+                "--t-final", "0.01", "--ic", "odd_gaussian(0.5,1)"]
+        flag = "--" + key.replace("_", "-")
+        extra = ([flag, "1"] if given_as == "flag"
+                 else ["--config", write_cfg(tmp_path, f"{key} = 1\n")])
+        rc = main(["--out", str(tmp_path / "out"), "experiment", campaign, *base, *extra])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        if given_as == "flag":
+            assert f"unrecognized arguments: {flag} 1" in err[0]
+        else:
+            assert err[0] == f"error: unknown configuration key(s): {key}"
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize("argv,own_lines", [
+        (["two-time-bh", "--alpha", "-1", "--n", "1024", "--length", "100", "--dt", "0.01",
+          "--t-final", "1", "--ic", "odd_gaussian(0.5,1)", "--t1", "0.33", "--t2", "1"],
+         ["t1 = 0.33000000000000002", "t2 = 1"]),
+        (["decay-threshold", "--alpha", "-0.5", "--n", "1024", "--length", "100",
+          "--dt", "1e-3", "--t-final", "1", "--ic", "gaussian(1,1,0)",
+          "--box-list", "200,400"],
+         ["r_probe = ", "box_list = 200,400"]),
+        (["symmetry", "--alpha", "0.5", "--n", "1024", "--length", "100", "--dt", "1e-3",
+          "--t-final", "0.1", "--ic", "sine_packet(0.1,2,4)", "--lambda", "1.5"],
+         ["lambda = 1.5"]),
+    ], ids=["two-time-bh", "decay-threshold", "symmetry"])
+    def test_manifest_reruns_the_campaign(self, tmp_path, argv, own_lines):
+        # before, the manifest dropped the campaign's keys, so a rerun from it
+        # ran at their defaults
+        first, again = tmp_path / "first", tmp_path / "again"
+        rc = main(["--out", str(first), "experiment", *argv])
+        assert rc in (0, 2)
+        config = (first / "manifest.txt").read_text().split("\n\n")[0].splitlines()
+        assert config[-len(own_lines):] == own_lines
+        assert main(["--out", str(again), "experiment", argv[0],
+                     "--config", str(first / "manifest.txt")]) == rc
+        assert (again / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
 
 
 class TestFormatting:
@@ -211,6 +261,29 @@ class TestExecution:
         assert 0 < t_stop < 1
         assert sorted(p.name for p in (out / "fields").iterdir()) == [
             "state_t0.000000.csv", f"state_t{t_stop:.6f}.csv"]
+
+    def test_checkpoint_names_keep_states_apart(self, tmp_path):
+        # at dt = 4e-7 six decimals would give six states three names
+        keys = {"alpha": "0.5", "n": "64", "length": "10", "dt": "4e-7",
+                "t_final": "2e-6", "store_every": "1"}
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "simulate",
+                     "--config", write_cfg(tmp_path, "".join(
+                         f"{k} = {v}\n" for k, v in keys.items()))]) == 0
+        states = fkdvlab.solve(parse_config(None, keys)[0]).states
+        assert len(states) == 6
+        assert sorted(p.name for p in (out / "fields").iterdir()) == sorted(
+            f"state_t{t:.7f}.csv" for t in states)
+        for t, st in states.items():
+            assert (out / "fields" / f"state_t{t:.7f}.csv").read_text() == field_csv(st)
+
+    def test_unwritable_checkpoint_name_exits_one(self, tmp_path, capsys):
+        # at dt = 1e-300 a name needs 301 decimals, past the file-name limit
+        rc = main(["--out", str(tmp_path / "out"), "simulate", "--alpha", "0.5",
+                   "--n", "64", "--length", "10", "--dt", "1e-300", "--t-final", "1e-299"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: [Errno ")
 
     def test_field_export_import_roundtrip(self, tmp_path):
         cfg_path = write_cfg(tmp_path, MINIMAL)
@@ -279,6 +352,21 @@ ic = sine_packet(0.1,2,4)
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: symmetry checks needs zero mean")
+
+    @pytest.mark.parametrize("campaign, alpha", [
+        ("moment-law", "0.5"), ("tstar", "0.5"), ("two-time-bh", "-1"),
+        ("decay-threshold", "-0.5"), ("symmetry", "0.5"), ("breaking", "-1")])
+    def test_campaigns_reject_all_zero_data(self, tmp_path, capsys, campaign, alpha):
+        # before, tstar and breaking divided by zero, moment-law passed on a
+        # tolerance of 0, and two-time-bh and symmetry failed on NaN
+        rc = main(["--out", str(tmp_path / "out"), "experiment", campaign,
+                   "--alpha", alpha, "--n", "1024", "--length", "100", "--dt", "1e-2",
+                   "--t-final", "1", "--ic", "odd_gaussian(0,1)"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].endswith(": u0 is zero everywhere, so no metric has a scale")
+        assert not (tmp_path / "out" / "report.csv").exists()
 
     def test_decay_threshold_rejects_box_filling_data(self, tmp_path, capsys):
         # random_band has no zero mode, so it is mean-free without any projection;
@@ -500,6 +588,10 @@ ic = odd_gaussian(-4,1)
     @pytest.mark.parametrize("flag,value", [
         ("--ic", "gaussian(1,2)"),
         ("--ic", "file()"),
+        ("--ic", "gaussian(1,0,0)"),
+        ("--ic", "odd_gaussian(1,-1)"),
+        ("--ic", "sine_packet(1,2,0)"),
+        ("--ic", "gaussian(inf,1,0)"),
         ("--t-final", "inf"),
         ("--t1", "abc"),
         ("--lambda", "abc"),

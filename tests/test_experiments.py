@@ -7,7 +7,7 @@ from fkdvlab import (ConfigurationError, DomainError, InitialCondition,
                      MetricEntry, SimConfig, make_grid, run_convergence,
                      run_decay_threshold, run_moment_law, run_symmetry_checks,
                      run_tstar, run_two_time_bh, run_wave_breaking, solve)
-from fkdvlab.experiments import _crossing_time, _scaled_ic
+from fkdvlab.experiments import _crossing_time, _rel_err, _scaled_ic
 from fkdvlab.solver import _cumulative_simpson
 
 
@@ -43,12 +43,13 @@ class TestMomentLaw:
         with pytest.raises(DomainError, match="moment law needs zero mean"):
             run_moment_law(cfg)
 
-    def test_zero_data_trivially_exact(self):
+    def test_zero_data_rejected(self):
+        # a deviation of 0 within a tolerance of 1e-5 * ||u0||^2 = 0 passes
+        # on no evidence, so all-zero data gets no verdict
         cfg = cfg_for(0.5, t_final=0.2,
                       ic=InitialCondition("gaussian", (0.0, 1.0, 0.0)))
-        rep = run_moment_law(cfg)
-        assert rep.metrics["moment_max_deviation"].measured == 0.0
-        assert rep.metrics["dispersive_mean"].measured == 0.0
+        with pytest.raises(ConfigurationError, match="^moment law: u0 is zero everywhere"):
+            run_moment_law(cfg)
 
     def test_slope_matches_production_law(self):
         # the box moment follows the affine law up to tail flux; the
@@ -323,11 +324,16 @@ class TestSymmetry:
         assert any(n.startswith("TRUNCATED: original solve: ") for n in rep.notes)
 
     def test_zero_reference_reads_nan(self):
+        # a residual relative to an all-zero reference has no scale
+        assert math.isnan(_rel_err(np.zeros(8), np.zeros(8)))
+        assert math.isnan(_rel_err(np.ones(8), np.zeros(8)))
+
+    def test_zero_data_rejected(self):
         # all-zero data leaves the commutator no scale to be small against
         cfg = cfg_for(0.5, t_final=0.2, n=1024, length=100.0,
                       ic=InitialCondition("gaussian", (0.0, 1.0, 0.0)))
-        metric = run_symmetry_checks(cfg, 2.0).metrics["coordinate_commutator_residual"]
-        assert math.isnan(metric.measured) and not metric.passed
+        with pytest.raises(ConfigurationError, match="^symmetry checks: u0 is zero"):
+            run_symmetry_checks(cfg, 2.0)
 
     def test_random_band_not_scalable(self):
         cfg = cfg_for(0.5, tail_tol=1.0,

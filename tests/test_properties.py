@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fkdvlab import (ConfigurationError, Field, InitialCondition,
                      MultiplierSymbol, SimConfig, apply_multiplier, linear_propagator,
                      make_grid)
-from fkdvlab.cli import _KEYS, parse_config, write_manifest
+from fkdvlab.cli import _CONFIG_KEYS, _EXPERIMENTS, parse_config, write_manifest
 from fkdvlab.diagnostics import weight_column
 from fkdvlab.solver import _Stepper
 from fkdvlab.spectral import (derivative_symbol, dispersion_symbol, frac_deriv_symbol,
@@ -147,6 +147,30 @@ def test_config_round_trips_through_the_manifest(cfg):
     assert parsed == cfg
 
 
+# the key tables of the campaigns that have keys of their own
+campaign_tables = [keys for _, keys in _EXPERIMENTS.values() if keys]
+numbers = st.floats(allow_nan=False)
+kind_values = {"float": numbers, "tuple": st.lists(numbers, max_size=4).map(tuple)}
+
+
+@st.composite
+def campaign_values(draw):
+    """A campaign's key table and a value of the right type for each key."""
+    keys = draw(st.sampled_from(campaign_tables))
+    return keys, {key: draw(kind_values[kind]) for key, (kind, _) in keys.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=sim_configs(), campaign=campaign_values())
+def test_campaign_keys_round_trip_through_the_manifest(cfg, campaign):
+    keys, extras = campaign
+    with tempfile.TemporaryDirectory() as tmp:
+        write_manifest(Path(tmp), cfg, "experiment", 0.0, 1.0, False, "pass", keys, extras)
+        parsed, parsed_extras = parse_config(Path(tmp) / "manifest.txt", None, keys)
+    assert parsed == cfg
+    assert parsed_extras == extras and list(parsed_extras) == list(keys)
+
+
 alphas = st.floats(-1.0, 1.0, exclude_max=True).filter(lambda a: a != 0.0)
 
 
@@ -186,12 +210,14 @@ config_values = st.one_of(
     st.sampled_from(["true", "no", "1,2.5", "gaussian(0.2,1,0)", "odd_gaussian(-1)",
                      "random_band(3,0.5,3,1)", "random_band(x,1,2,3)", "file(a.csv)",
                      "sine_packet(1,2,3)", "nope(1)", "gaussian(1,2", ""]))
-config_keys = st.one_of(st.sampled_from(sorted(_KEYS)), st.text(max_size=8))
+every_key = sorted({*_CONFIG_KEYS, *(key for keys in campaign_tables for key in keys)})
+config_keys = st.one_of(st.sampled_from(every_key), st.text(max_size=8))
 
 
 @settings(max_examples=150, deadline=None)
-@given(pairs=st.dictionaries(config_keys, config_values, max_size=8), base=st.booleans())
-def test_config_text_fails_only_with_configuration_error(pairs, base):
+@given(pairs=st.dictionaries(config_keys, config_values, max_size=8), base=st.booleans(),
+       keys=st.sampled_from([{}] + campaign_tables))
+def test_config_text_fails_only_with_configuration_error(pairs, base, keys):
     # with ``base`` the required keys start valid, so the fuzzed values reach SimConfig
     kv = {"alpha": "0.5", "dt": "1e-3", "t_final": "1"} if base else {}
     kv.update(pairs)
@@ -199,6 +225,6 @@ def test_config_text_fails_only_with_configuration_error(pairs, base):
         path = Path(tmp) / "run.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
         try:
-            parse_config(path)
+            parse_config(path, None, keys)
         except ConfigurationError:
             pass
