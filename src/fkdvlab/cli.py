@@ -72,8 +72,8 @@ def _parse_ic(raw: str) -> InitialCondition:
     if family == "file":
         return InitialCondition("file", tuple(parts))
     params = [float(p) for p in parts]
-    if family == "random_band" and parts:
-        params[0] = int(parts[0])            # the seed
+    if family == "random_band" and parts and parts[0].lstrip("+-").isdigit():
+        params[0] = int(parts[0])            # the seed, exact; InitialCondition checks it
     return InitialCondition(family, tuple(params))
 
 
@@ -148,15 +148,19 @@ def read_keyvalues(path) -> dict:
 def parse_config(path=None, overrides=None, campaign_keys=None):
     """Build a validated SimConfig plus the values of ``campaign_keys``.
 
-    Keys that are not config, campaign or manifest keys are errors; flags
-    (``overrides``) win over the file; absent keys take their defaults."""
+    Keys that are not config or campaign keys are errors, except the
+    manifest's ``[run]`` keys in a file that carries ``schema_version``;
+    flags (``overrides``) win over the file; absent keys take their defaults."""
     keys = {**_CONFIG_KEYS, **(campaign_keys or {})}
     kv = read_keyvalues(path) if path else {}
+    run_keys = _MANIFEST_KEYS if "schema_version" in kv else set()
     kv.update((k, v) for k, v in (overrides or {}).items() if v is not None)
-    unknown = set(kv) - set(keys) - _MANIFEST_KEYS
+    unknown = set(kv) - set(keys) - run_keys
     if unknown:
+        hint = ("; [run] keys are read only from a manifest, which carries "
+                "schema_version") if unknown & _MANIFEST_KEYS else ""
         raise ConfigurationError(
-            f"unknown configuration key(s): {', '.join(sorted(unknown))}")
+            f"unknown configuration key(s): {', '.join(sorted(unknown))}{hint}")
 
     def get(key):
         kind, default = keys[key]

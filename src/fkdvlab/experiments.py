@@ -73,14 +73,19 @@ class ExperimentReport:
 _MEAN_TOL = 1e-10                # relative mean tolerance of campaign data
 
 
-def _mean_free(u0: Field, campaign: str):
-    """The campaigns' one data guard: ``u0`` must be nonzero, as no metric
-    has a scale on all-zero data, have zero mean (DomainError otherwise) and
-    decay to 0 at the box edge, as a shelf's weighted content grows with the
-    box and its x u0 is a box-sized sawtooth."""
+def _nonzero(u0: Field, campaign: str):
+    """No metric has a scale on all-zero data: ConfigurationError if ``u0`` is 0."""
     if not np.any(u0.samples):
         raise ConfigurationError(
             f"{campaign}: u0 is zero everywhere, so no metric has a scale")
+
+
+def _mean_free(u0: Field, campaign: str):
+    """The campaigns' one data guard: ``u0`` must be nonzero (:func:`_nonzero`),
+    have zero mean (DomainError otherwise) and decay to 0 at the box edge, as
+    a shelf's weighted content grows with the box and its x u0 is a box-sized
+    sawtooth."""
+    _nonzero(u0, campaign)
     require_zero_mean(u0, campaign, _MEAN_TOL)
     shelf = float(np.mean(u0.samples[diag.outer_region(u0.grid)]))
     if abs(shelf) > 1e-12 * float(np.max(np.abs(u0.samples))):
@@ -520,6 +525,7 @@ def run_convergence(cfg: SimConfig) -> ExperimentReport:
     Richardson order.
     """
     u0 = cfg.ic.build(cfg.grid())
+    _nonzero(u0, "convergence")
     t_cmp = max(1, int(min(0.05, cfg.t_final) / cfg.dt)) * cfg.dt
     solves = {"dt/8": replace(cfg, dt=cfg.dt / 8.0), "dt": cfg,
               "dt/2": replace(cfg, dt=cfg.dt / 2.0),

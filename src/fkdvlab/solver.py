@@ -30,8 +30,8 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import (ConfigurationError, DomainError, NumericError,
                      OracleDivergenceError, StepError)
-from .spectral import (Field, Grid, derivative_symbol, dispersion_symbol,
-                       make_grid, multiplier_table, random_band)
+from .spectral import (Field, Grid, check_seed, derivative_symbol,
+                       dispersion_symbol, make_grid, multiplier_table, random_band)
 
 CFL_CONSTANT = 0.5
 #: Simpson intervals in tau of the Picard oracle's source integral (an even count)
@@ -51,9 +51,9 @@ class InitialCondition:
     """Initial state family.
 
     family is one of ``gaussian(A, sigma, x0)``, ``odd_gaussian(A, sigma)``,
-    ``sine_packet(A, k, sigma)``, ``random_band(seed, k_lo, k_hi, A)`` or
-    ``file(path)``.  With ``zero_mean_projected`` the zero mode is removed
-    exactly.
+    ``sine_packet(A, k, sigma)``, ``random_band(seed, k_lo, k_hi, A)`` (seed
+    an integer in [0, 2^64)) or ``file(path)``.  With ``zero_mean_projected``
+    the zero mode is removed exactly.
     """
 
     family: str
@@ -74,6 +74,8 @@ class InitialCondition:
                     must = "positive and finite" if name == "sigma" else "finite"
                     raise ConfigurationError(
                         f"{self.family}: {name} must be {must}, got {value}")
+        if self.family == "random_band":
+            check_seed(self.params[0])
 
     def build(self, grid: Grid) -> Field:
         x = grid.x
@@ -89,7 +91,7 @@ class InitialCondition:
             u = amp * np.sin(kc * x) * np.exp(-((x / sigma) ** 2))
         elif fam == "random_band":
             seed, k_lo, k_hi, amp = self.params
-            u = random_band(grid, [int(seed)], k_lo, k_hi, amp)[0]
+            u = random_band(grid, [seed], k_lo, k_hi, amp)[0]
         else:
             (path,) = self.params
             u = _load_field_samples(path, grid)

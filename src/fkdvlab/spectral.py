@@ -18,6 +18,7 @@ needed, :func:`line_spectrum` gives it on the same modes.
 from __future__ import annotations
 
 import functools
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -297,17 +298,48 @@ def weight_profile(ax: np.ndarray, n_w: float, theta: float) -> np.ndarray:
     return lo - np.log(np.exp(-sharp * (inner - lo)) + np.exp(-sharp * (outer - lo))) / sharp
 
 
+#: SplitMix64's stream increment and finaliser multipliers
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int; ConfigurationError unless it is an integer in [0, 2^64)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or not 0 <= seed < 2 ** 64:
+        raise ConfigurationError(
+            f"random_band: seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
+
+
+def _uniform_draws(seeds, count: int) -> np.ndarray:
+    """Values on [-1, 1), ``count`` per seed, from the SplitMix64 stream of each.
+
+    Value c of seed s is the top 53 bits of the SplitMix64 finaliser of
+    s + (c + 1) * 0x9E3779B97F4A7C15 (mod 2^64), centred and scaled by 2^-52.
+    Only uint64 array arithmetic and one exact power-of-two scaling are
+    involved, so the values are the same on every platform.
+    """
+    s = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
+    z = s[:, None] + np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX[0]
+    z = (z ^ (z >> np.uint64(27))) * _MIX[1]
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)).astype(np.int64) - (1 << 52)) * 2.0 ** -52
+
+
 def random_band(grid: Grid, seeds, k_lo: float, k_hi: float,
                 amp: float) -> np.ndarray:
-    """Band-limited fields with seeded random phases, one row of the
-    ``(len(seeds), n)`` result per seed, each scaled to ||u||_2 = amp."""
+    """Band-limited fields with seeded random coefficients, one row of the
+    ``(len(seeds), n)`` result per seed, each scaled to ||u||_2 = amp.
+
+    Band mode j of a row takes the :func:`_uniform_draws` 2j and 2j + 1 of
+    its seed as its real and imaginary parts."""
     k = grid.k[: grid.n // 2 + 1]        # the Nyquist wavenumber is negative here
     band = (k >= k_lo) & (k <= k_hi) & (k > 0)
     idx = np.nonzero(band)[0]
     coeff = np.zeros((len(seeds), k.size), dtype=complex)
-    for row, seed in zip(coeff, seeds):
-        rng = np.random.default_rng(seed)
-        row[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+    coeff[:, idx] = _uniform_draws(seeds, 2 * idx.size).view(complex)
     u = np.fft.irfft(coeff, grid.n, axis=-1)
     norm = l2_rows(u, grid.dx)
     if np.any(norm == 0):

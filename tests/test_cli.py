@@ -614,10 +614,20 @@ ic = odd_gaussian(-4,1)
         ("--pairs", "-3"),
         ("--length", "inf"),
         ("--length", "nan"),
+        ("--ic", "random_band(-1,0.5,4,1)"),
+        ("--ic", "random_band(1.5,0.5,4,1)"),
+        ("--ic", "random_band(18446744073709551616,0.5,4,1)"),
+        ("--ic", "gaussian(0,1,0)"),
+        ("--config", "seed = 99"),
     ])
     def test_bad_input_exits_one_with_error_line(self, tmp_path, capsys, flag, value):
         campaign = {"--t1": "two-time-bh", "--lambda": "symmetry",
                     "--box-list": "decay-threshold", "--r-probe": "decay-threshold"}
+        # what the error line names, where it is not the flag's key
+        named = {"random_band": "random_band: seed", "gaussian(0,1,0)": "u0 is zero",
+                 "seed = 99": "key(s): seed"}
+        expected = next((v for k, v in named.items() if value.startswith(k)),
+                        flag[2:].replace("-", "_"))
         if flag in ("--pairs", "--length"):
             argv = ["probe", flag, value]
         elif flag in ("--points", "--target"):
@@ -625,14 +635,18 @@ ic = odd_gaussian(-4,1)
                     flag: value}
             argv = ["stein"] + [tok for item in opts.items() for tok in item]
         else:
-            argv = (["experiment", campaign[flag]] if flag in campaign else ["simulate"]) \
+            if flag == "--config":          # a hand-written file, not a manifest
+                value = write_cfg(tmp_path, value)
+            # simulate runs all-zero data; convergence has no scale for it
+            command = "convergence" if value == "gaussian(0,1,0)" else "simulate"
+            argv = (["experiment", campaign[flag]] if flag in campaign else [command]) \
                 + ["--alpha", "0.5", "--dt", "1e-3", "--t-final", "0.01",
                    "--n", "64", "--length", "10", flag, value]
         rc = main(["--out", str(tmp_path / "out")] + argv)
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and err.count("\n") == 1
-        assert flag[2:].replace("-", "_") in err
+        assert expected in err
 
     @pytest.mark.parametrize("target,flag,value", [
         ("propagator", "--t", "nan"),
@@ -838,14 +852,16 @@ EVERY_COMMAND = {
 
 def test_every_command_runs_without_scipy(tmp_path):
     # scipy is a test dependency only, the quadrature rule is a table of
-    # literals, and the edge merge and probe median sort without numpy.ma:
-    # with scipy, numpy.polynomial and numpy.ma unimportable every command
-    # writes what it writes with all three at hand
+    # literals, the edge merge and probe median sort without numpy.ma, and
+    # random_band hashes its own draws: with scipy, numpy.polynomial,
+    # numpy.ma and numpy.random unimportable every command writes what it
+    # writes with all four at hand
     code = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
         "sys.modules['numpy.polynomial'] = None\n"
         "sys.modules['numpy.ma'] = None\n"
+        "sys.modules['numpy.random'] = None\n"
         "import fkdvlab.cli\n"
         f"runs = {EVERY_COMMAND!r}\n"
         "out = {}\n"

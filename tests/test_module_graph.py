@@ -259,7 +259,8 @@ def _fresh_stdout(code: str) -> str:
 
 def test_import_loads_no_numpy_polynomial_or_random():
     """Importing the package and its CLI leaves numpy's polynomial and random
-    modules unloaded; the random fields load numpy.random on first use."""
+    modules unloaded; random_band draws from its own SplitMix64 hash, so no
+    command loads numpy.random either."""
     code = ("import sys, fkdvlab, fkdvlab.cli; "
             "print(sorted(m for m in ('numpy.polynomial', 'numpy.random') "
             "if m in sys.modules))")

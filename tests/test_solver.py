@@ -12,7 +12,7 @@ from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
 from fkdvlab.diagnostics import COLUMNS
 from fkdvlab.errors import OracleDivergenceError
 from fkdvlab.solver import _cumulative_simpson, _Stepper, cfl_bound
-from fkdvlab.spectral import random_band
+from fkdvlab.spectral import _uniform_draws, random_band
 
 
 def small_cfg(**kw):
@@ -113,23 +113,48 @@ class TestInitialConditions:
     def test_random_band_batch_rows_equal_single_builds(self):
         g = make_grid(512, 50.0)
 
+        def uniform(seed, c):
+            # SplitMix64 output c + 1 of the seed, in Python integers
+            z = (seed + (c + 1) * 0x9E3779B97F4A7C15) % 2 ** 64
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
+            z ^= z >> 31
+            return ((z >> 11) - 2 ** 52) / 2 ** 52
+
         def one_seed(seed):
-            # reference: one rng, one irfft and one norm per field
-            rng = np.random.default_rng(seed)
+            # reference: one hash per value, one irfft and one norm per field
             k = g.k[: g.n // 2 + 1]
             idx = np.nonzero((k >= 0.5) & (k <= 4.0) & (k > 0))[0]
             coeff = np.zeros(k.size, dtype=complex)
-            coeff[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+            coeff[idx] = [complex(uniform(seed, 2 * j), uniform(seed, 2 * j + 1))
+                          for j in range(idx.size)]
             u = scipy.fft.irfft(coeff, g.n)
             return u * (1.3 / np.sqrt(np.sum(u ** 2) * g.dx))
 
-        seeds = [3, 4, 11, 1000]
+        seeds = [3, 4, 11, 1000, 2 ** 64 - 1]
         batch = random_band(g, seeds, 0.5, 4.0, 1.3)
         assert batch.shape == (len(seeds), g.n)
         for row, seed in zip(batch, seeds):
             built = InitialCondition("random_band", (seed, 0.5, 4.0, 1.3)).build(g)
             assert np.array_equal(row, one_seed(seed))
             assert np.array_equal(row, built.samples)
+
+    def test_random_band_stream_pinned(self):
+        # the first values of two seeds' streams; seed 1234567's are the top 53
+        # bits of SplitMix64's published outputs 6457827717110365317, ...
+        assert _uniform_draws([1234567, 2 ** 64 - 1], 4).tolist() == [
+            [-0.29984091595718376, -0.6527118066581747,
+             0.06441460812483846, -0.5019846852354173],
+            [0.7878858405663689, 0.8251944071889064,
+             -0.5610360742094649, -0.14753110110966716]]
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, 3.0, True, "1", math.nan])
+    def test_random_band_bad_seed_rejected(self, seed):
+        g = make_grid(512, 50.0)
+        for build in (lambda: InitialCondition("random_band", (seed, 0.5, 4.0, 1.0)),
+                      lambda: random_band(g, [1, seed], 0.5, 4.0, 1.0)):
+            with pytest.raises(ConfigurationError, match="random_band: seed must be"):
+                build()
 
     def test_random_band_without_grid_modes_rejected(self):
         g = make_grid(512, 50.0)
