@@ -68,14 +68,16 @@ class InitialCondition:
             raise ConfigurationError(
                 f"{self.family}({', '.join(names)}) takes {len(names)} parameter(s), "
                 f"got {len(self.params)}")
-        if self.family in ("gaussian", "odd_gaussian", "sine_packet"):
+        if self.family == "random_band":
+            check_seed(self.params[0])
+        if self.family != "file":
             for name, value in zip(names, self.params):
+                if name == "seed":
+                    continue
                 if not math.isfinite(value) or (name == "sigma" and value <= 0):
                     must = "positive and finite" if name == "sigma" else "finite"
                     raise ConfigurationError(
                         f"{self.family}: {name} must be {must}, got {value}")
-        if self.family == "random_band":
-            check_seed(self.params[0])
 
     def build(self, grid: Grid) -> Field:
         x = grid.x

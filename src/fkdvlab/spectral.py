@@ -214,16 +214,17 @@ def derivative_symbol() -> MultiplierSymbol:
 
 def smoothstep(r: np.ndarray) -> np.ndarray:
     """C-infinity step: 0 for r <= 0, 1 for r >= 1, strictly monotone between."""
-    r = np.clip(np.asarray(r, dtype=float), 0.0, 1.0)
-    shape = np.shape(r)
-    r = r.reshape(-1)
-    out = np.floor(r)                   # the step's value outside (0, 1)
-    mid = (r > 0) & (r < 1)             # exponentials only where both are positive
+    r = np.asarray(r, dtype=float)
+    # the step's value outside (0, 1): 0 below, 1 above, r itself at r = +-0
+    # and NaN at NaN; the exponentials only where both are positive
+    out = np.heaviside(r, r, out=np.empty(r.shape))
+    mid = (r > 0) & (r < 1)
+    inside = r[mid]
     with np.errstate(over="ignore"):
-        a = np.exp(-1.0 / r[mid])
-    b = np.exp(-1.0 / (1.0 - r[mid]))
+        a = np.exp(-1.0 / inside)
+    b = np.exp(-1.0 / (1.0 - inside))
     out[mid] = a / (a + b)
-    return out.reshape(shape)
+    return out
 
 
 def flat_top_bump(xi: np.ndarray, a: float) -> np.ndarray:

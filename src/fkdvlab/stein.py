@@ -61,6 +61,8 @@ class SteinTarget:
     increment bound; ``nonholder`` lists points where the derivative
     does not exist pointwise.  ``power`` is beta for the power targets
     |xi|^beta and sign(xi)|xi|^beta under the cutoff, None otherwise.
+    ``polar`` writes f = A exp(i phi): it maps points to the real arrays
+    (A, phi), with A None where |f| = 1, and ``func`` is derived from it.
     """
 
     name: str
@@ -71,25 +73,38 @@ class SteinTarget:
     holder: Optional[Callable[[float], tuple]] = None
     nonholder: tuple = ()
     power: Optional[float] = None
+    polar: Optional[Callable[[np.ndarray], tuple]] = None
+
+
+def _polar_func(polar: Callable[[np.ndarray], tuple]) -> Callable:
+    """f = A exp(i phi) of a target in polar form."""
+    def f(y):
+        amp, phase = polar(y)
+        unit = np.exp(1j * phase)
+        return unit if amp is None else amp * unit
+    return f
 
 
 def _cutoff_target(name: str, core: Callable, origin_holder: tuple,
                    lipschitz: Callable[[float], float],
-                   power: Optional[float] = None) -> SteinTarget:
-    """core(xi) under the smooth flat-top cutoff (1 on |xi|<=1, 0 beyond 2).
+                   power: Optional[float] = None,
+                   phase: Optional[Callable] = None) -> SteinTarget:
+    """Real core(xi) under the smooth flat-top cutoff (1 on |xi|<=1, 0
+    beyond 2), times exp(i phase(xi)) when a real ``phase`` is given.
 
     The Hölder pair at the origin is ``origin_holder``; elsewhere the
     target is Lipschitz with constant ``lipschitz(|eta|)``.
     """
-    def f(y):
+    def cut(y):
         # the bump is exactly 1 on |y| <= 1 and exactly 0 on |y| >= 2, so
         # core is evaluated inside |y| < 2 and the bump only between
         ay = np.abs(y)
         inner = ay < 2.0
-        vals = core(y[inner])
+        y_in = y[inner]
+        vals = core(y_in)
         ramp = ay[inner] > 1.0
-        vals[ramp] *= flat_top_bump(y[inner][ramp], 1.0)
-        out = np.zeros(np.shape(y), dtype=vals.dtype)
+        vals[ramp] *= flat_top_bump(y_in[ramp], 1.0)
+        out = np.zeros(np.shape(y))
         out[inner] = vals
         return out
 
@@ -98,8 +113,10 @@ def _cutoff_target(name: str, core: Callable, origin_holder: tuple,
             return origin_holder
         return (1.0, lipschitz(abs(eta)))
 
-    return SteinTarget(name, f, breakpoints=(0.0, -1.0, 1.0, -2.0, 2.0),
-                       tail_limits=(0.0, 0.0), holder=holder, power=power)
+    polar = None if phase is None else lambda y: (cut(y), phase(y))
+    return SteinTarget(name, cut if polar is None else _polar_func(polar),
+                       breakpoints=(0.0, -1.0, 1.0, -2.0, 2.0), tail_limits=(0.0, 0.0),
+                       holder=holder, power=power, polar=polar)
 
 
 def power_cutoff(beta: float) -> SteinTarget:
@@ -135,16 +152,17 @@ def propagator_target(alpha: float, t: float) -> SteinTarget:
     if not math.isfinite(t):
         raise ConfigurationError(f"time t must be finite, got {t}")
 
-    def f(y):
-        return np.exp(1j * t * y * _abs_power(y, alpha))
+    def polar(y):
+        return None, t * y * _abs_power(y, alpha)
 
     def holder(eta):
         if abs(eta) < 1e-13:
             return (min(1.0, 1.0 + alpha), abs(t) + 1.0)
         return (1.0, abs(t) * (1.0 + abs(alpha)) * abs(eta) ** alpha + 1.0)
 
-    return SteinTarget(f"exp(i*{t:g}*xi|xi|^{alpha:g})", f, breakpoints=(0.0,),
-                       oscillatory_tail=True, holder=holder)
+    return SteinTarget(f"exp(i*{t:g}*xi|xi|^{alpha:g})", _polar_func(polar),
+                       breakpoints=(0.0,), oscillatory_tail=True, holder=holder,
+                       polar=polar)
 
 
 def sign_propagator(t: float) -> SteinTarget:
@@ -242,18 +260,33 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
     return s[first]
 
 
-def _quad_sq(target: SteinTarget, eta: float, fe: complex, b: float, delta: float,
-             y_max: float, n_dyadic: int) -> float:
-    """Quadrature of |fe-f(y)|^2 |eta-y|^(-1-2b) over delta < |y-eta|, |y| < y_max,
-    where fe = f(eta)."""
-    # dyadic panels about eta and about every breakpoint not within 2 delta of it
-    centers, inners = [eta], [delta]
-    for bp in target.breakpoints:
-        if abs(bp - eta) > 2.0 * delta:
-            centers.append(bp)
-            inners.append(1e-13 * max(1.0, abs(bp - eta)))
-    centers = np.asarray(centers)[:, None]
-    r = np.geomspace(inners, 2.0 * y_max, n_dyadic + 1, axis=-1)
+def _increment(target: SteinTarget, eta: float, fe) -> Callable:
+    """y -> |fe - f(y)|^2 for fe = f(eta), in real arithmetic where the target
+    allows: (A(eta) - A(y))^2 + 4 A(eta) A(y) sin^2((phi(eta) - phi(y))/2) in
+    polar form, (fe - f(y))^2 for a real target, where hypot(x, 0) = |x|
+    gives the bits of the complex form."""
+    if target.polar is not None:
+        amp_e, phase_e = target.polar(np.asarray([eta]))
+        phase_e = phase_e[0]
+        if amp_e is None:
+            return lambda y: 4.0 * np.sin(0.5 * (phase_e - target.polar(y)[1])) ** 2
+        amp_e = amp_e[0]
+
+        def increment(y):
+            amp, phase = target.polar(y)
+            return ((amp_e - amp) ** 2
+                    + 4.0 * amp_e * amp * np.sin(0.5 * (phase_e - phase)) ** 2)
+        return increment
+    if np.iscomplexobj(fe):
+        return lambda y: np.abs(fe - target.func(y)) ** 2
+    return lambda y: (fe - target.func(y)) ** 2
+
+
+def _quad_sq(increment: Callable, eta: float, b: float, delta: float, y_max: float,
+             centers: np.ndarray, r: np.ndarray) -> float:
+    """Quadrature of increment(y) |eta-y|^(-1-2b) over delta < |y-eta|, |y| < y_max,
+    on the dyadic panels of radii r[j] about centers[j]."""
+    centers = centers[:, None]
     edges = np.concatenate([centers - r[:, ::-1], centers + r], axis=None)
     edges = edges[(edges >= -y_max) & (edges <= y_max)]
     edges = _sorted_distinct(np.concatenate([[-y_max], edges, [y_max]]))
@@ -270,7 +303,7 @@ def _quad_sq(target: SteinTarget, eta: float, fe: complex, b: float, delta: floa
         blk = slice(s, s + _QUAD_BLOCK_PANELS)
         h = half[blk, None]
         y = mid[blk, None] + h * nodes
-        vals = np.abs(fe - target.func(y)) ** 2 / np.abs(eta - y) ** (1.0 + 2.0 * b)
+        vals = increment(y) / np.abs(eta - y) ** (1.0 + 2.0 * b)
         np.multiply(vals, h * weights, out=terms[blk])
     return float(np.sum(terms))
 
@@ -306,28 +339,48 @@ def _n_dyadic(req: SteinRequest) -> int:
     return max(8, req.quad.n_panels // (2 * (1 + len(req.target.breakpoints))))
 
 
-def _points(req: SteinRequest):
-    """Per evaluation point: (eta, delta, f(eta), full-panel quadrature, tail
-    uncertainty, value).  Requests at a pointwise non-Hölder point of the
-    target are rejected."""
-    b, target, quad = req.b, req.target, req.quad
-    n_dyadic = _n_dyadic(req)
+def _panels(req: SteinRequest, rules: Sequence[int]):
+    """(deltas, centres, kept, radii) of every evaluation point, one row per
+    point: the point itself with inner radius delta, then every breakpoint,
+    kept unless within 2 delta of the point.  radii holds one table per rule
+    of ``rules`` dyadic panels per centre: the panel radii from each inner
+    radius out to 2 y_max, by one geomspace over the (points, centres) table."""
+    etas = req.eval_points[:, None]
+    bps = np.asarray(req.target.breakpoints, dtype=float)
+    deltas = INNER_RADIUS * np.maximum(np.abs(etas), INNER_FLOOR)
+    centres = np.concatenate([etas, np.broadcast_to(bps, (etas.size, bps.size))], axis=1)
+    inners = np.concatenate([deltas, 1e-13 * np.maximum(1.0, np.abs(bps - etas))], axis=1)
+    kept = np.concatenate([np.ones_like(etas, dtype=bool),
+                           np.abs(bps - etas) > 2.0 * deltas], axis=1)
+    radii = [np.geomspace(inners, 2.0 * req.quad.y_max, n + 1, axis=-1) for n in rules]
+    return deltas[:, 0], centres, kept, radii
+
+
+def _points(req: SteinRequest, rules: Sequence[int]):
+    """Per evaluation point: (eta, delta, tail uncertainty, value, quadratures),
+    one quadrature per rule of ``rules`` dyadic panels per centre; the value
+    adds the tail to the first.  Requests at a pointwise non-Hölder point
+    of the target are rejected."""
+    b, target, y_max = req.b, req.target, req.quad.y_max
     for eta in req.eval_points:
         for bad in target.nonholder:
             if abs(eta - bad) < 1e-13:
                 raise DomainError(
                     f"target '{target.name}' is not pointwise Hölder at {bad:g}")
-        delta = INNER_RADIUS * max(abs(eta), INNER_FLOOR)
-        fe = complex(target.func(np.asarray([eta]))[0])
-        full = _quad_sq(target, eta, fe, b, delta, quad.y_max, n_dyadic)
-        tail_add, tail_unc = _tail_sq(target, eta, fe, b, quad.y_max)
-        yield eta, delta, fe, full, tail_unc, math.sqrt(max(full + tail_add, 0.0))
+    deltas, centres, kept, radii = _panels(req, rules)
+    for i, eta in enumerate(req.eval_points):
+        fe = target.func(np.asarray([eta]))[0]
+        increment = _increment(target, eta, fe)
+        sq = [_quad_sq(increment, eta, b, deltas[i], y_max, centres[i, kept[i]],
+                       r[i, kept[i]]) for r in radii]
+        tail_add, tail_unc = _tail_sq(target, eta, complex(fe), b, y_max)
+        yield eta, deltas[i], tail_unc, math.sqrt(max(sq[0] + tail_add, 0.0)), sq
 
 
 def _stein_values(req: SteinRequest) -> np.ndarray:
     """The values of :func:`stein_derivative`, without the refinement
     quadrature that only its error estimates need."""
-    return np.array([p[-1] for p in _points(req)])
+    return np.array([p[3] for p in _points(req, [_n_dyadic(req)])])
 
 
 def stein_derivative(req: SteinRequest) -> SteinResult:
@@ -340,14 +393,14 @@ def stein_derivative(req: SteinRequest) -> SteinResult:
     estimate infinite.  Requests at a pointwise non-Hölder point of the
     target are rejected.
     """
-    b, target, quad = req.b, req.target, req.quad
-    n_coarse = _n_dyadic(req) // 2
+    n_dyadic = _n_dyadic(req)
     values = np.empty(req.eval_points.size)
     errors = np.empty(req.eval_points.size)
-    for i, (eta, delta, fe, full, tail_unc, value) in enumerate(_points(req)):
-        coarse = _quad_sq(target, eta, fe, b, delta, quad.y_max, n_coarse)
+    for i, (eta, delta, tail_unc, value, (full, coarse)) in enumerate(
+            _points(req, [n_dyadic, n_dyadic // 2])):
         values[i] = value
-        err_sq = abs(full - coarse) + tail_unc + _inner_sq_bound(target, eta, b, delta)
+        err_sq = (abs(full - coarse) + tail_unc
+                  + _inner_sq_bound(req.target, eta, req.b, delta))
         # convert the squared-scale uncertainty to the value scale
         errors[i] = 0.5 * err_sq / value if value > 0 else math.sqrt(err_sq)
     return SteinResult(values, errors)
@@ -483,12 +536,11 @@ class GrowthTable:
 def _bessel_weighted(alpha: float, t: float, kind: str) -> SteinTarget:
     """Targets of the truncated-norm scans, carrying the <xi>^-2 damping."""
     if kind == "propagator":
-        def core(y):
-            return (1.0 + y ** 2) ** (-1.0) * np.exp(1j * t * y * _abs_power(y, alpha))
         return _cutoff_target(
-            f"<xi>^-2*exp(i*{t:g}*xi|xi|^{alpha:g})*cutoff", core,
-            (min(1.0, 1.0 + alpha), abs(t) + 3.0),
-            lambda a: abs(t) * (1 + abs(alpha)) * a ** alpha + 3.0)
+            f"<xi>^-2*exp(i*{t:g}*xi|xi|^{alpha:g})*cutoff",
+            lambda y: (1.0 + y ** 2) ** (-1.0), (min(1.0, 1.0 + alpha), abs(t) + 3.0),
+            lambda a: abs(t) * (1 + abs(alpha)) * a ** alpha + 3.0,
+            phase=lambda y: t * y * _abs_power(y, alpha))
     if kind == "symbol":
         def core(y):
             return (1.0 + y ** 2) ** (-1.0) * _abs_power(y, alpha)

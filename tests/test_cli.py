@@ -617,6 +617,9 @@ ic = odd_gaussian(-4,1)
         ("--ic", "random_band(-1,0.5,4,1)"),
         ("--ic", "random_band(1.5,0.5,4,1)"),
         ("--ic", "random_band(18446744073709551616,0.5,4,1)"),
+        ("--ic", "random_band(3,0.5,4,inf)"),
+        ("--ic", "random_band(3,nan,4,1)"),
+        ("--ic", "random_band(3,0.5,-inf,1)"),
         ("--ic", "gaussian(0,1,0)"),
         ("--config", "seed = 99"),
     ])
@@ -624,7 +627,10 @@ ic = odd_gaussian(-4,1)
         campaign = {"--t1": "two-time-bh", "--lambda": "symmetry",
                     "--box-list": "decay-threshold", "--r-probe": "decay-threshold"}
         # what the error line names, where it is not the flag's key
-        named = {"random_band": "random_band: seed", "gaussian(0,1,0)": "u0 is zero",
+        named = {"random_band(3,0.5,4,": "random_band: A",
+                 "random_band(3,nan": "random_band: k_lo",
+                 "random_band(3,0.5,-inf": "random_band: k_hi",
+                 "random_band": "random_band: seed", "gaussian(0,1,0)": "u0 is zero",
                  "seed = 99": "key(s): seed"}
         expected = next((v for k, v in named.items() if value.startswith(k)),
                         flag[2:].replace("-", "_"))

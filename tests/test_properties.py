@@ -1,6 +1,6 @@
 """Property tests: the spectral discretisation and the solver's linear and
 quadratic parts on random band-limited fields, the Stein quadrature's edge
-merge, and the config text."""
+merge and polar increments, and the config text."""
 
 import tempfile
 from pathlib import Path
@@ -18,7 +18,7 @@ from fkdvlab.diagnostics import weight_column
 from fkdvlab.solver import _Stepper
 from fkdvlab.spectral import (derivative_symbol, dispersion_symbol, frac_deriv_symbol,
                               hilbert_symbol, lowpass_symbol)
-from fkdvlab.stein import _sorted_distinct
+from fkdvlab.stein import _bessel_weighted, _increment, _sorted_distinct, propagator_target
 
 
 def bessel(s):
@@ -108,6 +108,24 @@ edge_values = st.one_of(
 def test_edge_merge_is_np_unique(edges):
     x = np.array(edges)
     assert _sorted_distinct(x).tobytes() == np.unique(x).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(damped=st.booleans(),
+       alpha=st.floats(-0.95, 0.95).filter(lambda a: a != 0.0),
+       t=st.floats(-5.0, 5.0),
+       eta=st.floats(1e-3, 3.0) | st.floats(-3.0, -1e-3),
+       gap=st.floats(-9.0, 0.5),
+       side=st.sampled_from([-1.0, 1.0]))
+def test_polar_increment_is_the_complex_one(damped, alpha, t, eta, gap, side):
+    # (A(eta) - A(y))^2 + 4 A(eta) A(y) sin^2(dphi/2) is |f(eta) - f(y)|^2,
+    # down to y a billionth of |eta| away from eta
+    target = _bessel_weighted(alpha, t, "propagator") if damped \
+        else propagator_target(alpha, t)
+    y = np.array([eta + side * 10.0 ** gap * abs(eta)])
+    fe, fy = target.func(np.array([eta]))[0], target.func(y)[0]
+    polar = _increment(target, eta, fe)(y)[0]
+    assert abs(polar - abs(fe - fy) ** 2) <= 1e-13 * (abs(fe) + abs(fy)) ** 2
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -15,7 +15,7 @@ from fkdvlab.experiments import _evaluate_at
 from fkdvlab.solver import InitialCondition
 from fkdvlab.spectral import (derivative_symbol, dispersion_symbol, frac_deriv_symbol,
                               hilbert_symbol, is_zero_mean, l2_rows, lowpass_symbol,
-                              multiplier_table, weight_profile)
+                              multiplier_table, smoothstep, weight_profile)
 
 
 def trig_grid(n=256):
@@ -159,6 +159,22 @@ class TestApplyMultiplier:
         prod = MultiplierSymbol("prod", lambda k: m1.evaluator(k) * m2.evaluator(k), 0.0)
         b = apply_multiplier(f, prod)
         assert np.allclose(a.samples, b.samples, atol=1e-13 * l2_norm(f))
+
+
+def test_smoothstep_keeps_the_bits_of_the_clipped_form():
+    # clip to [0, 1], floor for the value outside (0, 1), exponentials inside
+    r = np.concatenate([np.linspace(-0.5, 1.5, 100001),
+                        [-0.0, 0.0, 1.0, -np.inf, np.inf, np.nan, 5e-324, 1.0 - 2.0 ** -53]])
+    c = np.clip(r, 0.0, 1.0)
+    want = np.floor(c)
+    mid = (c > 0) & (c < 1)
+    with np.errstate(over="ignore"):
+        a = np.exp(-1.0 / c[mid])
+    b = np.exp(-1.0 / (1.0 - c[mid]))
+    want[mid] = a / (a + b)
+    assert smoothstep(r).tobytes() == want.tobytes()
+    assert smoothstep(r[:100000].reshape(1000, 100)).tobytes() == want[:100000].tobytes()
+    assert smoothstep(r[37500]).shape == () and smoothstep(r[37500]) == want[37500]
 
 
 def test_l2_rows_is_l2_norm_per_row():

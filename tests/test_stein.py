@@ -20,11 +20,13 @@ from fkdvlab.stein import (_bessel_weighted, _probe_ratios, probe_ensemble,
 SCAN_QUAD = QuadSpec(n_panels=1024, y_max=50.0)
 
 # values and error estimates recorded with the per-breakpoint panel construction
-# that the single vectorised one replaced
+# that the single vectorised one replaced; the two propagator rows were
+# re-recorded when their increments moved to real arithmetic in polar form,
+# which changed them by round-off only (1e-13 relative or less)
 PINNED = [
     (SteinRequest(0.8, _bessel_weighted(-0.7, 1.0, "propagator"),
                   np.array([1e-5, 0.5]), SCAN_QUAD),
-     [551.5516003164028, 2.2225409301451386], [2.078434211724338, 0.017855549367113116]),
+     [551.5516003163891, 2.2225409301455765], [2.078434211715208, 0.01785554936724827]),
     (SteinRequest(0.8, _bessel_weighted(0.3, 0.0, "symbol"), np.array([1e-5, 0.5]),
                   SCAN_QUAD),
      [280.97532419059604, 0.7927806934499003], [0.12771935701458634, 0.018338608384070365]),
@@ -32,7 +34,7 @@ PINNED = [
      [22.412712446119354, 11.16343516861253, 5.480050254454523],
      [1.78827263235409e-07, 9.114343791889713e-09, 4.979480740818215e-09]),
     (SteinRequest(0.5, propagator_target(0.5, 1.0), np.array([0.5, 4.0])),
-     [2.5663929796179, 4.337179496092911], [0.0010027416024837976, 0.0006313196847138816]),
+     [2.5663929796179, 4.337179496092911], [0.0010027416024836245, 0.0006313196847138816]),
     # recorded with signed_power_cutoff's own target code, before the cut-off
     # targets were made by one shared function
     (SteinRequest(0.5, signed_power_cutoff(0.2), np.array([1e-5, 0.5])),
@@ -100,6 +102,27 @@ class TestSteinDerivative:
         ref = stein_derivative(req)
         assert res.values.tobytes() == ref.values.tobytes()
         assert res.error_estimates.tobytes() == ref.error_estimates.tobytes()
+
+    @pytest.mark.parametrize("req", [
+        SteinRequest(0.8, _bessel_weighted(-0.7, 1.0, "propagator"),
+                     np.array([1e-5, 0.5, 1.0, 2.0 + 1e-9, -1.5]), SCAN_QUAD),
+        SteinRequest(0.5, propagator_target(0.5, 1.0), np.array([0.5, 4.0, 1e-14])),
+        SteinRequest(0.5, weight_target(0.5, 8.0), np.array([8.0, 24.0, -3.0])),
+    ], ids=["scan_propagator", "propagator", "weight"])
+    def test_batched_radii_are_the_per_point_rows(self, req):
+        # one geomspace over the (points, centres) table gives the bits of one
+        # call per point over its kept centres, for the full and the coarse rule
+        rules = (stein._n_dyadic(req), stein._n_dyadic(req) // 2)
+        deltas, centres, kept, radii = stein._panels(req, rules)
+        for n, table in zip(rules, radii):
+            for i, eta in enumerate(req.eval_points):
+                delta = stein.INNER_RADIUS * max(abs(eta), stein.INNER_FLOOR)
+                near = [bp for bp in req.target.breakpoints if abs(bp - eta) > 2.0 * delta]
+                row = [delta] + [1e-13 * max(1.0, abs(bp - eta)) for bp in near]
+                want = np.geomspace(row, 2.0 * req.quad.y_max, n + 1, axis=-1)
+                assert deltas[i] == delta
+                assert centres[i, kept[i]].tolist() == [eta] + near
+                assert table[i, kept[i]].tobytes() == want.tobytes()
 
     def test_quadrature_memory_does_not_grow_with_panels(self):
         # the nodes go through the integrand in blocks of panels, so beyond the
