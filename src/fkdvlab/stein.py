@@ -261,10 +261,8 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
 
 
 def _increment(target: SteinTarget, eta: float, fe) -> Callable:
-    """y -> |fe - f(y)|^2 for fe = f(eta), in real arithmetic where the target
-    allows: (A(eta) - A(y))^2 + 4 A(eta) A(y) sin^2((phi(eta) - phi(y))/2) in
-    polar form, (fe - f(y))^2 for a real target, where hypot(x, 0) = |x|
-    gives the bits of the complex form."""
+    """y -> |fe - f(y)|^2 for fe = f(eta); a target with a polar form uses
+    (A(eta) - A(y))^2 + 4 A(eta) A(y) sin^2((phi(eta) - phi(y))/2)."""
     if target.polar is not None:
         amp_e, phase_e = target.polar(np.asarray([eta]))
         phase_e = phase_e[0]
@@ -277,9 +275,7 @@ def _increment(target: SteinTarget, eta: float, fe) -> Callable:
             return ((amp_e - amp) ** 2
                     + 4.0 * amp_e * amp * np.sin(0.5 * (phase_e - phase)) ** 2)
         return increment
-    if np.iscomplexobj(fe):
-        return lambda y: np.abs(fe - target.func(y)) ** 2
-    return lambda y: (fe - target.func(y)) ** 2
+    return lambda y: np.abs(fe - target.func(y)) ** 2
 
 
 def _quad_sq(increment: Callable, eta: float, b: float, delta: float, y_max: float,
