@@ -63,12 +63,17 @@ def _floats_to_str(values) -> str:
     return ",".join(fmt(v) for v in values)
 
 
-def _parse_ic(raw: str) -> InitialCondition:
+def _split_call(raw: str) -> tuple:
+    """(family, [argument texts]) of the text ``family(a,b,...)``."""
     family, paren, args = raw.strip().partition("(")
     if not paren or not args.endswith(")"):
         raise ValueError(raw)
-    family, args = family.strip(), args[:-1]
-    parts = [a.strip() for a in args.split(",")] if args.strip() else []
+    args = args[:-1]
+    return family.strip(), [a.strip() for a in args.split(",")] if args.strip() else []
+
+
+def _parse_ic(raw: str) -> InitialCondition:
+    family, parts = _split_call(raw)
     if family == "file":
         return InitialCondition("file", tuple(parts))
     params = [float(p) for p in parts]
@@ -84,6 +89,28 @@ def _ic_to_str(ic: InitialCondition) -> str:
     return f"{ic.family}({','.join(parts)})"
 
 
+# --target family -> (target constructor, the names of its parameters)
+_STEIN_TARGETS = {
+    "power_cutoff": (stein.power_cutoff, ("beta",)),
+    "signed_power_cutoff": (stein.signed_power_cutoff, ("beta",)),
+    "propagator": (stein.propagator_target, ("alpha", "t")),
+    "sign_propagator": (stein.sign_propagator, ("t",)),
+    "weight": (stein.weight_target, ("theta", "n_w")),
+}
+
+
+def _parse_target(raw: str) -> stein.SteinTarget:
+    family, parts = _split_call(raw)
+    if family not in _STEIN_TARGETS:
+        raise ConfigurationError(f"unknown target '{family}'; "
+                                 f"choose from {', '.join(_STEIN_TARGETS)}")
+    build, names = _STEIN_TARGETS[family]
+    if len(parts) != len(names):
+        raise ConfigurationError(f"{family}({', '.join(names)}) takes {len(names)} "
+                                 f"parameter(s), got {len(parts)}")
+    return build(*(float(p) for p in parts))
+
+
 # value type -> (parser of its text, writer of its text, what the text must be)
 _TYPES = {
     "float": (float, fmt, "a number"),
@@ -91,6 +118,7 @@ _TYPES = {
     "bool": (_parse_bool, fmt, "true or false"),
     "tuple": (_parse_floats, _floats_to_str, "comma-separated numbers"),
     "InitialCondition": (_parse_ic, _ic_to_str, "family(args)"),
+    "SteinTarget": (_parse_target, None, "family(args)"),    # a flag only, never written
 }
 
 # key -> (value type, default); MISSING marks a required key.  The config
@@ -303,28 +331,14 @@ def cmd_convergence(args) -> int:
     return _conclude(args, "convergence", exp.run_convergence, {})
 
 
-# --target -> builder(args)
-_STEIN_TARGETS = {
-    "power_cutoff": lambda a: stein.power_cutoff(a.beta),
-    "signed_power_cutoff": lambda a: stein.signed_power_cutoff(a.beta),
-    "propagator": lambda a: stein.propagator_target(a.alpha, a.t),
-    "sign_propagator": lambda a: stein.sign_propagator(a.t),
-    "weight": lambda a: stein.weight_target(a.theta, a.n_w),
-}
-
-
 def cmd_stein(args) -> int:
     out = _prepare_out(args)
-    b = args.b
     pts = np.array(_parse_value("points", args.points, "tuple"))
-    if args.target not in _STEIN_TARGETS:
-        raise ConfigurationError(f"unknown target '{args.target}'; "
-                                 f"choose from {', '.join(_STEIN_TARGETS)}")
-    target = _STEIN_TARGETS[args.target](args)
-    res = stein.stein_derivative(stein.SteinRequest(b, target, pts))
+    target = _parse_value("target", args.target, "SteinTarget")
+    res = stein.stein_derivative(stein.SteinRequest(args.b, target, pts))
     rows = ["target,b,eta,value,err_est"]
     for eta, v, e in zip(pts, res.values, res.error_estimates):
-        rows.append(f"{target.name},{fmt(b)},{fmt(eta)},{fmt(v)},{fmt(e)}")
+        rows.append(f"{target.name},{fmt(args.b)},{fmt(eta)},{fmt(v)},{fmt(e)}")
     (out / "report.csv").write_text("\n".join(rows) + "\n")
     print("\n".join(rows))
     return 0
@@ -382,15 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
         add_key_flags(campaigns.add_parser(name, parents=[config]), campaign_keys)
     sp.set_defaults(func=cmd_experiment)
 
-    sp = sub.add_parser("stein", help="evaluate the square-function derivative")
+    sp = sub.add_parser("stein", allow_abbrev=False,    # else --t reads as --target
+                        help="evaluate the square-function derivative")
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--points", required=True)
-    sp.add_argument("--beta", type=float, default=0.5)
-    sp.add_argument("--alpha", type=float, default=0.5)
-    sp.add_argument("--t", type=float, default=1.0)
-    sp.add_argument("--theta", type=float, default=0.5)
-    sp.add_argument("--n-w", dest="n_w", type=float, default=8.0)
     sp.set_defaults(func=cmd_stein)
 
     sp = sub.add_parser("probe", help="commutator-inequality ratio probes")

@@ -15,7 +15,8 @@ reads; every state is checked from it, exactly, for non-finite values
 and, in a nonlinear run, against the CFL bound.
 
 A Picard iteration of the integral (Duhamel) form of the equation serves
-as an independent cross-validation oracle.
+as a cross-validation oracle, independent of the stepper's stages but not
+of its ``_propagators`` and ``_nonlinear_factor``, so a wrong symbol passes it.
 """
 
 from __future__ import annotations
@@ -420,9 +421,10 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
 def picard_oracle(u0: Field, cfg: SimConfig, t: float, iterations: int) -> Field:
     """Fixed-point iterate of the integral form of the equation.
 
-    Independent of the stepper: the source integral uses composite
-    Simpson quadrature in tau on ``_PICARD_INTERVALS + 1`` uniform nodes,
-    with the whole iterate stored along the quadrature grid.  Zero iterations
+    Independent of the stepper's stages, not of its symbols (see the
+    module docstring): the source integral uses composite Simpson quadrature
+    in tau on ``_PICARD_INTERVALS + 1`` uniform nodes, with the whole
+    iterate stored along the quadrature grid.  Zero iterations
     reproduce the free evolution, and so does a config with
     ``nonlinear = False``, whose equation has no source term.
     """

@@ -54,35 +54,37 @@ _QUAD_BLOCK_PANELS = 512
 class SteinTarget:
     """Closed-form target of the square-function derivative.
 
-    ``tail_limits`` holds exact constant limits (c_plus, c_minus) beyond
-    the quadrature truncation; ``oscillatory_tail`` marks unimodular
-    oscillating targets whose tail is added in the mean.  ``holder``
-    maps an evaluation point to (exponent, constant) of the local
-    increment bound; ``nonholder`` lists points where the derivative
+    ``polar`` maps points to real arrays (A, phi) with f = A exp(i phi), A
+    None where |f| = 1 and phi None for a real f = A; :meth:`func` derives
+    f from them.  ``tail_limits`` holds exact constant limits (c_plus,
+    c_minus) beyond the quadrature truncation; ``oscillatory_tail`` marks
+    unimodular oscillating targets whose tail is added in the mean.
+    ``holder`` maps an evaluation point to (exponent, constant) of the
+    local increment bound; ``nonholder`` lists points where the derivative
     does not exist pointwise.  ``power`` is beta for the power targets
     |xi|^beta and sign(xi)|xi|^beta under the cutoff, None otherwise.
-    ``polar`` writes f = A exp(i phi): it maps points to the real arrays
-    (A, phi), with A None where |f| = 1, and ``func`` is derived from it.
     """
 
     name: str
-    func: Callable[[np.ndarray], np.ndarray]
+    polar: Callable[[np.ndarray], tuple]
     breakpoints: tuple = ()
     tail_limits: Optional[tuple] = None
     oscillatory_tail: bool = False
     holder: Optional[Callable[[float], tuple]] = None
     nonholder: tuple = ()
     power: Optional[float] = None
-    polar: Optional[Callable[[np.ndarray], tuple]] = None
+
+    def func(self, y: np.ndarray) -> np.ndarray:
+        """f(y), A exp(i phi) from the polar pair."""
+        return _from_polar(*self.polar(y))
 
 
-def _polar_func(polar: Callable[[np.ndarray], tuple]) -> Callable:
-    """f = A exp(i phi) of a target in polar form."""
-    def f(y):
-        amp, phase = polar(y)
-        unit = np.exp(1j * phase)
-        return unit if amp is None else amp * unit
-    return f
+def _from_polar(amp, phase):
+    """A exp(i phi), A alone for a real target and exp(i phi) where |f| = 1."""
+    if phase is None:
+        return amp
+    unit = np.exp(1j * phase)
+    return unit if amp is None else amp * unit
 
 
 def _cutoff_target(name: str, core: Callable, origin_holder: tuple,
@@ -113,10 +115,9 @@ def _cutoff_target(name: str, core: Callable, origin_holder: tuple,
             return origin_holder
         return (1.0, lipschitz(abs(eta)))
 
-    polar = None if phase is None else lambda y: (cut(y), phase(y))
-    return SteinTarget(name, cut if polar is None else _polar_func(polar),
+    return SteinTarget(name, lambda y: (cut(y), None if phase is None else phase(y)),
                        breakpoints=(0.0, -1.0, 1.0, -2.0, 2.0), tail_limits=(0.0, 0.0),
-                       holder=holder, power=power, polar=polar)
+                       holder=holder, power=power)
 
 
 def power_cutoff(beta: float) -> SteinTarget:
@@ -152,17 +153,14 @@ def propagator_target(alpha: float, t: float) -> SteinTarget:
     if not math.isfinite(t):
         raise ConfigurationError(f"time t must be finite, got {t}")
 
-    def polar(y):
-        return None, t * y * _abs_power(y, alpha)
-
     def holder(eta):
         if abs(eta) < 1e-13:
             return (min(1.0, 1.0 + alpha), abs(t) + 1.0)
         return (1.0, abs(t) * (1.0 + abs(alpha)) * abs(eta) ** alpha + 1.0)
 
-    return SteinTarget(f"exp(i*{t:g}*xi|xi|^{alpha:g})", _polar_func(polar),
-                       breakpoints=(0.0,), oscillatory_tail=True, holder=holder,
-                       polar=polar)
+    return SteinTarget(f"exp(i*{t:g}*xi|xi|^{alpha:g})",
+                       lambda y: (None, t * y * _abs_power(y, alpha)),
+                       breakpoints=(0.0,), oscillatory_tail=True, holder=holder)
 
 
 def sign_propagator(t: float) -> SteinTarget:
@@ -170,18 +168,10 @@ def sign_propagator(t: float) -> SteinTarget:
     if not math.isfinite(t):
         raise ConfigurationError(f"time t must be finite, got {t}")
 
-    # the three values exp(i t sign) takes, indexed by sign + 1
-    levels = np.exp(1j * t * np.array([-1.0, 0.0, 1.0]))
-
-    def f(y):
-        return levels[np.sign(y).astype(np.intp) + 1]
-
-    def holder(eta):
-        return (math.inf, 0.0)   # locally constant away from 0
-
-    return SteinTarget(f"exp(i*{t:g}*sign)", f, breakpoints=(0.0,),
-                       tail_limits=(np.exp(1j * t), np.exp(-1j * t)),
-                       holder=holder, nonholder=(0.0,))
+    return SteinTarget(f"exp(i*{t:g}*sign)", lambda y: (None, t * np.sign(y)),
+                       breakpoints=(0.0,), tail_limits=(np.exp(1j * t), np.exp(-1j * t)),
+                       holder=lambda eta: (math.inf, 0.0),   # locally constant off 0
+                       nonholder=(0.0,))
 
 
 def weight_target(theta: float, n_w: float) -> SteinTarget:
@@ -194,7 +184,7 @@ def weight_target(theta: float, n_w: float) -> SteinTarget:
             f"weight scale n_w must be positive and finite, got {n_w}")
     flat = (2.0 * n_w) ** theta
     return SteinTarget(f"weight(theta={theta:g},N={n_w:g})",
-                       lambda y: weight_profile(np.abs(y), n_w, theta),
+                       lambda y: (weight_profile(np.abs(y), n_w, theta), None),
                        breakpoints=(-3.0 * n_w, -n_w, n_w, 3.0 * n_w),
                        tail_limits=(flat, flat),
                        holder=lambda eta: (1.0, 1.0))
@@ -260,22 +250,19 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
     return s[first]
 
 
-def _increment(target: SteinTarget, eta: float, fe) -> Callable:
-    """y -> |fe - f(y)|^2 for fe = f(eta); a target with a polar form uses
-    (A(eta) - A(y))^2 + 4 A(eta) A(y) sin^2((phi(eta) - phi(y))/2)."""
-    if target.polar is not None:
-        amp_e, phase_e = target.polar(np.asarray([eta]))
-        phase_e = phase_e[0]
-        if amp_e is None:
-            return lambda y: 4.0 * np.sin(0.5 * (phase_e - target.polar(y)[1])) ** 2
-        amp_e = amp_e[0]
+def _increment(target: SteinTarget, amp_e, phase_e) -> Callable:
+    """y -> |f(eta) - f(y)|^2 from target.polar(eta) = (amp_e, phase_e): (A(eta) -
+    A(y))^2 for a real target, 4 sin^2(dphi/2) where |f| = 1, and otherwise
+    (A(eta) - A(y))^2 + 4 A(eta) A(y) sin^2(dphi/2), dphi = phi(eta) - phi(y)."""
+    if phase_e is None:
+        return lambda y: (amp_e - target.polar(y)[0]) ** 2
+    if amp_e is None:
+        return lambda y: 4.0 * np.sin(0.5 * (phase_e - target.polar(y)[1])) ** 2
 
-        def increment(y):
-            amp, phase = target.polar(y)
-            return ((amp_e - amp) ** 2
-                    + 4.0 * amp_e * amp * np.sin(0.5 * (phase_e - phase)) ** 2)
-        return increment
-    return lambda y: np.abs(fe - target.func(y)) ** 2
+    def increment(y):
+        amp, phase = target.polar(y)
+        return (amp_e - amp) ** 2 + 4.0 * amp_e * amp * np.sin(0.5 * (phase_e - phase)) ** 2
+    return increment
 
 
 def _quad_sq(increment: Callable, eta: float, b: float, delta: float, y_max: float,
@@ -365,11 +352,12 @@ def _points(req: SteinRequest, rules: Sequence[int]):
                     f"target '{target.name}' is not pointwise Hölder at {bad:g}")
     deltas, centres, kept, radii = _panels(req, rules)
     for i, eta in enumerate(req.eval_points):
-        fe = target.func(np.asarray([eta]))[0]
-        increment = _increment(target, eta, fe)
+        amp, phase = target.polar(np.asarray([eta]))
+        increment = _increment(target, amp, phase)
         sq = [_quad_sq(increment, eta, b, deltas[i], y_max, centres[i, kept[i]],
                        r[i, kept[i]]) for r in radii]
-        tail_add, tail_unc = _tail_sq(target, eta, complex(fe), b, y_max)
+        tail_add, tail_unc = _tail_sq(target, eta, complex(_from_polar(amp, phase)[0]),
+                                      b, y_max)
         yield eta, deltas[i], tail_unc, math.sqrt(max(sq[0] + tail_add, 0.0)), sq
 
 

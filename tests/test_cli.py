@@ -384,8 +384,7 @@ ic = sine_packet(0.1,2,4)
     def test_stein_command(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["--out", str(out), "stein", "--b", "0.5",
-                   "--target", "sign_propagator", "--t", "1.5707963267948966",
-                   "--points", "1.0"])
+                   "--target", "sign_propagator(1.5707963267948966)", "--points", "1.0"])
         assert rc == 0
         rows = (out / "report.csv").read_text().splitlines()
         assert rows[0] == "target,b,eta,value,err_est"
@@ -393,8 +392,8 @@ ic = sine_packet(0.1,2,4)
 
     def test_stein_weight_target(self, tmp_path):
         out = tmp_path / "out"
-        rc = main(["--out", str(out), "stein", "--b", "0.5", "--target", "weight",
-                   "--theta", "0.5", "--n-w", "8", "--points", "0.5,8,20"])
+        rc = main(["--out", str(out), "stein", "--b", "0.5", "--target", "weight(0.5,8)",
+                   "--points", "0.5,8,20"])
         assert rc == 0
         rows = (out / "report.csv").read_text().splitlines()
         assert len(rows) == 4
@@ -637,7 +636,7 @@ ic = odd_gaussian(-4,1)
         if flag in ("--pairs", "--length"):
             argv = ["probe", flag, value]
         elif flag in ("--points", "--target"):
-            opts = {"--b": "0.5", "--target": "sign_propagator", "--points": "1.0",
+            opts = {"--b": "0.5", "--target": "sign_propagator(1)", "--points": "1.0",
                     flag: value}
             argv = ["stein"] + [tok for item in opts.items() for tok in item]
         else:
@@ -654,22 +653,37 @@ ic = odd_gaussian(-4,1)
         assert err.startswith("error:") and err.count("\n") == 1
         assert expected in err
 
-    @pytest.mark.parametrize("target,flag,value", [
-        ("propagator", "--t", "nan"),
-        ("sign_propagator", "--t", "inf"),
-        ("power_cutoff", "--beta", "nan"),
-        ("weight", "--n-w", "0"),
-        ("weight", "--n-w", "-1"),
-    ])
-    def test_bad_stein_target_parameter_exits_one(self, tmp_path, capsys, target,
-                                                  flag, value):
+    # ids: the family, the parameter and its bad value
+    @pytest.mark.parametrize("target,named", [
+        ("propagator(0.5,nan)", "time t must be finite"),
+        ("sign_propagator(inf)", "time t must be finite"),
+        ("power_cutoff(nan)", "beta must lie in"),
+        ("weight(0.5,0)", "n_w must be positive"),
+        ("weight(0.5,-1)", "n_w must be positive"),
+    ], ids=["propagator---t-nan", "sign_propagator---t-inf", "power_cutoff---beta-nan",
+            "weight---n-w-0", "weight---n-w--1"])
+    def test_bad_stein_target_parameter_exits_one(self, tmp_path, capsys, target, named):
         rc = main(["--out", str(tmp_path / "out"), "stein", "--b", "0.5",
-                   "--target", target, "--points", "0.5,1", flag, value])
+                   "--target", target, "--points", "0.5,1"])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-        assert flag[2:].replace("-", "_") in captured.err
+        assert captured.err.startswith("error: key 'target': ")
+        assert captured.err.count("\n") == 1 and named in captured.err
+
+    @pytest.mark.parametrize("target,message", [
+        ("weight(0.5)", "weight(theta, n_w) takes 2 parameter(s), got 1"),
+        ("propagator(0.5,1,2)", "propagator(alpha, t) takes 2 parameter(s), got 3"),
+        ("sign_propagator()", "sign_propagator(t) takes 1 parameter(s), got 0"),
+    ])
+    def test_stein_target_parameter_count_exits_one(self, tmp_path, capsys, target,
+                                                    message):
+        rc = main(["--out", str(tmp_path / "out"), "stein", "--b", "0.5",
+                   "--target", target, "--points", "0.5,1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: key 'target': {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--alpha", "0.5", "--n", "64", "--length", "10",
@@ -688,13 +702,15 @@ ic = odd_gaussian(-4,1)
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["stein", "--b", "abc", "--target", "weight", "--points", "1"],
+        ["stein", "--b", "abc", "--target", "weight(0.5,8)", "--points", "1"],
         ["probe", "--n", "abc"],
         ["experiment", "nope"],
         ["simulate", "--bogus", "1"],
-        ["stein", "--b", "0.5", "--target", "weight"],
+        ["stein", "--b", "0.5", "--target", "weight(0.5,8)"],
+        ["stein", "--b", "0.5", "--target", "sign_propagator(1)", "--t", "1",
+         "--points", "1"],
     ], ids=["stein-b-not-a-number", "probe-n-not-a-number", "unknown-experiment",
-            "unknown-flag", "stein-without-points"])
+            "unknown-flag", "stein-without-points", "stein-target-parameter-flag"])
     def test_usage_error_exits_one(self, tmp_path, capsys, argv):
         # 2 is the metric-failure code, so a mistyped command line must not exit 2
         rc = main(["--out", str(tmp_path / "out"), *argv])
@@ -846,8 +862,8 @@ EVERY_COMMAND = {
     "breaking": (["experiment", "breaking", "--alpha", "-1", "--n", "1024", "--length", "100",
                   "--dt", "2e-3", "--t-final", "0.1", "--diag-every", "25",
                   "--ic", "odd_gaussian(-3,1)", "--tail-tol", "1e-5"], "report.csv"),
-    "stein": (["stein", "--b", "0.5", "--target", "sign_propagator",
-               "--t", "1.5707963267948966", "--points", "1.0"], "report.csv"),
+    "stein": (["stein", "--b", "0.5", "--target", "sign_propagator(1.5707963267948966)",
+               "--points", "1.0"], "report.csv"),
     "probe": (["probe", "--kinds", "hilbert_frac", "--pairs", "3", "--n", "512",
                "--length", "50"], "report.csv"),
     "convergence": (["convergence", "--alpha", "0.5", "--n", "256", "--length", "50",

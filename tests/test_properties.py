@@ -1,6 +1,6 @@
 """Property tests: the spectral discretisation and the solver's linear and
 quadratic parts on random band-limited fields, the Stein quadrature's edge
-merge and polar increments, and the config text."""
+merge and the polar increments of every target, and the config text."""
 
 import tempfile
 from pathlib import Path
@@ -18,7 +18,9 @@ from fkdvlab.diagnostics import weight_column
 from fkdvlab.solver import _Stepper
 from fkdvlab.spectral import (derivative_symbol, dispersion_symbol, frac_deriv_symbol,
                               hilbert_symbol, lowpass_symbol)
-from fkdvlab.stein import _bessel_weighted, _increment, _sorted_distinct, propagator_target
+from fkdvlab.stein import (_bessel_weighted, _increment, _sorted_distinct, power_cutoff,
+                           propagator_target, sign_propagator, signed_power_cutoff,
+                           weight_target)
 
 
 def bessel(s):
@@ -110,22 +112,39 @@ def test_edge_merge_is_np_unique(edges):
     assert _sorted_distinct(x).tobytes() == np.unique(x).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(damped=st.booleans(),
-       alpha=st.floats(-0.95, 0.95).filter(lambda a: a != 0.0),
-       t=st.floats(-5.0, 5.0),
+alphas = st.floats(-0.95, 0.95).filter(lambda a: a != 0.0)
+times = st.floats(-5.0, 5.0)
+stein_targets = st.one_of(
+    st.floats(0.05, 2.0).map(power_cutoff),
+    st.floats(0.05, 2.0).map(signed_power_cutoff),
+    st.tuples(alphas, times).map(lambda p: propagator_target(*p)),
+    st.tuples(alphas, times).map(lambda p: _bessel_weighted(*p, "propagator")),
+    st.tuples(alphas, times).map(lambda p: _bessel_weighted(*p, "symbol")),
+    times.map(sign_propagator),
+    st.tuples(st.floats(0.05, 1.0), st.floats(0.5, 4.0)).map(lambda p: weight_target(*p)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=stein_targets,
        eta=st.floats(1e-3, 3.0) | st.floats(-3.0, -1e-3),
        gap=st.floats(-9.0, 0.5),
        side=st.sampled_from([-1.0, 1.0]))
-def test_polar_increment_is_the_complex_one(damped, alpha, t, eta, gap, side):
-    # (A(eta) - A(y))^2 + 4 A(eta) A(y) sin^2(dphi/2) is |f(eta) - f(y)|^2,
-    # down to y a billionth of |eta| away from eta
-    target = _bessel_weighted(alpha, t, "propagator") if damped \
-        else propagator_target(alpha, t)
-    y = np.array([eta + side * 10.0 ** gap * abs(eta)])
-    fe, fy = target.func(np.array([eta]))[0], target.func(y)[0]
-    polar = _increment(target, eta, fe)(y)[0]
-    assert abs(polar - abs(fe - fy) ** 2) <= 1e-13 * (abs(fe) + abs(fy)) ** 2
+def test_polar_increment_is_the_complex_one(target, eta, gap, side):
+    # the increment from the polar pair is |f(eta) - f(y)|^2: bit for bit
+    # for a real target, (A(eta) - A(y))^2, and otherwise down to y a
+    # billionth of |eta| away from eta; y also takes both zeros, +-1, +-2
+    # and the target's breakpoints
+    y = np.array([eta + side * 10.0 ** gap * abs(eta), 0.0, -0.0, 1.0, -1.0, 2.0, -2.0,
+                  *target.breakpoints])
+    amp_e, phase_e = target.polar(np.array([eta]))
+    polar = _increment(target, amp_e, phase_e)(y)
+    fe, fy = target.func(np.array([eta]))[0], target.func(y)
+    complex_one = np.abs(fe - fy) ** 2
+    if phase_e is None:
+        assert polar.tobytes() == complex_one.tobytes()
+    else:
+        assert np.all(np.abs(polar - complex_one) <= 1e-13 * (abs(fe) + np.abs(fy)) ** 2)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -53,7 +53,7 @@ def test_stein_values_pinned(req, values, errors):
 
 class TestSteinDerivative:
     def test_constant_target_vanishes(self):
-        const = SteinTarget("const", lambda y: np.ones_like(y) + 0j,
+        const = SteinTarget("const", lambda y: (np.ones_like(y), None),
                             tail_limits=(1.0, 1.0),
                             holder=lambda eta: (math.inf, 0.0))
         res = stein_derivative(SteinRequest(0.5, const, np.array([0.3, 1.0, 5.0])))
@@ -71,11 +71,13 @@ class TestSteinDerivative:
 
     @pytest.mark.parametrize("t", [0.5, np.pi / 2, -1.3, 0.0])
     def test_sign_propagator_levels_are_the_direct_exp(self, t):
-        # the three precomputed levels carry the bits of exp(i t sign(y))
+        # func is exp(i phi) of the phase t sign(y), bit for bit; against
+        # exp(i t sign(y)) only the sign of a zero imaginary part may differ
         y = np.array([[-2.0, -1e-300, -0.0], [0.0, 1e-300, 3.0]])
         got = sign_propagator(t).func(y)
-        want = np.exp(1j * t * np.sign(y))
+        want = np.exp(1j * (t * np.sign(y)))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got, np.exp(1j * t * np.sign(y)))
 
     def test_quadrature_rule_is_leggauss_16(self):
         nodes, weights = stein._GAUSS_LEGENDRE
@@ -88,7 +90,7 @@ class TestSteinDerivative:
         SteinRequest(0.5, power_cutoff(0.2), np.geomspace(1e-5, 1e-3, 3)),
         SteinRequest(0.8, _bessel_weighted(-0.7, 1.0, "propagator"),
                      np.array([1e-5, 0.5]), SCAN_QUAD),
-        SteinRequest(0.5, SteinTarget("sign", lambda y: np.sign(y) + 0j,
+        SteinRequest(0.5, SteinTarget("sign", lambda y: (np.sign(y), None),
                                       breakpoints=(-50.0, -0.0, 0.0, 50.0),
                                       tail_limits=(1.0, -1.0),
                                       holder=lambda eta: (math.inf, 0.0)),
@@ -167,7 +169,7 @@ class TestSteinDerivative:
         assert 0 < res.error_estimates[1] < math.inf
 
     def test_target_without_holder_pair_gives_infinite_error(self):
-        bare = SteinTarget("bare", power_cutoff(0.6).func, breakpoints=(0.0,),
+        bare = SteinTarget("bare", power_cutoff(0.6).polar, breakpoints=(0.0,),
                            tail_limits=(0.0, 0.0))
         res = stein_derivative(SteinRequest(0.3, bare, np.array([0.5])))
         assert res.error_estimates[0] == math.inf
@@ -175,7 +177,7 @@ class TestSteinDerivative:
     def test_target_without_tail_model_gives_infinite_error(self):
         # neither tail_limits nor oscillatory_tail: the tail beyond y_max is unbounded
         base = power_cutoff(0.6)
-        no_tail = SteinTarget("no_tail", base.func, breakpoints=base.breakpoints,
+        no_tail = SteinTarget("no_tail", base.polar, breakpoints=base.breakpoints,
                               holder=base.holder)
         res = stein_derivative(SteinRequest(0.3, no_tail, np.array([0.5, 3.0])))
         assert np.all(np.isfinite(res.values)) and np.all(res.values > 0)
@@ -208,7 +210,7 @@ class TestSteinDerivative:
         lam = 2.0
         b = 0.4
         base = power_cutoff(0.6)
-        scaled = SteinTarget("scaled", lambda y: base.func(lam * y),
+        scaled = SteinTarget("scaled", lambda y: base.polar(lam * y),
                             breakpoints=tuple(bp / lam for bp in base.breakpoints),
                             tail_limits=(0.0, 0.0),
                             holder=lambda eta: base.holder(lam * eta))
