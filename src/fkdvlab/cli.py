@@ -255,12 +255,19 @@ def field_csv(f: Field) -> str:
     return "x,u\n" + "%.17g,%.17g\n" * f.grid.n % tuple(pairs)
 
 
-def report_csv(report: exp.ExperimentReport) -> str:
+def report_csv(*reports: exp.ExperimentReport) -> str:
     rows = ["name,metric,measured,expected,tolerance,mode,passed"]
-    for key, m in report.metrics.items():
-        rows.append(",".join([report.name, key, fmt(m.measured), fmt(m.expected),
-                              fmt(m.tolerance), m.mode, fmt(m.passed)]))
+    for report in reports:
+        for key, m in report.metrics.items():
+            rows.append(",".join([report.name, key, fmt(m.measured), fmt(m.expected),
+                                  fmt(m.tolerance), m.mode, fmt(m.passed)]))
     return "\n".join(rows) + "\n"
+
+
+def verdict_line(name: str, key: str, m: exp.MetricEntry) -> str:
+    """The printed verdict of metric ``key`` of the report ``name``."""
+    return (f"[{'PASS' if m.passed else 'FAIL'}] {name}/{key}: measured {fmt(m.measured)} "
+            f"expected {fmt(m.expected)} tol {fmt(m.tolerance)} ({m.mode})")
 
 
 def _prepare_out(args) -> Path:
@@ -315,9 +322,7 @@ def _conclude(args, command: str, runner, campaign_keys: dict) -> int:
     write_manifest(out, cfg, command, start, time.time(), report.truncated,
                    "pass" if report.passed else "metric-failure", campaign_keys, extras)
     for key, m in report.metrics.items():
-        flag = "PASS" if m.passed else "FAIL"
-        print(f"[{flag}] {report.name}/{key}: measured {fmt(m.measured)} "
-              f"expected {fmt(m.expected)} tol {fmt(m.tolerance)}")
+        print(verdict_line(report.name, key, m))
     for note in report.notes:
         print(f"  note: {note}")
     return 0 if report.passed else 2
@@ -329,6 +334,20 @@ def cmd_experiment(args) -> int:
 
 def cmd_convergence(args) -> int:
     return _conclude(args, "convergence", exp.run_convergence, {})
+
+
+def cmd_verify(args) -> int:
+    """Every row of ``experiments.CRITERIA``: one verdict line per gated metric and
+    report.csv (name = the row's label); exit 0 when all pass, 2 otherwise."""
+    out = _prepare_out(args)
+    reports = []
+    for row in exp.CRITERIA:
+        report = row.report()
+        for key, m in report.metrics.items():
+            print(verdict_line(report.name, key, m), flush=True)
+        reports.append(report)
+    (out / "report.csv").write_text(report_csv(*reports))
+    return 0 if all(r.passed for r in reports) else 2
 
 
 def cmd_stein(args) -> int:
@@ -364,7 +383,11 @@ def cmd_probe(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ConfigurationError, so a
     bad command line exits 1 with one ``error:`` line like any bad input;
-    2 stays the metric-failure code."""
+    2 stays the metric-failure code.  A flag prefix (``--alph``) is unknown,
+    as the same misspelled key is in a config file."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigurationError(f"{self.prog}: {message}")
@@ -396,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_key_flags(campaigns.add_parser(name, parents=[config]), campaign_keys)
     sp.set_defaults(func=cmd_experiment)
 
-    sp = sub.add_parser("stein", allow_abbrev=False,    # else --t reads as --target
-                        help="evaluate the square-function derivative")
+    sp = sub.add_parser("stein", help="evaluate the square-function derivative")
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--points", required=True)
@@ -418,6 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("convergence", parents=[config],
                         help="step-order and oracle cross-check")
     sp.set_defaults(func=cmd_convergence)
+
+    sp = sub.add_parser("verify", help="every acceptance criterion at its tolerance")
+    sp.set_defaults(func=cmd_verify)
     return p
 
 

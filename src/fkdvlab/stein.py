@@ -400,7 +400,6 @@ class SlopeFit:
     expected_slope: float
     log_correction_detected: bool
     residual: float
-    accepted: bool
 
 
 def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
@@ -441,15 +440,14 @@ def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
         ss = float(np.sum((sq - sq.mean()) ** 2)) or 1.0
         r2 = 1.0 - float(np.sum((sq - pred) ** 2)) / ss
         detected = bool(slope > 0 and r2 > 0.99)
-        return SlopeFit(math.nan, math.nan, detected, 1.0 - r2, detected)
+        return SlopeFit(math.nan, math.nan, detected, 1.0 - r2)
 
     logx, logy = np.log(np.abs(pts)), np.log(values)
     slope, intercept = line_fit(logx, logy)
     pred = slope * logx + intercept
     scale = float(np.std(logy)) or 1.0
     residual = float(np.sqrt(np.mean((logy - pred) ** 2))) / scale
-    accepted = residual <= 0.25
-    return SlopeFit(float(slope), expected, False, residual, accepted)
+    return SlopeFit(float(slope), expected, False, residual)
 
 
 # ---------------------------------------------------------------------------

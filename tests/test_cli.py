@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import fkdvlab
 import fkdvlab.cli as cli
+import fkdvlab.experiments as exp
 from fkdvlab import (ConfigurationError, Field, InitialCondition, SimConfig,
                      make_grid)
 from fkdvlab.errors import (DomainError, NumericError, OracleDivergenceError,
@@ -443,6 +445,25 @@ ic = odd_gaussian(-4,1)
         assert rc == 2
         assert "moment_max_deviation" in (out / "report.csv").read_text()
 
+    def test_verify_gates_each_rows_metrics(self, tmp_path, capsys, monkeypatch):
+        # verify keeps the metrics each row gates, under the row's label
+        metrics = {"a": exp.MetricEntry(1.0, 1.0, 0.0), "ungated": exp.MetricEntry(5.0, 0.0, 0.0),
+                   "b": exp.MetricEntry(2.0, 0.0, 1.0, "lt")}
+        run = partial(exp.ExperimentReport, "run", metrics)
+        rows = (exp.Criterion("c-pass", run, ("a",)), exp.Criterion("c-fail", run, ("b",)))
+        monkeypatch.setattr(exp, "CRITERIA", rows)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "verify"]) == 2
+        assert capsys.readouterr().out == (
+            "[PASS] c-pass/a: measured 1 expected 1 tol 0 (abs)\n"
+            "[FAIL] c-fail/b: measured 2 expected 0 tol 1 (lt)\n")
+        assert (out / "report.csv").read_text() == (
+            "name,metric,measured,expected,tolerance,mode,passed\n"
+            "c-pass,a,1,1,0,abs,true\nc-fail,b,2,0,1,lt,false\n")
+        assert sorted(p.name for p in out.iterdir()) == ["report.csv"]
+        monkeypatch.setattr(exp, "CRITERIA", rows[:1])
+        assert main(["--out", str(out), "verify"]) == 0
+
     def test_convergence_command(self, tmp_path):
         cfg_path = write_cfg(tmp_path, """
 alpha = 0.5
@@ -709,8 +730,13 @@ ic = odd_gaussian(-4,1)
         ["stein", "--b", "0.5", "--target", "weight(0.5,8)"],
         ["stein", "--b", "0.5", "--target", "sign_propagator(1)", "--t", "1",
          "--points", "1"],
+        # a flag prefix is not read as the flag it abbreviates
+        ["simulate", "--alph", "0.5"],
+        ["experiment", "tstar", "--t-fin", "3"],
+        ["probe", "--pair", "5"],
     ], ids=["stein-b-not-a-number", "probe-n-not-a-number", "unknown-experiment",
-            "unknown-flag", "stein-without-points", "stein-target-parameter-flag"])
+            "unknown-flag", "stein-without-points", "stein-target-parameter-flag",
+            "simulate-flag-prefix", "experiment-flag-prefix", "probe-flag-prefix"])
     def test_usage_error_exits_one(self, tmp_path, capsys, argv):
         # 2 is the metric-failure code, so a mistyped command line must not exit 2
         rc = main(["--out", str(tmp_path / "out"), *argv])

@@ -1,36 +1,32 @@
-"""Planted solver defects: each must fail the cheapest campaign that can see it.
+"""Planted defects: each must fail the cheapest campaign or criterion that can see it.
 
-One defect at a time is monkeypatched into ``fkdvlab.solver``, and the
-test asserts that the campaign's report fails on the named metrics.  The
-campaigns run on the acceptance suite's configurations: ``convergence`` on
-criterion 10's data at dt = 0.02 (so its dt/8 reference is criterion 10's
-dt = 0.0025), ``tstar`` on criterion 3's and ``two-time-bh`` on criterion 4's.
+One defect at a time is monkeypatched into ``fkdvlab.solver`` or
+``fkdvlab.stein``, and the test asserts that the report fails on the named
+metrics.  ``convergence`` runs on criterion 10's data at dt = 0.02 (so its
+dt/8 reference is criterion 10's dt = 0.0025); ``tstar``, ``two-time-bh``
+and the Stein defects run through the rows of ``experiments.CRITERIA``.
 
 "Stepper" defects patch only ``_Stepper``; "shared" defects patch a table
 builder that the stepper and the Picard oracle both read.  The oracle is
 independent of the stepper's stages, not of its symbols, so the shared
 defects pass ``convergence`` and are caught by the physics campaigns.
+Only criterion 6's closed form sees a wrong quadrature: a log-log slope
+does not see a constant factor, and no row gates the scans' coefficient.
 """
 
 import numpy as np
 import pytest
 
-from fkdvlab import InitialCondition, SimConfig
-from fkdvlab import solver
-from fkdvlab.experiments import run_convergence, run_tstar, run_two_time_bh
+from fkdvlab import InitialCondition, solver, stein
+from fkdvlab.experiments import CRITERIA, _ref_cfg, run_convergence
 
-REF = dict(dt=1e-3, t_final=1.0, n=4096, length=200.0, diag_every=100)
-CONVERGENCE = SimConfig(alpha=0.5, ic=InitialCondition("gaussian", (0.1, 1.0, 0.0), True),
-                        tail_tol=1.0, **{**REF, "dt": 0.02, "t_final": 0.5})
-TSTAR = SimConfig(alpha=0.5, ic=InitialCondition("odd_gaussian", (-4.0, 1.0)),
-                  tail_tol=1e-6, **{**REF, "t_final": 3.0})
-TWO_TIME = SimConfig(alpha=-1.0, ic=InitialCondition("odd_gaussian", (0.5, 1.0)),
-                     tail_tol=1e-5, **REF)
-
+ROWS = {row.label: row for row in CRITERIA}
 CAMPAIGNS = {
-    "convergence": lambda: run_convergence(CONVERGENCE),
-    "tstar": lambda: run_tstar(TSTAR),
-    "two-time-bh": lambda: run_two_time_bh(TWO_TIME, 0.5, 1.0),
+    "convergence": lambda: run_convergence(_ref_cfg(
+        0.5, ic=InitialCondition("gaussian", (0.1, 1.0, 0.0), True), tail_tol=1.0,
+        dt=0.02, t_final=0.5)),
+    "tstar": ROWS["c3-tstar"].report,
+    "two-time-bh": ROWS["c4-jump-evolution"].report,
 }
 
 
@@ -62,11 +58,18 @@ def _stepper_k3_is_k2(monkeypatch):
     monkeypatch.setattr(solver._Stepper, "nhat", lower_order)
 
 
-def _shared(name, change):
+def _shared(name, change, module=solver):
     def plant(monkeypatch):
-        build = getattr(solver, name)
-        monkeypatch.setattr(solver, name, lambda *args: change(build, *args))
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: change(build, *args))
     return plant
+
+
+def _gauss_weight_scaled(monkeypatch):
+    nodes, weights = stein._GAUSS_LEGENDRE
+    weights = weights.copy()
+    weights[7] *= 1.01                  # the largest weight, 1% off
+    monkeypatch.setattr(stein, "_GAUSS_LEGENDRE", (nodes, weights))
 
 
 DEFECTS = {
@@ -111,3 +114,27 @@ def test_convergence_misses_shared_defects(monkeypatch, defect):
     # criterion 10; the physics campaigns above are what catch it
     DEFECTS[defect][0](monkeypatch)
     assert CAMPAIGNS["convergence"]().passed
+
+
+STEIN_ROWS = [row for label, row in ROWS.items() if label.startswith(("c6-", "c7-"))]
+CLOSED_FORM = "c6-stein-asymptotics/closed_form_rel_error"
+
+# defect -> (plant, failing row/metric pairs); the closed-form error reads
+# 2.3e-2 without the tail, 2.2e-2 at b + 0.01 and 4.7e-4 with the weight
+STEIN_DEFECTS = {
+    "tail-dropped": (_shared("_tail_sq", lambda tail, *args: (0.0, tail(*args)[1]),
+                             stein), {CLOSED_FORM}),
+    "kernel-b-plus-0.01": (_shared(
+        "_quad_sq", lambda quad, inc, eta, b, *rest: quad(inc, eta, b + 0.01, *rest),
+        stein), {CLOSED_FORM}),
+    "gauss-weight-x1.01": (_gauss_weight_scaled, set()),
+}
+
+
+@pytest.mark.parametrize("plant,failing", STEIN_DEFECTS.values(), ids=STEIN_DEFECTS.keys())
+def test_planted_stein_defect_fails_its_rows(monkeypatch, plant, failing):
+    # the rows pass without a defect (tests/test_acceptance.py); an empty
+    # set pins a defect no row catches
+    plant(monkeypatch)
+    assert {f"{row.label}/{key}" for row in STEIN_ROWS
+            for key in _failing(row.report())} == failing

@@ -8,14 +8,8 @@ from fkdvlab import (ConfigurationError, DomainError, InitialCondition,
                      run_decay_threshold, run_moment_law, run_symmetry_checks,
                      run_tstar, run_two_time_bh, run_wave_breaking, solve)
 from fkdvlab.experiments import _crossing_time, _rel_err, _scaled_ic
+from fkdvlab.experiments import _ref_cfg as cfg_for   # n = 4096, L = 200, dt = 1e-3
 from fkdvlab.solver import _cumulative_simpson
-
-
-def cfg_for(alpha, **kw):
-    base = dict(alpha=alpha, dt=1e-3, t_final=1.0, n=4096, length=200.0,
-                diag_every=100)
-    base.update(kw)
-    return SimConfig(**base)
 
 
 class TestMetricEntry:
@@ -26,6 +20,14 @@ class TestMetricEntry:
     def test_one_sided_modes(self):
         assert MetricEntry(0.5, 1.0, 0.0, mode="le").passed
         assert not MetricEntry(1.5, 1.0, 0.0, mode="le").passed
+        assert MetricEntry(1.0, 1.0, 0.0, mode="ge").passed
+        assert not MetricEntry(0.5, 1.0, 0.0, mode="ge").passed
+
+    @pytest.mark.parametrize("mode,inside,edge", [("lt", 0.5, 1.0), ("gt", -0.5, -1.0)])
+    def test_strict_modes_fail_on_the_bound(self, mode, inside, edge):
+        assert MetricEntry(inside, 0.0, 1.0, mode).passed
+        assert not MetricEntry(edge, 0.0, 1.0, mode).passed
+        assert not MetricEntry(math.nan, 0.0, 1.0, mode).passed
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigurationError):
@@ -59,9 +61,8 @@ class TestMomentLaw:
                       ic=InitialCondition("odd_gaussian", (-4.0, 1.0)))
         rep = run_moment_law(cfg)
         assert not rep.truncated
-        note = rep.notes[0]
-        slope, predicted = [float(tok.split()[-1]) for tok in note.split(" vs ")]
-        assert slope == pytest.approx(predicted, rel=1e-3)
+        slope = rep.metrics["moment_slope"]
+        assert slope.measured == pytest.approx(slope.expected, rel=1e-3)
         # pointwise deviations sit on the tail-flux floor: far above the
         # line-identity target, but small and bounded
         dev = rep.metrics["moment_max_deviation"]
@@ -90,9 +91,8 @@ class TestMomentLaw:
                       ic=InitialCondition("odd_gaussian", (-1.0, 1.0)))
         rep = run_moment_law(cfg)
         assert rep.truncated and cfg.t_final == 1.0
-        assert rep.notes[0].startswith("fitted moment slope ")
-        assert rep.notes[0].endswith(
-            "; the fit stops at the truncation time t = 0.2, short of t_final = 1")
+        assert rep.notes[-1].startswith("TRUNCATED: main solve: ")
+        assert rep.notes[-1].endswith(" at t = 0.2")
 
 
 class TestTStar:
