@@ -111,7 +111,6 @@ class DecayFit:
     fitted_p: float
     residual: float
     accepted: bool
-    superalgebraic: bool = False
 
 
 def decay_fit(f: Field, window: tuple) -> DecayFit:
@@ -134,7 +133,7 @@ def decay_fit(f: Field, window: tuple) -> DecayFit:
     radii = np.geomspace(r_lo, r_hi, FIT_RADII)
     phi = np.array([tail_mass(f, R) for R in radii])
     if np.any(phi <= 0):
-        return DecayFit(math.inf, 0.0, accepted=False, superalgebraic=True)
+        return DecayFit(math.inf, 0.0, accepted=False)
     logphi = np.log(phi)
     scale = float(np.std(logphi)) or 1.0
     edge = 0.5 * f.grid.length
@@ -148,7 +147,7 @@ def decay_fit(f: Field, window: tuple) -> DecayFit:
     p = _argmin_bounded(rms, 0.55, 15.0)
     residual = rms(p) / scale
     if p >= 14.0:
-        return DecayFit(math.inf, residual, accepted=False, superalgebraic=True)
+        return DecayFit(math.inf, residual, accepted=False)
     return DecayFit(p, residual, accepted=residual <= FIT_RESIDUAL_MAX)
 
 

@@ -397,17 +397,15 @@ def stein_derivative(req: SteinRequest) -> SteinResult:
 @dataclass
 class SlopeFit:
     fitted_slope: float
-    expected_slope: float
     log_correction_detected: bool
-    residual: float
 
 
 def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
     """Log-log slope of the derivative over a small- or large-argument regime.
 
-    For power targets |xi|^beta the expected small-argument slope is
-    beta - b when beta < b, saturation (slope 0) when beta > b, and a
-    square-root-of-log law exactly at beta = b, which is detected by a
+    For power targets |xi|^beta the small-argument slope is beta - b when
+    beta < b and 0 (saturation) when beta > b; exactly at beta = b a
+    square-root-of-log law replaces the power, and it is detected by a
     linear fit of the squared values against -log|eta|.
     """
     if regime not in ("small_eta", "large_eta"):
@@ -416,22 +414,7 @@ def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
     if pts.size < 6:
         raise ConfigurationError("slope fits need at least 6 evaluation points")
     values = _stein_values(req)
-    beta = req.target.power
-    theta = req.b
-    log_branch = False
-    if regime == "large_eta":
-        expected = -0.5 - theta
-    elif beta is None:
-        expected = math.nan
-    elif beta < theta:
-        expected = beta - theta
-    elif beta > theta:
-        expected = 0.0
-    else:
-        log_branch = True
-        expected = math.nan
-
-    if log_branch:
+    if regime == "small_eta" and req.target.power == req.b:
         # squared values against -log eta must be an increasing line
         sq = values ** 2
         neglog = -np.log(np.abs(pts))
@@ -439,15 +422,9 @@ def stein_slope_fit(req: SteinRequest, regime: str) -> SlopeFit:
         pred = slope * neglog + intercept
         ss = float(np.sum((sq - sq.mean()) ** 2)) or 1.0
         r2 = 1.0 - float(np.sum((sq - pred) ** 2)) / ss
-        detected = bool(slope > 0 and r2 > 0.99)
-        return SlopeFit(math.nan, math.nan, detected, 1.0 - r2)
-
-    logx, logy = np.log(np.abs(pts)), np.log(values)
-    slope, intercept = line_fit(logx, logy)
-    pred = slope * logx + intercept
-    scale = float(np.std(logy)) or 1.0
-    residual = float(np.sqrt(np.mean((logy - pred) ** 2))) / scale
-    return SlopeFit(float(slope), expected, False, residual)
+        return SlopeFit(math.nan, bool(slope > 0 and r2 > 0.99))
+    slope, _ = line_fit(np.log(np.abs(pts)), np.log(values))
+    return SlopeFit(float(slope), False)
 
 
 # ---------------------------------------------------------------------------

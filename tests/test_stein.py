@@ -247,14 +247,12 @@ class TestSlopeFits:
         # beta < theta: pure power |eta|^(beta-theta)
         req = SteinRequest(0.5, power_cutoff(0.2), np.geomspace(1e-5, 1e-3, 7))
         fit = stein_slope_fit(req, "small_eta")
-        assert fit.expected_slope == pytest.approx(-0.3)
         assert fit.fitted_slope == pytest.approx(-0.3, abs=0.05)
 
     def test_small_eta_saturation(self):
         # beta > theta: bounded near zero
         req = SteinRequest(0.3, power_cutoff(0.6), np.geomspace(1e-5, 1e-3, 7))
         fit = stein_slope_fit(req, "small_eta")
-        assert fit.expected_slope == 0.0
         assert abs(fit.fitted_slope) <= 0.1
 
     def test_large_eta_decay(self):
@@ -273,7 +271,6 @@ class TestSlopeFits:
         b = 0.1234567
         req = SteinRequest(b, power_cutoff(b), np.geomspace(1e-8, 1e-4, 8))
         fit = stein_slope_fit(req, "small_eta")
-        assert math.isnan(fit.expected_slope)
         assert fit.log_correction_detected
 
     def test_power_carried_by_power_targets_only(self):
@@ -282,8 +279,6 @@ class TestSlopeFits:
         scans = [_bessel_weighted(-0.7, 1.0, "propagator"),
                  _bessel_weighted(0.3, 0.0, "symbol")]
         assert [t.power for t in scans] == [None, None]
-        req = SteinRequest(0.8, scans[1], np.geomspace(1e-5, 1e-3, 6), SCAN_QUAD)
-        assert math.isnan(stein_slope_fit(req, "small_eta").expected_slope)
 
     def test_signed_variant_same_small_eta_law(self):
         req = SteinRequest(0.5, signed_power_cutoff(0.2),
