@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigurationError, DomainError, NumericError,
                      OracleDivergenceError, StepError)
-from .solver import InitialCondition, SimConfig, solve
+from .solver import _IC_FAMILIES, InitialCondition, SimConfig, solve
 from .spectral import Field, make_grid
 from . import experiments as exp
 from . import stein
@@ -72,14 +72,19 @@ def _split_call(raw: str) -> tuple:
     return family.strip(), [a.strip() for a in args.split(",")] if args.strip() else []
 
 
+# initial-condition parameter name -> parser of its text; any other name is a float
+_IC_TEXT = {"path": str,
+            "seed": lambda p: int(p) if p.lstrip("+-").isdigit() else float(p)}
+
+
 def _parse_ic(raw: str) -> InitialCondition:
+    """``family(args)``, each argument parsed by its parameter's name;
+    InitialCondition checks the family, the count and the values."""
     family, parts = _split_call(raw)
-    if family == "file":
-        return InitialCondition("file", tuple(parts))
-    params = [float(p) for p in parts]
-    if family == "random_band" and parts and parts[0].lstrip("+-").isdigit():
-        params[0] = int(parts[0])            # the seed, exact; InitialCondition checks it
-    return InitialCondition(family, tuple(params))
+    names = _IC_FAMILIES.get(family, (("",),))[0]
+    names += names[-1:] * len(parts)         # surplus arguments, for the count check
+    return InitialCondition(family, tuple(_IC_TEXT.get(name, float)(p)
+                                          for name, p in zip(names, parts)))
 
 
 def _ic_to_str(ic: InitialCondition) -> str:
@@ -223,7 +228,7 @@ def write_manifest(out_dir: Path, cfg: SimConfig, command: str,
                    campaign_keys=None, extras=None):
     """manifest.txt: the ``[config]`` that reruns the command, then ``[run]``."""
     grid = cfg.grid()
-    seed = cfg.ic.params[0] if cfg.ic.family == "random_band" else 0
+    seed = dict(zip(_IC_FAMILIES[cfg.ic.family][0], cfg.ic.params)).get("seed", 0)
     lines = config_lines(cfg, campaign_keys, extras) + [
         "",
         "[run]",
@@ -366,8 +371,8 @@ def cmd_stein(args) -> int:
 def cmd_probe(args) -> int:
     out = _prepare_out(args)
     grid = make_grid(args.n, args.length)
-    params = stein.ProbeParams(beta=args.beta, gamma=args.gamma,
-                               l=args.l, m=args.m)
+    params = stein.ProbeParams(**{f.name: getattr(args, f.name)
+                                  for f in fields(stein.ProbeParams)})
     kinds = args.kinds.split(",") if args.kinds else list(stein._PROBE_KINDS)
     rows = ["kind,params,ratio"]
     for kind in kinds:
@@ -429,10 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kinds", help="comma list; default all five")
     sp.add_argument("--n", type=int, default=1024)
     sp.add_argument("--length", type=float, default=100.0)
-    sp.add_argument("--beta", type=float, default=0.5)
-    sp.add_argument("--gamma", type=float, default=0.25)
-    sp.add_argument("--l", type=int, default=1)
-    sp.add_argument("--m", type=int, default=0)
+    for f in fields(stein.ProbeParams):         # --beta --gamma --l --m
+        sp.add_argument("--" + f.name, type=type(f.default), default=f.default)
     sp.add_argument("--pairs", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_probe)

@@ -38,12 +38,17 @@ CFL_CONSTANT = 0.5
 #: Simpson intervals in tau of the Picard oracle's source integral (an even count)
 _PICARD_INTERVALS = 64
 
-_IC_PARAMS = {
-    "gaussian": ("A", "sigma", "x0"),
-    "odd_gaussian": ("A", "sigma"),
-    "sine_packet": ("A", "k", "sigma"),
-    "random_band": ("seed", "k_lo", "k_hi", "A"),
-    "file": ("path",),
+#: family -> (parameter names, (grid, *params) -> samples on the grid's nodes)
+_IC_FAMILIES = {
+    "gaussian": (("A", "sigma", "x0"),
+                 lambda g, amp, sigma, x0: amp * np.exp(-((g.x - x0) / sigma) ** 2)),
+    "odd_gaussian": (("A", "sigma"),
+                     lambda g, amp, sigma: amp * g.x * np.exp(-((g.x / sigma) ** 2))),
+    "sine_packet": (("A", "k", "sigma"), lambda g, amp, kc, sigma:
+                    amp * np.sin(kc * g.x) * np.exp(-((g.x / sigma) ** 2))),
+    "random_band": (("seed", "k_lo", "k_hi", "A"), lambda g, seed, k_lo, k_hi, amp:
+                    random_band(g, [seed], k_lo, k_hi, amp)[0]),
+    "file": (("path",), lambda g, path: _load_field_samples(path, g)),
 }
 
 
@@ -62,42 +67,24 @@ class InitialCondition:
     zero_mean_projected: bool = False
 
     def __post_init__(self):
-        names = _IC_PARAMS.get(self.family)
-        if names is None:
+        if self.family not in _IC_FAMILIES:
             raise ConfigurationError(f"unknown initial-condition family '{self.family}'")
+        names = _IC_FAMILIES[self.family][0]
         if len(self.params) != len(names):
             raise ConfigurationError(
                 f"{self.family}({', '.join(names)}) takes {len(names)} parameter(s), "
                 f"got {len(self.params)}")
-        if self.family == "random_band":
-            check_seed(self.params[0])
-        if self.family != "file":
-            for name, value in zip(names, self.params):
-                if name == "seed":
-                    continue
-                if not math.isfinite(value) or (name == "sigma" and value <= 0):
-                    must = "positive and finite" if name == "sigma" else "finite"
-                    raise ConfigurationError(
-                        f"{self.family}: {name} must be {must}, got {value}")
+        for name, value in zip(names, self.params):
+            if name == "seed":
+                check_seed(value)
+            elif name != "path" and (
+                    not math.isfinite(value) or (name == "sigma" and value <= 0)):
+                must = "positive and finite" if name == "sigma" else "finite"
+                raise ConfigurationError(
+                    f"{self.family}: {name} must be {must}, got {value}")
 
     def build(self, grid: Grid) -> Field:
-        x = grid.x
-        fam = self.family
-        if fam == "gaussian":
-            amp, sigma, x0 = self.params
-            u = amp * np.exp(-((x - x0) / sigma) ** 2)
-        elif fam == "odd_gaussian":
-            amp, sigma = self.params
-            u = amp * x * np.exp(-((x / sigma) ** 2))
-        elif fam == "sine_packet":
-            amp, kc, sigma = self.params
-            u = amp * np.sin(kc * x) * np.exp(-((x / sigma) ** 2))
-        elif fam == "random_band":
-            seed, k_lo, k_hi, amp = self.params
-            u = random_band(grid, [seed], k_lo, k_hi, amp)[0]
-        else:
-            (path,) = self.params
-            u = _load_field_samples(path, grid)
+        u = _IC_FAMILIES[self.family][1](grid, *self.params)
         if self.zero_mean_projected:
             u = u - np.mean(u)
         return Field(grid, u)

@@ -213,6 +213,11 @@ class SteinRequest:
         pts = np.atleast_1d(np.asarray(self.eval_points, dtype=float))
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError(f"evaluation points must be finite, got {pts}")
+        # the analytic tail starts at |y| = y_max, so every point must lie inside
+        reach = float(np.max(np.abs(pts), initial=0.0))
+        if reach >= self.quad.y_max:
+            raise ConfigurationError(f"evaluation points must satisfy |eta| < y_max = "
+                                     f"{self.quad.y_max:g}, got {reach:g}")
         object.__setattr__(self, "eval_points", pts)
 
 

@@ -392,6 +392,21 @@ ic = sine_packet(0.1,2,4)
         assert rows[0] == "target,b,eta,value,err_est"
         assert float(rows[1].split(",")[3]) == pytest.approx(2.0, rel=1e-3)
 
+    def test_stein_points_inside_the_quadrature_box(self, tmp_path, capsys):
+        # |eta| < y_max = 1000: 999 is evaluated, 1000 is one error line
+        argv = ["stein", "--b", "0.5", "--target", "propagator(0.5,1)", "--points"]
+        assert main(["--out", str(tmp_path / "in"), *argv, "999"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        value, err = (float(v) for v in row.split(",")[-2:])
+        assert value == pytest.approx(17.258, abs=1e-3)
+        assert err == pytest.approx(0.030, abs=1e-3)
+        rc = main(["--out", str(tmp_path / "edge"), *argv, "1000"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == ("error: evaluation points must satisfy |eta| < y_max = 1000, "
+                                "got 1000\n")
+
     def test_stein_weight_target(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["--out", str(out), "stein", "--b", "0.5", "--target", "weight(0.5,8)",

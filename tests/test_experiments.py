@@ -7,7 +7,7 @@ from fkdvlab import (ConfigurationError, DomainError, InitialCondition,
                      MetricEntry, SimConfig, make_grid, run_convergence,
                      run_decay_threshold, run_moment_law, run_symmetry_checks,
                      run_tstar, run_two_time_bh, run_wave_breaking, solve)
-from fkdvlab.experiments import _crossing_time, _rel_err, _scaled_ic
+from fkdvlab.experiments import _crossing_time, _rel_err
 from fkdvlab.experiments import _ref_cfg as cfg_for   # n = 4096, L = 200, dt = 1e-3
 from fkdvlab.solver import _cumulative_simpson
 
@@ -349,10 +349,11 @@ class TestSymmetry:
     ], ids=["gaussian", "odd_gaussian"])
     @pytest.mark.parametrize("lam,alpha", [(2.0, 0.5), (0.5, -0.5), (1.5, -1.0)])
     def test_scaled_ic_is_the_rescaled_field(self, ic, closed_form, lam, alpha):
-        # lam^alpha u0(lam x) at the grid nodes
+        # the nodes of the box lam L are lam x, so the campaign's rescaled data,
+        # lam^alpha u0 built there, is lam^alpha u0(lam x) at the grid nodes
         g = make_grid(1024, 100.0)
-        scaled = _scaled_ic(ic, lam, alpha).build(g)
-        np.testing.assert_allclose(scaled.samples, lam ** alpha * closed_form(lam * g.x),
+        scaled = lam ** alpha * ic.build(make_grid(1024, lam * 100.0)).samples
+        np.testing.assert_allclose(scaled, lam ** alpha * closed_form(lam * g.x),
                                    rtol=1e-12, atol=1e-15)
 
 

@@ -551,8 +551,9 @@ class TestSolve:
         u0 = cfg.ic.build(g)
         traj = solve(cfg, u0)
         direct = linear_propagator(u0, 0.5, cfg.alpha)
-        rel = np.linalg.norm(traj.final.samples - direct.samples) / l2_norm(direct)
-        assert rel <= 1e-11
+        ref = direct.samples
+        rel = np.linalg.norm(traj.final.samples - ref) / np.linalg.norm(ref)
+        assert rel <= 3e-12
 
     def test_initial_tail_contamination_rejected(self):
         cfg = small_cfg(ic=InitialCondition("gaussian", (0.5, 1.0, 48.0)))
@@ -698,8 +699,9 @@ class TestPicardOracle:
         u0 = InitialCondition("gaussian", (0.1, 1.0, 0.0)).build(g)
         pic = picard_oracle(u0, cfg, 0.05, iterations=6)
         tr = solve(replace(cfg, t_final=0.05), u0)
-        rel = np.linalg.norm(pic.samples - tr.final.samples) / l2_norm(tr.final)
-        assert rel <= 1e-6
+        ref = tr.final.samples
+        rel = np.linalg.norm(pic.samples - ref) / np.linalg.norm(ref)
+        assert rel <= 2e-7
 
     def test_divergence_detected(self):
         cfg = small_cfg(alpha=-0.9, dt=1e-3)

@@ -158,6 +158,19 @@ class TestSteinDerivative:
         with pytest.raises(ConfigurationError, match="points"):
             SteinRequest(0.5, sign_propagator(1.0), np.array([1.0, bad]))
 
+    def test_points_inside_the_quadrature_box(self):
+        # the analytic tail starts at |y| = y_max = 1000, so 999 is the last
+        # whole point below it; at 1000 the tail read inf and nan, past it 0
+        target = propagator_target(0.5, 1.0)
+        res = stein_derivative(SteinRequest(0.5, target, np.array([999.0])))
+        assert res.values[0] == pytest.approx(17.258, abs=1e-3)
+        assert res.error_estimates[0] == pytest.approx(0.030, abs=1e-3)
+        for eta in (1000.0, -1000.0, 1500.0):
+            with pytest.raises(ConfigurationError, match=f"y_max = 1000, got {abs(eta):g}$"):
+                SteinRequest(0.5, target, np.array([0.5, eta]))
+        with pytest.raises(ConfigurationError, match="y_max = 50"):
+            SteinRequest(0.5, target, np.array([50.0]), QuadSpec(y_max=50.0))
+
     @pytest.mark.parametrize("b,target", [
         (0.5, power_cutoff(0.5)),               # gamma = beta = b: S_b diverges at 0
         (0.6, propagator_target(-0.5, 1.0)),    # gamma = 1 + alpha = 0.5 < b
