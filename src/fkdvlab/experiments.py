@@ -400,7 +400,9 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     (c) [x, d/dx D^alpha] f = -(1+alpha) D^alpha f.
     The data must have zero mean and decay to 0 at the box edge: D^alpha
     of data with a mean decays like |x|^-(1+alpha), so x D^alpha u reaches
-    the box edge, and a shelf makes x u a box-sized sawtooth.
+    the box edge, and a shelf makes x u a box-sized sawtooth.  x D^alpha u0
+    must fit the box as well (tail fraction within tail_tol), which zero-mean
+    data with a first moment can miss.
     """
     if not (-1.0 < cfg.alpha < 1.0) or cfg.alpha == 0.0:
         raise ConfigurationError("symmetry checks need -1 < alpha < 1, alpha != 0")
@@ -413,6 +415,12 @@ def run_symmetry_checks(cfg: SimConfig, lam: float) -> ExperimentReport:
     alpha = cfg.alpha
     u0 = cfg.ic.build(grid)
     _mean_free(u0, "symmetry checks")
+    reach = diag.tail_fraction(coordinate_multiply(frac_deriv(u0, alpha)).samples, grid)
+    if reach > cfg.tail_tol:
+        raise ConfigurationError(
+            f"symmetry checks: x D^alpha u0 reaches the box edge (tail fraction "
+            f"{reach:.2e} > tail_tol {cfg.tail_tol:g}); data with a first moment "
+            f"needs a larger box")
 
     # (a) two solver runs compared through the scaling map; the nodes of the
     #     box lam L are lam x, so the data built there is u0(lam x)

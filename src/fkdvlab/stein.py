@@ -15,14 +15,14 @@ constant limits, in the mean with a reported uncertainty when it
 oscillates, and otherwise left out with an infinite estimate.
 
 Only :func:`stein_derivative` computes error estimates, which cost a
-second, half-panel quadrature per point.  The slope fits, the propagator
-bound and the non-membership scans read values alone and skip it.
+second, half-panel quadrature per point; the propagator bound reads them,
+while the slope fits and the non-membership scans read values alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -198,6 +198,10 @@ def weight_target(theta: float, n_w: float) -> SteinTarget:
 class QuadSpec:
     y_max: float = 1e3
     n_panels: int = 2048
+
+
+#: quadrature of the non-membership scans, whose points lie in (0, 1]
+SCAN_QUAD = QuadSpec(n_panels=1024, y_max=50.0)
 
 
 @dataclass(frozen=True)
@@ -458,32 +462,27 @@ class PropagatorBoundReport:
 
 
 def propagator_stein_bound(alpha: float, b: float, t_list: Sequence[float],
-                           x_list: Sequence[float],
-                           quad: QuadSpec = QuadSpec()) -> PropagatorBoundReport:
+                           x_list: Sequence[float]) -> PropagatorBoundReport:
     """Fitted constant sup S_b(propagator) / envelope over the sample grid.
 
-    The constant must be stable (within 2x) under doubling of the panel
-    count; ``stable`` says whether it is.
+    ``stable`` says whether :func:`stein_derivative`'s error estimates
+    leave the constant within 2x: sup (S + error) / envelope < 2 constant.
     """
     if not (0.0 < b < 1.0):
         raise ConfigurationError(f"order b must lie in (0,1), got {b}")
     if not (-1.0 < alpha < 1.0) or alpha == 0.0:
         raise ConfigurationError(f"alpha must lie in (-1,1) nonzero, got {alpha}")
     best = 0.0
-    best2 = 0.0
-    quad2 = replace(quad, n_panels=2 * quad.n_panels)
+    worst = 0.0
     for t in t_list:
         if t == 0:
             continue
-        target = propagator_target(alpha, t)
-        v1 = _stein_values(SteinRequest(b, target, x_list, quad))
-        v2 = _stein_values(SteinRequest(b, target, x_list, quad2))
-        for x, s1, s2 in zip(x_list, v1, v2):
+        res = stein_derivative(SteinRequest(b, propagator_target(alpha, t), x_list))
+        for x, s, err in zip(x_list, res.values, res.error_estimates):
             env = _propagator_envelope(alpha, b, t, x)
-            best = max(best, s1 / env)
-            best2 = max(best2, s2 / env)
-    stable = best == 0.0 or (best2 / best < 2.0 and best / max(best2, 1e-300) < 2.0)
-    return PropagatorBoundReport(best, stable)
+            best = max(best, s / env)
+            worst = max(worst, (s + err) / env)
+    return PropagatorBoundReport(best, best == 0.0 or worst < 2.0 * best)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +514,7 @@ def _bessel_weighted(alpha: float, t: float, kind: str) -> SteinTarget:
 
 
 def nonmembership_scan(alpha: float, t: float, s_order: float,
-                       eps_list: Sequence[float],
-                       quad: QuadSpec = QuadSpec(n_panels=1024, y_max=50.0)) -> GrowthTable:
+                       eps_list: Sequence[float]) -> GrowthTable:
     """Truncated-norm blow-up scan near the frequency origin.
 
     Q(eps)^2 integrates the squared derivative of order ``s_order`` of
@@ -556,7 +554,7 @@ def nonmembership_scan(alpha: float, t: float, s_order: float,
         if not (0 < s_order < 1):
             raise ConfigurationError(
                 f"scan order {s_order:g} outside (0,1); only order 1 has a local branch")
-        one_side = _stein_values(SteinRequest(s_order, target, etas, quad)) ** 2
+        one_side = _stein_values(SteinRequest(s_order, target, etas, SCAN_QUAD)) ** 2
     # the density at -eta equals the one at eta (see the docstring)
     dens = 2.0 * one_side
     q2 = np.empty(eps.size)

@@ -355,6 +355,16 @@ ic = sine_packet(0.1,2,4)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: symmetry checks needs zero mean")
 
+    def test_symmetry_rejects_data_reaching_the_edge(self, tmp_path, capsys):
+        # zero-mean data with a first moment: x D^alpha u0 reaches the box edge,
+        # and the guard rejects it before any solve
+        rc = main(["--out", str(tmp_path / "out"), "experiment", "symmetry",
+                   "--alpha", "0.5", "--dt", "1e-3", "--t-final", "0.5", "--lambda", "2",
+                   "--ic", "odd_gaussian(0.5,1)"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: symmetry checks: x D^alpha u0")
+
     @pytest.mark.parametrize("campaign, alpha", [
         ("moment-law", "0.5"), ("tstar", "0.5"), ("two-time-bh", "-1"),
         ("decay-threshold", "-0.5"), ("symmetry", "0.5"), ("breaking", "-1")])

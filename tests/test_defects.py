@@ -4,8 +4,8 @@ One defect at a time is monkeypatched into ``fkdvlab.solver`` or
 ``fkdvlab.stein``, and the test asserts that the report fails on the named
 metrics.  Every campaign runs through a row of ``experiments.CRITERIA``:
 ``convergence`` through criterion 10's, ``tstar`` through criterion 3's,
-``two-time-bh`` through criterion 4's, and the Stein defects through
-criteria 6 and 7.
+``two-time-bh`` through criterion 4's, the decay defects through criterion
+5's three rows, and the Stein defects through criteria 6 and 7.
 
 "Stepper" defects patch only ``_Stepper``; "shared" defects patch a table
 builder that the stepper and the Picard oracle both read.  The oracle is
@@ -18,7 +18,7 @@ does not see a constant factor, and no row gates the scans' coefficient.
 import numpy as np
 import pytest
 
-from fkdvlab import solver, stein
+from fkdvlab import diagnostics, solver, stein
 from fkdvlab.experiments import CRITERIA
 
 ROWS = {row.label: row for row in CRITERIA}
@@ -115,6 +115,32 @@ def test_convergence_misses_shared_defects(monkeypatch, defect):
     assert CAMPAIGNS["convergence"]().passed
 
 
+def _failing_rows(rows):
+    return {f"{row.label}/{key}" for row in rows for key in _failing(row.report())}
+
+
+DECAY_ROWS = [row for label, row in ROWS.items() if label.startswith("c5-")]
+
+# defect -> (plant, failing row/metric pairs); alpha = -1's tail exponent
+# reads 1.061 against 1 +- 0.05 at alpha + 0.05, and its subcritical
+# convergence 0.030 against 0.02 at weight order r + 0.2
+DECAY_DEFECTS = {
+    "shared-alpha-plus-0.05": (
+        _shared("_propagators",
+                lambda build, grid, alpha, times: build(grid, alpha + 0.05, times)),
+        {"c5-decay-threshold-alpha=-1/tail_exponent"}),
+    "weighted-norm-order-plus-0.2": (
+        _shared("weighted_norm", lambda norm, f, r: norm(f, r + 0.2), diagnostics),
+        {"c5-decay-threshold-alpha=-1/subcritical_norm_convergence"}),
+}
+
+
+@pytest.mark.parametrize("plant,failing", DECAY_DEFECTS.values(), ids=DECAY_DEFECTS.keys())
+def test_planted_decay_defect_fails_its_rows(monkeypatch, plant, failing):
+    plant(monkeypatch)
+    assert _failing_rows(DECAY_ROWS) == failing
+
+
 STEIN_ROWS = [row for label, row in ROWS.items() if label.startswith(("c6-", "c7-"))]
 CLOSED_FORM = "c6-stein-asymptotics/closed_form_rel_error"
 
@@ -135,5 +161,4 @@ def test_planted_stein_defect_fails_its_rows(monkeypatch, plant, failing):
     # the rows pass without a defect (tests/test_acceptance.py); an empty
     # set pins a defect no row catches
     plant(monkeypatch)
-    assert {f"{row.label}/{key}" for row in STEIN_ROWS
-            for key in _failing(row.report())} == failing
+    assert _failing_rows(STEIN_ROWS) == failing

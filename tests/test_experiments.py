@@ -335,6 +335,15 @@ class TestSymmetry:
         with pytest.raises(ConfigurationError, match="^symmetry checks: u0 is zero"):
             run_symmetry_checks(cfg, 2.0)
 
+    @pytest.mark.parametrize("alpha", [0.5, -0.5])
+    def test_first_moment_reaching_the_edge_rejected(self, alpha):
+        # x D^alpha u0 of odd_gaussian(0.5,1) reads tail fraction 8.4e-8 at
+        # alpha = 0.5 and 1.6e-4 at -0.5, above the default tail_tol 1e-8;
+        # the commutator residuals would read 7e-5 to 1.5e-2 against 1e-8
+        cfg = cfg_for(alpha, t_final=0.5, ic=InitialCondition("odd_gaussian", (0.5, 1.0)))
+        with pytest.raises(ConfigurationError, match="x D\\^alpha u0 reaches the box edge"):
+            run_symmetry_checks(cfg, 2.0)
+
     def test_random_band_not_scalable(self):
         cfg = cfg_for(0.5, tail_tol=1.0,
                       ic=InitialCondition("random_band", (1, 0.5, 2.0, 0.1)))

@@ -277,8 +277,8 @@ def test_stein_fits_load_no_numpy_polynomial():
             "q = stein.QuadSpec(n_panels=128, y_max=50.0)\n"
             "stein.stein_slope_fit(stein.SteinRequest(\n"
             "    0.5, stein.power_cutoff(0.2), np.geomspace(1e-5, 1e-3, 6), q), 'small_eta')\n"
-            "stein.nonmembership_scan(-0.7, 1.0, 0.8, (1e-2, 1e-3, 1e-4), q)\n"
-            "stein.propagator_stein_bound(0.5, 0.5, [1.0], [1.0], q)\n"
+            "stein.nonmembership_scan(-0.7, 1.0, 0.8, (1e-2, 1e-3, 1e-4))\n"
+            "stein.propagator_stein_bound(0.5, 0.5, [1.0], [1.0])\n"
             "stein.probe_ensemble('hilbert_frac', make_grid(256, 50.0),\n"
             "    stein.ProbeParams(beta=0.5), n_pairs=4)\n"
             "print(sorted(m for m in ('numpy.polynomial', 'numpy.ma') if m in sys.modules))")

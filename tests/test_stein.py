@@ -13,11 +13,9 @@ from fkdvlab import (ConfigurationError, DomainError, Field, InitialCondition,
                      stein_slope_fit, weight_target)
 from fkdvlab import stein
 from fkdvlab.spectral import random_band, weight_profile
-from fkdvlab.stein import (_bessel_weighted, _probe_ratios, probe_ensemble,
+from fkdvlab.stein import (SCAN_QUAD, _bessel_weighted, _probe_ratios, probe_ensemble,
                            propagator_target)
 
-
-SCAN_QUAD = QuadSpec(n_panels=1024, y_max=50.0)
 
 # values and error estimates recorded with the per-breakpoint panel construction
 # that the single vectorised one replaced; the two propagator rows were
@@ -318,15 +316,13 @@ class TestSlopeFits:
 
 class TestPropagatorBound:
     def test_positive_dispersion_stable(self):
-        rep = propagator_stein_bound(0.5, 0.5, (0.5, 1.0, 2.0), (0.1, 1.0, 10.0),
-                                     QuadSpec(n_panels=512, y_max=200.0))
+        rep = propagator_stein_bound(0.5, 0.5, (0.5, 1.0, 2.0), (0.1, 1.0, 10.0))
         assert math.isfinite(rep.constant)
         assert rep.constant > 0
         assert rep.stable
 
     def test_zero_time_ratio_zero(self):
-        rep = propagator_stein_bound(0.5, 0.5, (0.0,), (1.0,),
-                                     QuadSpec(n_panels=256, y_max=100.0))
+        rep = propagator_stein_bound(0.5, 0.5, (0.0,), (1.0,))
         assert rep.constant == 0.0
 
     def test_negative_dispersion_power_envelope(self):
@@ -341,16 +337,24 @@ class TestPropagatorBound:
         assert rep.stable
 
     def test_constant_reads_stein_derivative_values(self, monkeypatch):
-        args = (0.5, 0.5, (0.5, 1.0, 2.0), (0.1, 1.0, 10.0),
-                QuadSpec(n_panels=512, y_max=200.0))
+        args = (0.5, 0.5, (0.5, 1.0, 2.0), (0.1, 1.0, 10.0))
         rep = propagator_stein_bound(*args)
         monkeypatch.setattr(stein, "_stein_values", lambda r: stein_derivative(r).values)
         assert rep == propagator_stein_bound(*args)
 
+    def test_unbounded_error_estimate_is_unstable(self, monkeypatch):
+        # stable reads stein_derivative's error model: an infinite inner-ball
+        # bound leaves the constant unchanged but not within 2x
+        args = (0.5, 0.5, [0.5, 1.0, 2.0], [0.5, 1.0, 2.0, 4.0])
+        rep = propagator_stein_bound(*args)
+        monkeypatch.setattr(stein, "_inner_sq_bound", lambda *a: math.inf)
+        unbounded = propagator_stein_bound(*args)
+        assert rep.stable and not unbounded.stable
+        assert unbounded.constant == rep.constant
+
     def test_log_corrected_branch(self):
         # 1 + alpha - b = 0: small-x bound switches to the log form
-        rep = propagator_stein_bound(-0.5, 0.5, (1.0,), (0.01, 0.1),
-                                     QuadSpec(n_panels=512, y_max=200.0))
+        rep = propagator_stein_bound(-0.5, 0.5, (1.0,), (0.01, 0.1))
         assert math.isfinite(rep.constant)
         assert rep.stable
 
