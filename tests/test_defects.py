@@ -5,7 +5,9 @@ One defect at a time is monkeypatched into ``fkdvlab.solver`` or
 metrics.  Every campaign runs through a row of ``experiments.CRITERIA``:
 ``convergence`` through criterion 10's, ``tstar`` through criterion 3's,
 ``two-time-bh`` through criterion 4's, the decay defects through criterion
-5's three rows, and the Stein defects through criteria 6 and 7.
+5's three rows, and the Stein defects through criteria 6 and 7.  The solver
+defects also run through criterion 8, whose scaling residual is exact on
+the semi-discrete map, so that a scale-covariant defect passes it.
 
 "Stepper" defects patch only ``_Stepper``; "shared" defects patch a table
 builder that the stepper and the Picard oracle both read.  The oracle is
@@ -113,6 +115,25 @@ def test_convergence_misses_shared_defects(monkeypatch, defect):
     # criterion 10; the physics campaigns above are what catch it
     DEFECTS[defect][0](monkeypatch)
     assert CAMPAIGNS["convergence"]().passed
+
+
+# defect -> failing c8 metrics; the scale-covariant defects read
+# scaling_residual 5.4e-14 (no 2/3 rule, flipped sign) and 5.0e-14 (either
+# nonlinearity x 0.95), and k3 := k2 reads 1.16e-8, under its 1e-6
+C8_FAILING = {
+    "stepper-nonlinearity-x0.95": set(),
+    "stepper-k3-is-k2": set(),
+    "stepper-no-2/3-rule": set(),
+    "shared-dispersion-sign-flipped": {"commuting_field_residual"},
+    "shared-alpha-plus-0.02": {"scaling_residual", "commuting_field_residual"},
+    "shared-nonlinearity-x0.95": set(),
+}
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_planted_solver_defect_through_c8(monkeypatch, defect):
+    DEFECTS[defect][0](monkeypatch)
+    assert _failing(ROWS["c8-identities"].report()) == C8_FAILING[defect]
 
 
 def _failing_rows(rows):

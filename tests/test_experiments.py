@@ -7,6 +7,7 @@ from fkdvlab import (ConfigurationError, DomainError, InitialCondition,
                      MetricEntry, SimConfig, make_grid, run_convergence,
                      run_decay_threshold, run_moment_law, run_symmetry_checks,
                      run_tstar, run_two_time_bh, run_wave_breaking, solve)
+from fkdvlab.cli import field_csv
 from fkdvlab.experiments import _crossing_time, _rel_err
 from fkdvlab.experiments import _ref_cfg as cfg_for   # n = 4096, L = 200, dt = 1e-3
 from fkdvlab.solver import _cumulative_simpson
@@ -314,8 +315,8 @@ class TestSymmetry:
             run_symmetry_checks(cfg, 3.0)
 
     def test_truncated_solve_leaves_scaling_residual_nan(self):
-        # the tail guard stops the original solve at t = 0.9, before the
-        # time that matches the rescaled solve's horizon
+        # the tail guard stops the original solve at t = 0.9 and the rescaled
+        # one, the same flow in scaled units, at t = 0.500304
         run, kw, _ = TRUNCATING["symmetry"]
         rep = run(cfg_for(**kw))
         assert rep.truncated
@@ -345,10 +346,23 @@ class TestSymmetry:
             run_symmetry_checks(cfg, 2.0)
 
     def test_random_band_not_scalable(self):
+        # random_band data fill the box, so they sit on a shelf at its edge
         cfg = cfg_for(0.5, tail_tol=1.0,
                       ic=InitialCondition("random_band", (1, 0.5, 2.0, 0.1)))
-        with pytest.raises(ConfigurationError, match="analytic"):
+        with pytest.raises(ConfigurationError, match="shelf"):
             run_symmetry_checks(cfg, 2.0)
+
+    def test_field_file_data_pass(self, tmp_path):
+        # data read from a field CSV scale like any other: the rescaled solve
+        # starts from the file's own samples on the box L / lam
+        g = make_grid(1024, 100.0)
+        path = tmp_path / "u0.csv"
+        path.write_text(field_csv(InitialCondition("sine_packet", (0.1, 2.0, 4.0)).build(g)))
+        cfg = cfg_for(0.5, t_final=0.2, n=1024, length=100.0,
+                      ic=InitialCondition("file", (str(path),)))
+        rep = run_symmetry_checks(cfg, 2.0)
+        assert rep.passed
+        assert rep.metrics["scaling_residual"].measured <= 1e-12
 
     @pytest.mark.parametrize("ic,closed_form", [
         (InitialCondition("gaussian", (0.3, 1.5, 2.0)),
@@ -358,8 +372,8 @@ class TestSymmetry:
     ], ids=["gaussian", "odd_gaussian"])
     @pytest.mark.parametrize("lam,alpha", [(2.0, 0.5), (0.5, -0.5), (1.5, -1.0)])
     def test_scaled_ic_is_the_rescaled_field(self, ic, closed_form, lam, alpha):
-        # the nodes of the box lam L are lam x, so the campaign's rescaled data,
-        # lam^alpha u0 built there, is lam^alpha u0(lam x) at the grid nodes
+        # a family built on the box lam L is read at its nodes lam x, so
+        # lam^alpha times it is the rescaled field lam^alpha u0(lam x)
         g = make_grid(1024, 100.0)
         scaled = lam ** alpha * ic.build(make_grid(1024, lam * 100.0)).samples
         np.testing.assert_allclose(scaled, lam ** alpha * closed_form(lam * g.x),
@@ -414,7 +428,7 @@ TRUNCATING = {
         ic=InitialCondition("odd_gaussian", (-3.0, 1.0))), {"dt", "dt/2"}),
     "symmetry": (lambda cfg: run_symmetry_checks(cfg, 1.5), dict(
         alpha=0.5, n=512, length=12.0, t_final=1.0, tail_tol=1e-6,
-        ic=InitialCondition("sine_packet", (0.1, 4.0, 1.0))), {"original"}),
+        ic=InitialCondition("sine_packet", (0.1, 4.0, 1.0))), {"original", "rescaled"}),
     "convergence": (run_convergence, dict(
         alpha=-0.5, n=1024, length=100.0, dt=0.01,
         ic=InitialCondition("gaussian", (0.1, 1.0, 0.0), True)),

@@ -1,8 +1,10 @@
 """Property tests: the spectral discretisation and the solver's linear and
-quadratic parts on random band-limited fields, the Stein quadrature's edge
-merge and the polar increments of every target, and the config text."""
+quadratic parts on random band-limited fields, the scale covariance of the
+semi-discrete flow, the Stein quadrature's edge merge and the polar
+increments of every target, and the config text."""
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from fkdvlab import (ConfigurationError, Field, InitialCondition,
                      MultiplierSymbol, SimConfig, apply_multiplier, linear_propagator,
-                     make_grid)
+                     make_grid, solve)
 from fkdvlab.cli import _CONFIG_KEYS, _EXPERIMENTS, parse_config, write_manifest
 from fkdvlab.diagnostics import weight_column
 from fkdvlab.solver import _Stepper
@@ -239,6 +241,23 @@ def test_dealiased_quadratic_term_keeps_mean_and_l2(f):
     inner = np.sum(w * (np.conj(uh) * nh).real)
     scale = np.sqrt(np.sum(w * np.abs(uh) ** 2) * np.sum(w * np.abs(nh) ** 2))
     assert abs(inner) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(-0.99, 0.99).filter(lambda a: abs(a) >= 1e-3),
+       lam=st.floats(0.5, 2.0), n=st.sampled_from([64, 128, 256]), dealias=st.booleans())
+def test_semi_discrete_flow_is_scale_covariant(alpha, lam, n, dealias):
+    # the nodes of the box L / lam are x / lam, so lam^alpha u_j(lam^(1+alpha) t)
+    # solves the semi-discrete system there: the two runs agree up to rounding
+    cfg = SimConfig(alpha=alpha, dt=0.01, t_final=0.1, n=n, length=20.0,
+                    dealias=dealias, tail_tol=1.0,
+                    ic=InitialCondition("sine_packet", (0.3, 1.5, 2.0)))
+    u0 = cfg.ic.build(cfg.grid())
+    s = lam ** (1.0 + alpha)
+    scaled = replace(cfg, length=cfg.length / lam, dt=cfg.dt / s, t_final=cfg.t_final / s)
+    ref = lam ** alpha * solve(cfg, u0, columns=()).final.samples
+    got = solve(scaled, Field(scaled.grid(), lam ** alpha * u0.samples), columns=())
+    assert np.max(np.abs(got.final.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 config_values = st.one_of(

@@ -11,7 +11,6 @@ from fkdvlab import (ConfigurationError, DomainError, Field,
                      MultiplierSymbol, apply_multiplier, coordinate_multiply,
                      frac_deriv, integrate, l2_norm, line_spectrum, make_grid)
 from fkdvlab.errors import NumericError
-from fkdvlab.experiments import _evaluate_at
 from fkdvlab.solver import InitialCondition
 from fkdvlab.spectral import (derivative_symbol, dispersion_symbol, frac_deriv_symbol,
                               hilbert_symbol, is_zero_mean, l2_rows, lowpass_symbol,
@@ -52,14 +51,6 @@ class TestGrid:
 
 
 class TestTransforms:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_roundtrip(self, seed):
-        # the interpolant summed from the half spectrum returns the samples
-        g = make_grid(512, 100.0)
-        f = seeded_field(g, seed)
-        back = _evaluate_at(f, g.x)
-        assert np.max(np.abs(back - f.samples)) <= 1e-12 * np.max(np.abs(f.samples))
-
     @pytest.mark.parametrize("seed", range(5))
     def test_plancherel(self, seed):
         g = make_grid(512, 100.0)
